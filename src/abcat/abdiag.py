@@ -1,7 +1,8 @@
 """Diagrams of finitely generated abelian groups over finite categories.
 
 Colimits are computed by presentation (coproduct of all object groups,
-plus one relation column per morphism and source generator); limits are
+plus one relation column per source generator of each gluing morphism,
+which are the base's generating morphisms when it has them); limits are
 kernels inside the product.  Coinvariants and invariants of a group
 action, family coproducts, induced maps on colimits, and the checks
 behind the coproduct-exactness results all live here.
@@ -148,36 +149,46 @@ class AbLimit:
 
 def ab_colimit(d: AbDiagram) -> AbColimit:
     """Colimit by presentation: all generators, all object relations, and
-    one column per (morphism, source generator) gluing image to source."""
+    one column per (glued morphism, source generator) gluing image to source.
+
+    The glued morphisms are the base's ``generators`` when it has them,
+    since the gluing of a composite g∘f follows from those of g and f;
+    otherwise every non-identity morphism.
+    """
     base = d.base
     offsets = []
     total = 0
     for g in d.groups:
         offsets.append(total)
         total += g.gens
-    cols = []
-    for m in range(base.n_morphisms):
-        if base.identity[base.dom[m]] == m:
-            continue
-        a, b = base.dom[m], base.cod[m]
-        mat = d.homs[m].matrix
-        for j in range(d.groups[a].gens):
-            col = [0] * total
-            for i in range(d.groups[b].gens):
-                col[offsets[b] + i] += mat.data[i][j]
-            col[offsets[a] + j] -= 1
-            cols.append(col)
-    object_rels = block_diagonal([g.relations for g in d.groups]) if d.groups \
-        else IntMatrix.zeros(0, 0)
-    glue = IntMatrix.from_columns(cols, total)
-    carrier = FGAbGroup(total, hstack(object_rels, glue) if total else IntMatrix.zeros(0, 0))
+    glued = base.generators if base.generators is not None else range(base.n_morphisms)
+    cols = []   # sparse (row, value) lists
+    if total:   # a carrier on no generators keeps a 0 x 0 relation matrix
+        for g, off in zip(d.groups, offsets):
+            rel = g.relations.data
+            for j in range(g.relations.cols):
+                cols.append([(off + i, rel[i][j]) for i in range(g.gens) if rel[i][j]])
+        for m in glued:
+            a, b = base.dom[m], base.cod[m]
+            if base.identity[a] == m:
+                continue
+            mat = d.homs[m].matrix.data
+            for j in range(d.groups[a].gens):
+                col = [(offsets[b] + i, mat[i][j])
+                       for i in range(d.groups[b].gens) if mat[i][j]]
+                col.append((offsets[a] + j, -1))
+                cols.append(col)
+    rows = [[0] * len(cols) for _ in range(total)]
+    for k, col in enumerate(cols):
+        for i, v in col:
+            rows[i][k] += v
+    carrier = FGAbGroup(total, IntMatrix._trusted(tuple(map(tuple, rows)), total, len(cols)))
     components = []
-    for c in range(base.n_objects):
-        mat = [[0] * d.groups[c].gens for _ in range(total)]
-        for i in range(d.groups[c].gens):
-            mat[offsets[c] + i][i] = 1
-        components.append(AbHom(d.groups[c], carrier,
-                                IntMatrix(mat, shape=(total, d.groups[c].gens))))
+    for c, group in enumerate(d.groups):
+        leg = [(0,) * group.gens] * total
+        for i in range(group.gens):
+            leg[offsets[c] + i] = tuple(1 if k == i else 0 for k in range(group.gens))
+        components.append(AbHom(group, carrier, IntMatrix._trusted(tuple(leg), total, group.gens)))
     return AbColimit(carrier, AbCocone(carrier, tuple(components)), d, tuple(offsets))
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from .abdiag import AbDiagram, GModule
 from .abgrp import AbHom, FGAbGroup
 from .errors import DocumentError, InputError
-from .fincat import FinCategory, FinFunctor, ProductCategory, product_category
+from .fincat import (FinCategory, FinFunctor, ProductCategory, generator_closure,
+                     product_category)
 from .intmat import IntMatrix
 from .setdiag import FinSet, SetFunctor
 
@@ -204,9 +205,16 @@ def parse_category_body(payload, path="category") -> FinCategory:
                 raise DocumentError(f"unresolved morphism reference '{name}'",
                                     path=f"{path}.generators")
             generators.append(mor_index[name])
-    return FinCategory(len(objects), dom, cod, ident, table,
-                       object_labels=objects, morphism_labels=names,
-                       generators=generators)
+    cat = FinCategory(len(objects), dom, cod, ident, table,
+                      object_labels=objects, morphism_labels=names,
+                      generators=generators)
+    if generators is not None:
+        reachable = generator_closure(cat, table)
+        missing = next((m for m in range(len(names)) if m not in reachable), None)
+        if missing is not None:
+            raise DocumentError(f"morphism '{names[missing]}' is not a composite of "
+                                f"generators", path=f"{path}.generators")
+    return cat
 
 
 def category_body(cat: FinCategory) -> dict:

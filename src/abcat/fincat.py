@@ -34,7 +34,9 @@ class FinCategory:
     ``composition`` maps composable pairs (g, f) with cod(f) == dom(g) to
     the index of g∘f.  Large generated categories may instead supply
     ``compose_rule``; objects and morphisms stay fully enumerated either
-    way.  Values are immutable after construction.
+    way.  Optional ``generators`` must compose, together with the
+    identities, to every morphism; group colimits glue along them alone.
+    Values are immutable after construction.
     """
 
     __slots__ = ("n_objects", "dom", "cod", "identity", "_table", "_rule",
@@ -407,10 +409,8 @@ def product_category(c: FinCategory, d: FinCategory, *, max_pairs: int = 2_000_0
             cod.append(c.cod[p] * no + d.cod[q])
     ident = [c.identity[a] * nm + d.identity[b]
              for a in range(c.n_objects) for b in range(no)]
-    olabels = None
-    if c.object_labels is not None or d.object_labels is not None:
-        olabels = [f"({c.object_label(a)},{d.object_label(b)})"
-                   for a in range(c.n_objects) for b in range(no)]
+    olabels = [f"({c.object_label(a)},{d.object_label(b)})"
+               for a in range(c.n_objects) for b in range(no)]
     table = None
     rule = None
     if c.has_table and d.has_table:
@@ -591,22 +591,34 @@ def validate_category(cat: FinCategory, *, check_generators: bool = True) -> Val
                 problems.append(f"associativity fails on triple ({h},{g},{f})")
 
     if check_generators and cat.generators is not None:
-        reachable = set(cat.identity) | set(cat.generators)
-        grew = True
-        while grew:
-            grew = False
-            for f in list(reachable):
-                for g in list(reachable):
-                    if cat.composable(g, f):
-                        gf = composites.get((g, f))
-                        if gf is not None and gf not in reachable:
-                            reachable.add(gf)
-                            grew = True
+        reachable = generator_closure(cat, composites)
         for f in range(m):
             if f not in reachable:
                 problems.append(f"morphism {f} is not a composite of generators")
 
     return ValidationReport(tuple(problems))
+
+
+def generator_closure(cat: FinCategory, composites: dict) -> set:
+    """Morphisms reachable from the identities and ``cat.generators``.
+
+    ``composites`` maps pairs (g, f) to g∘f; pairs that are missing or not
+    composable are skipped, so a partial or faulty table is safe to pass.
+    """
+    reachable = set(cat.identity) | set(cat.generators)
+    frontier = list(reachable)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in list(reachable):
+                for g, f in ((x, y), (y, x)):
+                    if cat.composable(g, f):
+                        gf = composites.get((g, f))
+                        if gf is not None and gf not in reachable:
+                            reachable.add(gf)
+                            fresh.append(gf)
+        frontier = fresh
+    return reachable
 
 
 def validate_functor(f: FinFunctor) -> ValidationReport:

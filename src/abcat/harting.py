@@ -109,7 +109,9 @@ class HXCategory:
 def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> HXCategory:
     """Enumerate all words of arity <= cap and all index maps between them.
 
-    Raises BudgetError when the enumeration would exceed ``max_morphisms``.
+    The category's generators are the elementary index maps, so colimits
+    over it glue along those alone.  Raises BudgetError when the
+    enumeration would exceed ``max_morphisms``.
     """
     if cap < 1:
         raise InputError("cap must be at least 1")
@@ -173,7 +175,44 @@ def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> 
 
     labels = ["(" + ",".join(alphabet.label(v) for v in o.word) + ")" for o in objects]
     category = FinCategory(len(objects), dom, cod, ident, None, compose_rule=rule,
-                           object_labels=labels)
+                           object_labels=labels,
+                           generators=_elementary_maps(objects, object_index,
+                                                       morphism_index, size, cap))
+    return HXCategory(alphabet, cap, category, tuple(objects), tuple(morphisms),
+                      object_index, morphism_index, hom_lists)
+
+
+def _elementary_maps(objects, object_index, morphism_index, size, cap) -> list:
+    """Sorted indices of the adjacent transpositions, the order-preserving
+    insertions of one position and the order-preserving merges of two
+    adjacent equal letters.
+
+    They generate the truncation: an index map is a permutation (a product
+    of adjacent transpositions) onto a word where it is monotone, then
+    merges of the positions it identifies, then insertions of the positions
+    it misses, and every word in between has arity at most that of the
+    source or the target.
+    """
+    found = []
+    for si, obj in enumerate(objects):
+        n, word = obj.arity, obj.word
+        ident = tuple(range(n))
+        steps = []
+        for k in range(n - 1):
+            swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2:]
+            steps.append((swapped, ident[:k] + (k + 1, k) + ident[k + 2:]))
+            if word[k] == word[k + 1]:
+                steps.append((word[:k + 1] + word[k + 2:],
+                              ident[:k + 1] + tuple(i - 1 for i in ident[k + 1:])))
+        if n < cap:
+            for k in range(n + 1):
+                shifted = ident[:k] + tuple(i + 1 for i in ident[k:])
+                for v in range(size):
+                    steps.append((word[:k] + (v,) + word[k:], shifted))
+        for target, mapping in steps:
+            ti = object_index[HXObject(len(target), target)]
+            found.append(morphism_index[(si, ti, mapping)])
+    return sorted(found)
     return HXCategory(alphabet, cap, category, tuple(objects), tuple(morphisms),
                       object_index, morphism_index, hom_lists)
 

@@ -9,6 +9,8 @@ handles and makes every transform deterministic.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InputError
 
 
@@ -59,6 +61,19 @@ class IntMatrix:
         self.data = data
 
     @classmethod
+    def _trusted(cls, data: tuple, rows: int, cols: int) -> "IntMatrix":
+        """Wrap a tuple of int row tuples of the given shape, unchecked.
+
+        For matrices assembled inside the library from entries that are
+        already ints; outside input goes through the checked constructor.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(tuple((0,) * cols for _ in range(rows)), shape=(rows, cols))
 
@@ -72,8 +87,8 @@ class IntMatrix:
         for c in columns:
             if len(c) != rows:
                 raise InputError(f"column of length {len(c)}, expected {rows}")
-        data = tuple(tuple(c[i] for c in columns) for i in range(rows))
-        return cls(data, shape=(rows, len(columns)))
+        data = tuple(zip(*columns)) if columns else ((),) * rows
+        return cls._trusted(data, rows, len(columns))
 
     @property
     def shape(self):
@@ -105,7 +120,7 @@ class IntMatrix:
             out.append(tuple(
                 sum(row[k] * other.data[k][j] for k in range(self.cols))
                 for j in range(cols)))
-        return IntMatrix(tuple(out), shape=(self.rows, cols))
+        return IntMatrix._trusted(tuple(out), self.rows, cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
@@ -147,8 +162,8 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     for m in mats:
         if m.rows != rows:
             raise InputError("hstack row mismatch")
-    data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
-    return IntMatrix(data, shape=(rows, sum(m.cols for m in mats)))
+    data = tuple(tuple(chain.from_iterable(m.data[i] for m in mats)) for i in range(rows))
+    return IntMatrix._trusted(data, rows, sum(m.cols for m in mats))
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -160,7 +175,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
         if m.cols != cols:
             raise InputError("vstack column mismatch")
     data = tuple(row for m in mats for row in m.data)
-    return IntMatrix(data, shape=(sum(m.rows for m in mats), cols))
+    return IntMatrix._trusted(data, len(data), cols)
 
 
 def block_diagonal(mats) -> IntMatrix:
@@ -176,7 +191,7 @@ def block_diagonal(mats) -> IntMatrix:
                 out[r0 + i][c0 + j] = row[j]
         r0 += m.rows
         c0 += m.cols
-    return IntMatrix(tuple(tuple(r) for r in out), shape=(rows, cols))
+    return IntMatrix._trusted(tuple(tuple(r) for r in out), rows, cols)
 
 
 def determinant(m: IntMatrix) -> int:

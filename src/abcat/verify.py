@@ -144,17 +144,18 @@ def verify_ab4(source_family, target_family, monos, *, cross_cap: int | None = 2
         src = list(source_family)
         tgt = list(target_family)
         monos = list(monos)
-        d_src = harting_expand(src, hx)
-        d_tgt = harting_expand(tgt, hx)
+        cmp_src = harting_compare(src, hx)
+        cmp_tgt = harting_compare(tgt, hx)
+        d_src = cmp_src.colimit.diagram
+        d_tgt = cmp_tgt.colimit.diagram
         components = []
         for oi, obj in enumerate(hx.objects):
             blocks = [monos[v] for v in obj.word]
             mat = block_diagonal([b.matrix for b in blocks]) if blocks \
                 else IntMatrix.zeros(0, 0)
             components.append(AbHom(d_src.groups[oi], d_tgt.groups[oi], mat))
-        induced_hx, col_src, col_tgt = induced_map_on_colimits(d_src, d_tgt, components)
-        cmp_src = harting_compare(src, hx)
-        cmp_tgt = harting_compare(tgt, hx)
+        induced_hx, _, _ = induced_map_on_colimits(d_src, d_tgt, components,
+                                                   cmp_src.colimit, cmp_tgt.colimit)
         transported = hom_compose(cmp_tgt.forward,
                                   hom_compose(induced_hx, cmp_src.backward))
         agrees = hom_equal(transported, report.induced)

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from abcat.abdiag import constant_diagram
+from abcat.abgrp import cyclic
 from abcat.cli import main
+from abcat.documents import Document, serialize_document
+from abcat.fincat import chain_category
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -85,6 +89,26 @@ def test_ab_colimit_limit_on_diagram(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "ab", "limit", FIXTURES / "ab5_chain.json")
     assert code == 0
+
+
+def test_ab_colimit_rejects_generators_that_do_not_generate(tmp_path, capsys):
+    base = chain_category(3)
+    diagram = constant_diagram(base, cyclic(2))
+    doc = json.loads(serialize_document(Document("abdiagram", diagram)))
+    good = tmp_path / "good.json"
+    doc["base"]["generators"] = ["0<=1", "1<=2"]
+    good.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "ab", "colimit", good)
+    assert code == 0
+    assert "Z/2" in out
+    bad = tmp_path / "bad.json"
+    doc["base"]["generators"] = ["0<=1"]
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "ab", "colimit", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "is not a composite of generators" in err
 
 
 def test_verify_notlex_exits_zero_with_certificate(capsys):

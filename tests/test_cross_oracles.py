@@ -13,11 +13,14 @@ from itertools import product as iproduct
 from math import gcd, prod
 
 from abcat.abdiag import AbDiagram, ab_colimit, ab_limit, validate_diagram
-from abcat.abgrp import (biproduct, canonicalize, from_canonical_form,
+from abcat.abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, from_canonical_form,
                          hom_compose, identity_hom)
 from abcat.fincat import (chain_category, group_as_category,
                           parallel_pair_category, span_category)
-from abcat.sampling import random_hom, scramble_group
+from abcat.harting import harting_expand, hx_category
+from abcat.intmat import IntMatrix, block_diagonal, hstack
+from abcat.sampling import random_family, random_hom, scramble_group
+from abcat.setdiag import FinSet
 
 EXPONENT_FACTORS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (4, 4), (2, 2)]
 
@@ -263,3 +266,87 @@ def test_limit_against_literal_finite_product():
         assert annihilator_counts_of_form((free, factors), KS) == counts, trial
         checked += 1
     assert checked >= 18
+
+
+def full_relation_relations(diagram):
+    """Colimit relations glued along every non-identity morphism.
+
+    The reference for the generator shortcut in ab_colimit: one column
+    per (morphism, source generator), whatever the base's generators.
+    """
+    base = diagram.base
+    offsets = [0]
+    for g in diagram.groups:
+        offsets.append(offsets[-1] + g.gens)
+    total = offsets[-1]
+    cols = []
+    for m in range(base.n_morphisms):
+        a, b = base.dom[m], base.cod[m]
+        if base.identity[a] == m:
+            continue
+        mat = diagram.homs[m].matrix
+        for j in range(diagram.groups[a].gens):
+            col = [0] * total
+            for i in range(diagram.groups[b].gens):
+                col[offsets[b] + i] += mat.entry(i, j)
+            col[offsets[a] + j] -= 1
+            cols.append(col)
+    object_rels = block_diagonal([g.relations for g in diagram.groups])
+    return hstack(object_rels, IntMatrix.from_columns(cols, total))
+
+
+def pair_expansion(family, hx):
+    """Word (n, x) -> the sum over position pairs (i, j) of family[x_i];
+    an index map f routes summand (i, j) to (f(i), f(j)).
+
+    Unlike the plain expansion, its gluing along merges and transpositions
+    does not follow from that along insertions, so a generating set that
+    misses either changes this colimit.
+    """
+    groups, offsets = [], []
+    for obj in hx.objects:
+        parts = [family[obj.word[i]] for i in range(obj.arity) for _ in range(obj.arity)]
+        starts = [0]
+        for g in parts:
+            starts.append(starts[-1] + g.gens)
+        offsets.append(starts)
+        groups.append(FGAbGroup(starts[-1], block_diagonal([g.relations for g in parts])
+                                if parts else IntMatrix.zeros(0, 0)))
+    homs = []
+    for si, ti, f in hx.morphisms:
+        n, m = hx.objects[si].arity, hx.objects[ti].arity
+        mat = [[0] * groups[si].gens for _ in range(groups[ti].gens)]
+        for i in range(n):
+            for j in range(n):
+                src, tgt = offsets[si][i * n + j], offsets[ti][f[i] * m + f[j]]
+                for t in range(family[hx.objects[si].word[i]].gens):
+                    mat[tgt + t][src + t] = 1
+        homs.append(AbHom(groups[si], groups[ti],
+                          IntMatrix(mat, shape=(groups[ti].gens, groups[si].gens))))
+    return AbDiagram(hx.category, groups, homs)
+
+
+def test_generator_colimit_matches_full_relation_colimit():
+    # (letters, cap) -> seeded family draws, for each diagram builder
+    cases = [(harting_expand, {(1, 2): 4, (2, 2): 4, (2, 3): 4, (3, 3): 2}),
+             (pair_expansion, {(1, 2): 3, (2, 2): 3, (1, 3): 2, (2, 3): 2})]
+    for build, sizes in cases:
+        for (letters, cap), draws in sizes.items():
+            hx = hx_category(FinSet(letters), cap)
+            assert hx.category.generators is not None
+            rng = random.Random(1000 * letters + cap)
+            for trial in range(draws):
+                diagram = build(random_family(rng, letters), hx)
+                generated = ab_colimit(diagram).carrier
+                full = full_relation_relations(diagram)
+                # every generator column is a full-relation column, and every
+                # full-relation column lies in the generator lattice: the
+                # identity on generators is well defined both ways
+                full_cols = set(full.columns())
+                own_cols = set(generated.relations.columns())
+                assert own_cols <= full_cols
+                assert generated.relations.cols < full.cols
+                for c in full_cols - own_cols:
+                    assert generated.contains_relation(c), (build, letters, cap, trial)
+                reference = FGAbGroup(generated.gens, full)
+                assert generated.canonical_form == reference.canonical_form

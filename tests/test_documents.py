@@ -1,13 +1,16 @@
 """Document format: parsing, reference resolution, round trips."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from abcat.documents import (EquivariantMap, FamilyMap, GroupFamily,
+from abcat.documents import (Document, EquivariantMap, FamilyMap, GroupFamily,
                              load_document, parse_document, serialize_document)
 from abcat.errors import DocumentError
+from abcat.fincat import discrete_category, parallel_pair_category, span_category
+from abcat.sampling import random_commute_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,6 +79,18 @@ def test_round_trip(name):
     assert again.kind == doc.kind
     assert again.value == doc.value
     # serialization is a fixed point after one pass
+    assert serialize_document(again) == text
+
+
+@pytest.mark.parametrize("shape", [parallel_pair_category(), discrete_category(2),
+                                   span_category()],
+                         ids=["parallel_pair", "discrete2", "span"])
+def test_round_trip_product_of_unlabelled_factors(shape):
+    _, _, diagram = random_commute_instance(random.Random(0), 3, shape, 3)
+    doc = Document("setdiagram", diagram)
+    text = serialize_document(doc)
+    again = parse_document(text)
+    assert again == doc
     assert serialize_document(again) == text
 
 

@@ -51,6 +51,15 @@ def test_category_laws_small():
     assert validate_category(two.category).ok
 
 
+def test_generators_generate_the_truncation():
+    for letters, cap, expected in ((1, 2, 5), (2, 3, 64), (3, 3, 186)):
+        cat = hx_category(FinSet(letters), cap).category
+        assert len(cat.generators) == expected
+        assert all(cat.identity[cat.dom[g]] != g for g in cat.generators)
+    # no generator gap, and the category laws hold
+    assert validate_category(hx_category(FinSet(2), 3).category).ok
+
+
 def test_budget_error():
     with pytest.raises(BudgetError):
         hx_category(FinSet(3), 4, max_morphisms=1000)
@@ -226,6 +235,19 @@ def test_compare_cap_stability():
         big = ab_colimit(harting_expand(family, hx_category(FinSet(2), 3)))
         assert small.ok
         assert big.carrier.canonical_form == small.canonical_form
+
+
+def test_compare_cap_four_stability():
+    rng = random.Random(404)
+    for letters in (1, 2):
+        hx2 = hx_category(FinSet(letters), 2)
+        hx4 = hx_category(FinSet(letters), 4)
+        for _ in range(3):
+            family = random_family(rng, letters)
+            small = harting_compare(family, hx2)
+            big = harting_compare(family, hx4)
+            assert small.ok and big.ok, (small.failures, big.failures)
+            assert big.canonical_form == small.canonical_form
 
 
 def test_bounded_reports_small():
