@@ -50,8 +50,7 @@ def _load(path, expected_kinds) -> Document:
     return doc
 
 
-def _checked_category(doc: Document):
-    cat = doc.value
+def _checked_category(cat):
     report = validate_category(cat)
     if not report.ok:
         raise InputError("invalid category: " + "; ".join(report.problems[:3]))
@@ -77,7 +76,7 @@ def _cmd_check(args) -> int:
         return OK if result.final else PROPERTY_FALSE
 
     doc = _load(args.file, ("category",))
-    cat = _checked_category(doc)
+    cat = _checked_category(doc.value)
     if args.property == "connected":
         rep = is_connected(cat)
         payload = {"check": "connected", "holds": rep.connected,
@@ -177,6 +176,7 @@ def _cmd_ab(args) -> int:
     diagram = doc.value
     if isinstance(diagram, AbNaturalMap):
         diagram = diagram.source
+    _checked_category(diagram.base)
     rep = validate_diagram(diagram)
     if not rep.ok:
         raise InputError("invalid diagram: " + "; ".join(rep.problems[:3]))

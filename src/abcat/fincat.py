@@ -740,14 +740,55 @@ class FinalityReport:
     slice_components: tuple
 
 
+def _slice_components(cat: FinCategory, arrows, push) -> tuple:
+    """Components of a slice, found by union-find over its objects and edges.
+
+    ``arrows`` lists the slice objects as pairs (x, arrow), x an object of
+    ``cat``, in index order; a morphism k: x -> y of ``cat`` joins (x, a)
+    to (y, push(k, a)) when that pair is a slice object.  Components come
+    in the order of ``_undirected_components``: each sorted, ordered by
+    their smallest member.
+    """
+    index = {ob: i for i, ob in enumerate(arrows)}
+    parent = list(range(len(arrows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, (x, a) in enumerate(arrows):
+        for k in cat.morphisms_from(x):
+            j = index.get((cat.cod[k], push(k, a)))
+            if j is not None:
+                parent[find(i)] = find(j)
+    # i runs upwards, so members arrive sorted and components arrive
+    # ordered by their smallest member
+    components = {}
+    for i in range(len(arrows)):
+        components.setdefault(find(i), []).append(i)
+    return tuple(tuple(c) for c in components.values())
+
+
 def is_final(f: FinFunctor) -> FinalityReport:
-    """True iff every slice c / F is connected, for c in the target."""
+    """True iff every slice c / F is connected, for c in the target.
+
+    Each slice is decided by union-find over its objects (x, c -> F x) and
+    the edges that morphisms of the source induce; no comma category is
+    built.  ``slice_components`` equals ``is_connected(comma_category(c,
+    f)).components`` for each c.
+    """
+    source, target = f.source, f.target
     failing = []
     slice_components = []
-    for c in range(f.target.n_objects):
-        rep = is_connected(comma_category(c, f))
-        slice_components.append(rep.components)
-        if not rep.connected:
+    for c in range(target.n_objects):
+        arrows = [(x, a) for x in range(source.n_objects)
+                  for a in target.hom(c, f.on_objects[x])]
+        comps = _slice_components(
+            source, arrows, lambda k, a: target.compose(f.on_morphisms[k], a))
+        slice_components.append(comps)
+        if len(comps) != 1:
             failing.append(c)
     return FinalityReport(not failing, tuple(failing), tuple(slice_components))
 
@@ -806,14 +847,31 @@ class SiftedReport:
 
 
 def is_sifted(cat: FinCategory) -> SiftedReport:
-    """Nonempty with a final diagonal into the square of the category."""
+    """Nonempty with a final diagonal into the square of the category.
+
+    The slice (a, b) / Δ has objects (x, (p, q)) with p: a -> x and
+    q: b -> x, and k: x -> y sends (p, q) to (k∘p, k∘q).  Each slice is
+    decided by union-find over these objects and edges, so neither the
+    product category, the diagonal functor nor any comma category is
+    built.  ``failing_pairs`` lists the pairs (a, b) with a disconnected
+    slice, in the order of ``diagonal_functor``'s product objects.
+    """
     if cat.n_objects == 0:
         return SiftedReport(False, "category is empty", ())
-    diag, prod = diagonal_functor(cat)
-    rep = is_final(diag)
-    failing = tuple(prod.unpair_object(c) for c in rep.failing)
-    reason = None if rep.final else "disconnected diagonal slice"
-    return SiftedReport(rep.final, reason, failing)
+    n = cat.n_objects
+
+    def push(k, pq):
+        return cat.compose(k, pq[0]), cat.compose(k, pq[1])
+
+    failing = []
+    for a in range(n):
+        for b in range(n):
+            arrows = [(x, (p, q)) for x in range(n)
+                      for p in cat.hom(a, x) for q in cat.hom(b, x)]
+            if len(_slice_components(cat, arrows, push)) != 1:
+                failing.append((a, b))
+    reason = "disconnected diagonal slice" if failing else None
+    return SiftedReport(not failing, reason, tuple(failing))
 
 
 @dataclass(frozen=True)

@@ -273,7 +273,8 @@ def harting_expand(family, h: HXCategory) -> AbDiagram:
             for t in range(part.gens):
                 mat[offset_tables[ti][j] + t][offset_tables[si][i] + t] = 1
         homs.append(AbHom(src_group, tgt_group,
-                          IntMatrix(mat, shape=(tgt_group.gens, src_group.gens))))
+                          IntMatrix._trusted(tuple(map(tuple, mat)),
+                                             tgt_group.gens, src_group.gens)))
     return AbDiagram(h.category, groups, homs)
 
 

@@ -111,6 +111,23 @@ def test_ab_colimit_rejects_generators_that_do_not_generate(tmp_path, capsys):
     assert "is not a composite of generators" in err
 
 
+def test_ab_colimit_limit_reject_an_invalid_base(tmp_path, capsys):
+    diagram = constant_diagram(chain_category(3), cyclic(2))
+    doc = json.loads(serialize_document(Document("abdiagram", diagram)))
+    # (1<=2)∘(0<=1) set to 0<=1, whose codomain is 1, not 2
+    doc["base"]["composition"] = [
+        [g, f, "0<=1" if (g, f) == ("1<=2", "0<=1") else gf]
+        for g, f, gf in doc["base"]["composition"]]
+    bad = tmp_path / "bad_base.json"
+    bad.write_text(json.dumps(doc))
+    for op in ("colimit", "limit"):
+        code, out, err = run_cli(capsys, "ab", op, bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid category:") and err.count("\n") == 1
+        assert "wrong endpoints" in err
+
+
 def test_verify_notlex_exits_zero_with_certificate(capsys):
     code, out, _ = run_cli(capsys, "verify", "notlex", FIXTURES / "notlex.json")
     assert code == 0

@@ -221,14 +221,68 @@ def test_sifted():
         assert is_sifted(cat).sifted, name
 
 
+def _square_cases():
+    corpus = dict(category_corpus())
+    pairs = [("discrete2", "chain2"), ("bz2", "chain2"), ("vee", "span"),
+             ("parallel", "cospan"), ("chain3", "diamond")]
+    return list(corpus.items()) + [
+        (f"{x}*{y}", product_category(corpus[x], corpus[y])) for x, y in pairs]
+
+
+def _final_cases(rng):
+    """Identity functors, and full-subcategory inclusions final or not."""
+    cases = [("grid3x3", product_category(chain_category(3), chain_category(3)))]
+    cases += _square_cases()
+    for name, cat in cases:
+        yield name, identity_functor(cat)
+        for _ in range(4):
+            size = rng.randrange(1, cat.n_objects + 1)
+            objects = sorted(rng.sample(range(cat.n_objects), size))
+            yield f"{name}{objects}", full_subcategory(cat, objects)[1]
+
+
 def test_sifted_via_slice_enumeration_oracle():
     # (c,c')/diag connected checked directly against comma construction
-    cat = diamond_category()
-    diag, prod = diagonal_functor(cat)
-    for a in range(cat.n_objects):
-        for b in range(cat.n_objects):
-            k = comma_category(prod.pair_object(a, b), diag)
-            assert is_connected(k).connected
+    import random
+    seen_failing = set()
+    for name, cat in _square_cases():
+        diag, prod = diagonal_functor(cat)
+        expected = tuple(
+            (a, b) for a in range(cat.n_objects) for b in range(cat.n_objects)
+            if not is_connected(comma_category(prod.pair_object(a, b), diag)).connected)
+        rep = is_sifted(cat)
+        assert rep.failing_pairs == expected, name
+        assert rep.sifted == (not expected), name
+        if expected:
+            seen_failing.add(name)
+    assert {"discrete2", "vee"} <= seen_failing
+    finals = []
+    for name, f in _final_cases(random.Random(5)):
+        rep = is_final(f)
+        expected = tuple(is_connected(comma_category(c, f)).components
+                         for c in range(f.target.n_objects))
+        assert rep.slice_components == expected, name
+        assert rep.failing == tuple(c for c, comps in enumerate(expected)
+                                    if len(comps) != 1), name
+        finals.append(rep.final)
+    assert True in finals and False in finals
+
+
+def test_sifted_and_final_never_build_the_square(monkeypatch):
+    import abcat.fincat as fincat
+    grid = product_category(chain_category(3), chain_category(4))
+    _, incl = full_subcategory(grid, [0, 5, 11])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("square or comma category built")
+
+    for name in ("product_category", "diagonal_functor", "comma_category"):
+        monkeypatch.setattr(fincat, name, refuse)
+    assert is_sifted(chain_category(14)).sifted
+    rep = is_sifted(discrete_category(2))
+    assert not rep.sifted and rep.failing_pairs == ((0, 1), (1, 0))
+    rep = is_final(incl)
+    assert rep.final and len(rep.slice_components) == grid.n_objects
 
 
 def test_cone_search_chain_top():
