@@ -12,6 +12,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -323,8 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "check":

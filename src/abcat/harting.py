@@ -213,8 +213,6 @@ def _elementary_maps(objects, object_index, morphism_index, size, cap) -> list:
             ti = object_index[HXObject(len(target), target)]
             found.append(morphism_index[(si, ti, mapping)])
     return sorted(found)
-    return HXCategory(alphabet, cap, category, tuple(objects), tuple(morphisms),
-                      object_index, morphism_index, hom_lists)
 
 
 def hx_coproduct(h: HXCategory, u: HXObject, v: HXObject):

@@ -3,8 +3,11 @@
 Everything works with Python's arbitrary-precision integers; there is no
 floating point anywhere.  Pivoting in the Smith reduction always picks a
 nonzero entry of smallest absolute value (ties broken by position), which
-keeps intermediate entries small on the desk-scale matrices this package
-handles and makes every transform deterministic.
+makes every transform deterministic but does not bound their growth: the
+transforms of an 18 x 16 matrix with entries of absolute value at most 9
+still reach about 9,600 bits.  Column lattices are kept in Hermite normal
+form instead, so each entry of a lattice basis at a pivot row lies below
+that row's pivot, and the basis does not depend on the generators' order.
 """
 
 from __future__ import annotations
@@ -117,9 +120,11 @@ class IntMatrix:
         cols = other.cols
         out = []
         for row in self.data:
-            out.append(tuple(
-                sum(row[k] * other.data[k][j] for k in range(self.cols))
-                for j in range(cols)))
+            acc = [0] * cols
+            for x, other_row in zip(row, other.data):
+                if x:
+                    acc = [a + x * y for a, y in zip(acc, other_row)]
+            out.append(tuple(acc))
         return IntMatrix._trusted(tuple(out), self.rows, cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -364,12 +369,13 @@ def _smith_work(m: IntMatrix, track: bool):
 def smith(m: IntMatrix) -> SmithNormalForm:
     """Full Smith decomposition with transforms and their inverses."""
     a, u, v, ui, vi = _smith_work(m, track=True)
+    nr, nc = m.shape
     return SmithNormalForm(
-        IntMatrix(a, shape=m.shape),
-        IntMatrix(u, shape=(m.rows, m.rows)),
-        IntMatrix(v, shape=(m.cols, m.cols)),
-        IntMatrix(ui, shape=(m.rows, m.rows)),
-        IntMatrix(vi, shape=(m.cols, m.cols)),
+        IntMatrix._trusted(tuple(map(tuple, a)), nr, nc),
+        IntMatrix._trusted(tuple(map(tuple, u)), nr, nr),
+        IntMatrix._trusted(tuple(map(tuple, v)), nc, nc),
+        IntMatrix._trusted(tuple(map(tuple, ui)), nr, nr),
+        IntMatrix._trusted(tuple(map(tuple, vi)), nc, nc),
     )
 
 
@@ -437,11 +443,16 @@ def solve_many(m: IntMatrix, columns) -> IntMatrix | None:
 
 
 class ColumnLattice:
-    """Integer column lattice kept as a column echelon basis.
+    """Integer column lattice kept as a column Hermite normal form.
 
     Supports membership tests and extraction of an independent basis.
-    The pivot row of every stored column is its first nonzero row, and
-    pivot rows are pairwise distinct.
+    The pivot row of every stored column is its first nonzero row, pivot
+    rows are pairwise distinct, and every pivot is positive.  A column
+    that ``add`` inserts or changes is reduced into [0, pivot) at each
+    later pivot row; ``basis_matrix`` reduces the older columns at pivots
+    that came after them, so its result is the unique Hermite basis of
+    the lattice, whatever order the columns were added in (Kannan-Bachem
+    1979).
     """
 
     __slots__ = ("dim", "_cols", "_pivot_of")
@@ -460,6 +471,20 @@ class ColumnLattice:
                 return i
         return None
 
+    def _reduce_below(self, v, p):
+        """Reduce v into [0, pivot) at each pivot row after row p, in place."""
+        for r in range(p + 1, self.dim):
+            x = v[r]
+            if x:
+                idx = self._pivot_of.get(r)
+                if idx is not None:
+                    b = self._cols[idx]
+                    q = x // b[r]
+                    if q:
+                        for i in range(r, self.dim):
+                            v[i] -= q * b[i]
+        return v
+
     def add(self, col) -> None:
         v = [int(x) for x in col]
         if len(v) != self.dim:
@@ -472,7 +497,7 @@ class ColumnLattice:
             if idx is None:
                 if v[p] < 0:
                     v = [-x for x in v]
-                self._cols.append(v)
+                self._cols.append(self._reduce_below(v, p))
                 self._pivot_of[p] = len(self._cols) - 1
                 return
             b = self._cols[idx]
@@ -482,7 +507,8 @@ class ColumnLattice:
                 v = [x - q * y for x, y in zip(v, b)]
             else:
                 g, s, t = xgcd(a, c)
-                self._cols[idx] = [s * x + t * y for x, y in zip(b, v)]
+                self._cols[idx] = self._reduce_below(
+                    [s * x + t * y for x, y in zip(b, v)], p)
                 v = [(a // g) * y - (c // g) * x for x, y in zip(b, v)]
 
     def contains(self, col) -> bool:
@@ -507,7 +533,14 @@ class ColumnLattice:
         return len(self._cols)
 
     def basis_matrix(self) -> IntMatrix:
-        ordered = sorted(self._cols, key=self._first_nonzero)
+        """The Hermite basis, columns in increasing pivot row.
+
+        Reduces copies, so the lattice is left unchanged and concurrent
+        readers see the same basis.
+        """
+        ordered = []
+        for p in sorted(self._pivot_of):
+            ordered.append(self._reduce_below(list(self._cols[self._pivot_of[p]]), p))
         return IntMatrix.from_columns(ordered, self.dim)
 
 

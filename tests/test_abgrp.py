@@ -7,7 +7,7 @@ injectivity checks on finite (torsion) instances.
 
 import random
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -18,8 +18,8 @@ from abcat.abgrp import (are_isomorphic, biproduct, canonicalize,
                          hom_validate, identity_hom, is_epi, is_mono, is_zero_hom,
                          kernel, zero_group, zero_hom)
 from abcat.errors import InputError
-from abcat.intmat import IntMatrix, determinant
-from abcat.sampling import random_group, random_hom, scramble_group
+from abcat.intmat import IntMatrix, determinant, hstack
+from abcat.sampling import random_group, random_hom, random_matrix, scramble_group
 
 
 def test_presentation_basics():
@@ -229,3 +229,28 @@ def test_hom_shape_errors():
     with pytest.raises(InputError):
         hom_compose(hom(free_abelian(1), free_abelian(1), [[1]]),
                     hom(free_abelian(1), cyclic(2), [[1]]))
+
+
+def hadamard_bits(m: IntMatrix) -> int:
+    """Bit length of the product of the largest min(rows, cols) column norms."""
+    squares = sorted((sum(x * x for x in col) for col in m.columns()), reverse=True)
+    bound = 1
+    for s in squares[:min(m.rows, m.cols)]:
+        bound *= s
+    return isqrt(bound).bit_length()
+
+
+def max_entry_bits(m: IntMatrix) -> int:
+    return max((abs(x).bit_length() for row in m.data for x in row), default=0)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_coefficients_stay_within_the_hadamard_bound(n):
+    rng = random.Random(600 + n)
+    group = group_from_presentation(random_matrix(rng, n + 2, n, 9))
+    scrambled, h, _ = scramble_group(rng, group)
+    for g in (group, scrambled):
+        assert max_entry_bits(g.reduced_relations) <= hadamard_bits(g.relations)
+    inclusion = kernel(h)[1].matrix
+    bound = hadamard_bits(hstack(h.matrix, scrambled.reduced_relations))
+    assert max_entry_bits(inclusion) <= bound

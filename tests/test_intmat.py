@@ -216,6 +216,24 @@ def test_column_lattice_basis_spans():
             assert relat.contains(col)
         for j in range(basis.cols):
             assert lat.contains(basis.column(j))
+        # Hermite normal form: positive pivots, other entries at a pivot
+        # row reduced into [0, pivot), and the basis independent of order
+        columns = list(basis.columns())
+        pivots = [next(i for i, x in enumerate(c) if x) for c in columns]
+        assert pivots == sorted(set(pivots))
+        for j, p in enumerate(pivots):
+            assert columns[j][p] > 0
+            for k, other in enumerate(columns):
+                if k != j:
+                    assert 0 <= other[p] < columns[j][p]
+        shuffled = cols[:]
+        rng.shuffle(shuffled)
+        assert ColumnLattice(dim, shuffled).basis_matrix() == basis
+        combos = []
+        for _ in range(3):
+            coeffs = [rng.randint(-4, 4) for _ in cols]
+            combos.append([sum(k * c[i] for k, c in zip(coeffs, cols)) for i in range(dim)])
+        assert ColumnLattice(dim, shuffled + combos).basis_matrix() == basis
 
 
 def test_preimage_basis_characterizes_membership():
