@@ -173,6 +173,25 @@ def test_verify_randomized_suites(capsys):
         assert code == 0, prop
 
 
+def test_verify_suite_failure_reports_first_three_trials(monkeypatch, capsys):
+    from abcat import verify
+    calls = []
+
+    def failing(f_cat, d_cat, x):
+        calls.append(len(calls))
+        return verify.VerifyReport("interchange", False, {"call": calls[-1]})
+
+    monkeypatch.setattr(verify, "verify_commute", failing)
+    code, out, err = run_cli(capsys, "verify", "commute", "--trials", "4",
+                             "--format", "machine")
+    assert code == 1
+    assert err == ""
+    assert calls == [0, 1, 2, 3]
+    assert json.loads(out) == {
+        "verify": "commute", "ok": False, "seed": 0, "trials": 4,
+        "failures": [[0, {"call": 0}], [1, {"call": 1}], [2, {"call": 2}]]}
+
+
 def test_machine_output_stable_across_runs(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "commute", "--trials", "3",
                              "--seed", "5", "--format", "machine")

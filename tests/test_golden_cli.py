@@ -1,10 +1,12 @@
 """Golden CLI output: exit codes and machine-format bytes stay fixed.
 
 Each command runs in-process through ``abcat.cli.main`` and is compared
-with the recorded exit code, machine-format standard output and standard
-error, byte for byte.  The commands are the seeded verification suites
-at seeds 0 and 5, and the ``ab``, ``verify`` and ``check`` operations on
-every fixture document (those of the wrong kind record their exit code 2).
+with the recorded exit code, standard output and standard error, byte
+for byte.  The commands are the seeded verification suites at seeds 0
+and 5 (and once more in text format), the suites' option variants, the
+``hx`` command, and every ``ab``, ``verify``, ``check``, ``colimit`` and
+``limit`` operation on every fixture document (those of the wrong kind
+record their exit code 2).
 
 Regenerate the golden file after an intended output change with
 
@@ -23,9 +25,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.jsonl"
 
 SUITES = ("ab4", "ab5", "harting", "commute", "fixpoints", "notlex")
-PER_FIXTURE = (("ab", "snf"), ("ab", "colimit"), ("ab", "limit"),
+PER_FIXTURE = (("ab", "snf"), ("ab", "colimit"), ("ab", "limit"), ("ab", "sum"),
+               ("ab", "coinvariants"), ("ab", "invariants"),
                ("verify", "ab4"), ("verify", "ab5"), ("verify", "harting"),
-               ("check", "sifted"), ("check", "filtered"))
+               ("verify", "commute"), ("verify", "fixpoints"), ("verify", "notlex"),
+               ("check", "sifted"), ("check", "filtered"), ("check", "connected"),
+               ("check", "final"), ("colimit",), ("limit",))
+OTHER = (["hx", "--set", "a,b", "--cap", "2"],
+         ["hx", "--set", "a,b,c", "--cap", "3"],
+         ["hx", "--set", "a,a"],
+         ["hx", "--set", "a,b,c", "--cap", "4", "--budget", "100"],
+         ["verify", "harting", "--stability-cap", "3"],
+         ["verify", "ab4", "--cap", "3", "--trials", "2"],
+         ["verify", "commute", "--trials", "3", "--seed", "11"])
 
 
 def golden_commands():
@@ -33,8 +45,10 @@ def golden_commands():
     commands = [["verify", prop, "--seed", str(seed), "--format", "machine"]
                 for prop in SUITES for seed in (0, 5)]
     for fixture in sorted(p.name for p in FIXTURES.glob("*.json")):
-        commands.extend([cmd, op, fixture, "--format", "machine"]
-                        for cmd, op in PER_FIXTURE)
+        commands.extend([*words, fixture, "--format", "machine"]
+                        for words in PER_FIXTURE)
+    commands.extend(argv + ["--format", "machine"] for argv in OTHER)
+    commands.extend(["verify", prop, "--seed", "0"] for prop in SUITES)
     return commands
 
 
