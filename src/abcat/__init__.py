@@ -30,8 +30,8 @@ from .abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cokernel,
                     cyclic, describe_form, free_abelian, group_from_presentation,
                     hom, hom_equal, is_epi, is_mono, kernel)
 from .abdiag import (AbDiagram, GModule, ab4_check, ab_colimit, ab_limit,
-                     coinvariants, direct_sum_family, generator_check,
-                     induced_map_on_colimits, invariants)
+                     coinvariants, generator_check, induced_map_on_colimits,
+                     invariants)
 from .harting import (HXCategory, HXMorphism, HXObject, h_embedding,
                       harting_compare, harting_expand, hx_category, hx_coproduct)
 

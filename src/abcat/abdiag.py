@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, factor_through_kernel,
                     free_abelian, hom_compose, hom_equal, hom_validate,
-                    identity_hom, is_mono, kernel, zero_group, zero_hom)
+                    identity_hom, is_mono, kernel, summand_offsets, zero_group,
+                    zero_hom)
 from .errors import InputError, PreconditionError
 from .fincat import FinCategory, ValidationReport, group_as_category, validate_group_table
 from .intmat import IntMatrix, block_diagonal, hstack, vstack
@@ -77,13 +78,12 @@ class AbCone:
 class AbColimit:
     """Colimit presentation with its cocone and factorization."""
 
-    __slots__ = ("carrier", "cocone", "diagram", "_offsets")
+    __slots__ = ("carrier", "cocone", "diagram")
 
-    def __init__(self, carrier, cocone, diagram, offsets):
+    def __init__(self, carrier, cocone, diagram):
         self.carrier = carrier
         self.cocone = cocone
         self.diagram = diagram
-        self._offsets = offsets
 
     def factor(self, components, *, vertex: FGAbGroup | None = None,
                check: bool = True) -> AbHom:
@@ -156,11 +156,8 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
     otherwise every non-identity morphism.
     """
     base = d.base
-    offsets = []
-    total = 0
-    for g in d.groups:
-        offsets.append(total)
-        total += g.gens
+    offsets = summand_offsets(d.groups)
+    total = offsets[-1]
     glued = base.generators if base.generators is not None else range(base.n_morphisms)
     cols = []   # sparse (row, value) lists
     if total:   # a carrier on no generators keeps a 0 x 0 relation matrix
@@ -189,7 +186,7 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
         for i in range(group.gens):
             leg[offsets[c] + i] = tuple(1 if k == i else 0 for k in range(group.gens))
         components.append(AbHom(group, carrier, IntMatrix._trusted(tuple(leg), total, group.gens)))
-    return AbColimit(carrier, AbCocone(carrier, tuple(components)), d, tuple(offsets))
+    return AbColimit(carrier, AbCocone(carrier, tuple(components)), d)
 
 
 def ab_limit(d: AbDiagram) -> AbLimit:
@@ -313,12 +310,6 @@ def invariants(m: GModule) -> tuple[FGAbGroup, AbHom]:
 
 # ---------------------------------------------------------------------------
 # families and induced maps
-
-
-def direct_sum_family(groups) -> tuple[FGAbGroup, list]:
-    """Coproduct of a finite family, with its injections."""
-    summed, injections, _ = biproduct(groups)
-    return summed, injections
 
 
 def induced_map_on_colimits(d: AbDiagram, e: AbDiagram, components,

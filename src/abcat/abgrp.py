@@ -15,6 +15,7 @@ forms, kernels, cokernels, and the mono/epi/iso decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError
 from .fincat import ValidationReport
@@ -257,29 +258,30 @@ def cokernel(h: AbHom) -> tuple[FGAbGroup, AbHom]:
     return c, AbHom(h.target, c, IntMatrix.identity(h.target.gens))
 
 
+def summand_offsets(groups) -> list:
+    """Where each group's generators start in the direct sum, followed by
+    the sum's generator count."""
+    return [0, *accumulate(g.gens for g in groups)]
+
+
 def biproduct(groups) -> tuple[FGAbGroup, list, list]:
     """Direct sum with injections and projections.
 
     Satisfies proj_i @ inj_j == delta_ij and sum inj_i @ proj_i == id.
     """
     groups = list(groups)
-    offsets = []
-    total = 0
-    for g in groups:
-        offsets.append(total)
-        total += g.gens
+    offsets = summand_offsets(groups)
+    total = offsets[-1]
     rels = block_diagonal([g.relations for g in groups]) if groups else IntMatrix.zeros(0, 0)
     summed = FGAbGroup(total, rels)
     injections = []
     projections = []
     for k, g in enumerate(groups):
         inj = [[0] * g.gens for _ in range(total)]
-        proj = [[0] * total for _ in range(g.gens)]
         for i in range(g.gens):
             inj[offsets[k] + i][i] = 1
-            proj[i][offsets[k] + i] = 1
         injections.append(AbHom(g, summed, IntMatrix(inj, shape=(total, g.gens))))
-        projections.append(AbHom(summed, g, IntMatrix(proj, shape=(g.gens, total))))
+        projections.append(AbHom(summed, g, injections[-1].matrix.transpose()))
     return summed, injections, projections
 
 

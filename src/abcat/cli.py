@@ -16,18 +16,15 @@ import functools
 import json
 import sys
 
-from .abdiag import (ab_colimit, ab_limit, coinvariants, direct_sum_family,
-                     invariants, validate_diagram)
-from .abgrp import describe_form, hom, free_abelian, smith_normal_form
-from .documents import (AbNaturalMap, Document, EquivariantMap, FamilyMap,
-                        load_document)
+from .abdiag import ab_colimit, ab_limit, coinvariants, invariants, validate_diagram
+from .abgrp import biproduct, describe_form, smith_normal_form
+from .documents import AbNaturalMap, Document, EquivariantMap, FamilyMap, load_document
 from .errors import (BudgetError, DocumentError, InputError, PreconditionError,
                      TruncationError)
-from .fincat import (ProductCategory, is_connected, is_filtered, is_final,
-                     is_sifted, validate_category, validate_functor)
+from .fincat import (is_connected, is_filtered, is_final, is_sifted, validate_category,
+                     validate_functor)
 from .setdiag import FinSet, set_colimit, set_limit, validate_functor as validate_set_functor
 from . import verify as verify_mod
-from .abdiag import GModule
 from .harting import hx_category, hx_filtered_bounded_report, hx_sifted_bounded_report
 
 USAGE_ERROR = 2
@@ -66,6 +63,8 @@ def _cmd_check(args) -> int:
     if args.property == "final":
         doc = _load(args.file, ("functor",))
         functor = doc.value
+        _checked_category(functor.source)
+        _checked_category(functor.target)
         rep = validate_functor(functor)
         if not rep.ok:
             raise InputError("invalid functor: " + "; ".join(rep.problems[:3]))
@@ -104,6 +103,7 @@ def _cmd_check(args) -> int:
 def _cmd_limit(args, colimit: bool) -> int:
     doc = _load(args.file, ("setdiagram",))
     diagram = doc.value
+    _checked_category(diagram.base)
     rep = validate_set_functor(diagram)
     if not rep.ok:
         raise InputError("invalid diagram: " + "; ".join(rep.problems[:3]))
@@ -162,7 +162,7 @@ def _cmd_ab(args) -> int:
         family = doc.value
         if isinstance(family, FamilyMap):
             raise InputError("sum expects a plain family without maps")
-        total, _ = direct_sum_family(family.groups)
+        total, _, _ = biproduct(family.groups)
         _emit({"sum": describe_form(total.canonical_form)}, args.format)
         return OK
     if op in ("coinvariants", "invariants"):
@@ -190,84 +190,18 @@ def _cmd_ab(args) -> int:
     return OK
 
 
-def _builtin_notlex():
-    z = free_abelian(1)
-    z2 = free_abelian(2)
-    table = ((0, 1), (1, 0))
-    negation = GModule(table, z, {1: hom(z, z, [[-1]])})
-    swap = GModule(table, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])})
-    component = hom(z, z2, [[-1], [1]])
-    return negation, swap, component
-
-
 def _cmd_verify(args) -> int:
-    prop = args.property
-    fmt = args.format
-    if prop == "notlex":
-        if args.file:
-            doc = _load(args.file, ("gmodule",))
-            if not isinstance(doc.value, EquivariantMap):
-                raise InputError("notlex expects a gmodule document with target and map")
-            source, target, component = doc.value.source, doc.value.target, doc.value.component
-        else:
-            source, target, component = _builtin_notlex()
-        report = verify_mod.verify_notlex(source, target, component)
-    elif prop == "harting":
-        if args.file:
-            doc = _load(args.file, ("family",))
-            family = doc.value
-            groups = family.source if isinstance(family, FamilyMap) else family.groups
-            report = verify_mod.verify_harting(list(groups), cap=args.cap,
-                                               stability_cap=args.stability_cap)
-        else:
-            report = verify_mod.harting_suite(args.trials, args.seed, cap=args.cap,
-                                              stability_cap=args.stability_cap)
-    elif prop == "ab4":
-        if args.file:
-            doc = _load(args.file, ("family",))
-            if not isinstance(doc.value, FamilyMap):
-                raise InputError("ab4 expects a family document with target_groups and maps")
-            report = verify_mod.verify_ab4(list(doc.value.source), list(doc.value.target),
-                                           list(doc.value.components), cross_cap=args.cap)
-        else:
-            report = verify_mod.ab4_suite(args.trials, args.seed, cross_cap=args.cap)
-    elif prop == "ab5":
-        if args.file:
-            doc = _load(args.file, ("abdiagram",))
-            if not isinstance(doc.value, AbNaturalMap):
-                raise InputError("ab5 expects an abdiagram document with target and maps")
-            report = verify_mod.verify_ab5(doc.value.source, doc.value.target,
-                                           list(doc.value.components))
-        else:
-            report = verify_mod.ab5_suite(args.trials, args.seed)
-    elif prop == "commute":
-        if args.file:
-            doc = _load(args.file, ("setdiagram",))
-            diagram = doc.value
-            if not isinstance(diagram.base, ProductCategory):
-                raise InputError("commute expects a setdiagram with factors")
-            report = verify_mod.verify_commute(diagram.base.left, diagram.base.right,
-                                               diagram)
-        else:
-            report = verify_mod.commute_suite(args.trials, args.seed)
+    row = verify_mod.PROPERTIES[args.property]
+    options = {"cap": args.cap, "stability_cap": args.stability_cap}
+    if args.file:
+        report = row.check(_load(args.file, (row.kind,)).value, **options)
+    elif row.trial is None:
+        report = row.check(row.example(), **options)
     else:
-        if args.file:
-            doc = _load(args.file, ("setdiagram",))
-            diagram = doc.value
-            base = diagram.base
-            if not isinstance(base, ProductCategory):
-                raise InputError("fixpoints expects a setdiagram with factors")
-            right = base.right
-            if right.n_objects != 1:
-                raise InputError("the second factor must be a one-object group category")
-            table = [[right.compose(g, f) for f in range(right.n_morphisms)]
-                     for g in range(right.n_morphisms)]
-            report = verify_mod.verify_fixpoints(table, base.left, right, diagram)
-        else:
-            report = verify_mod.fixpoints_suite(args.trials, args.seed)
-    payload = {"verify": prop, "ok": report.ok, "seed": args.seed}
+        report = verify_mod.run_suite(args.property, args.trials, args.seed, **options)
+    payload = {"verify": args.property, "ok": report.ok, "seed": args.seed}
     payload.update({str(k): v for k, v in report.details.items()})
-    _emit(payload, fmt)
+    _emit(payload, args.format)
     return OK if report.ok else PROPERTY_FALSE
 
 
@@ -314,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ab)
 
     p_verify = sub.add_parser("verify", help="run a verification harness")
-    p_verify.add_argument("property",
-                          choices=("ab4", "ab5", "harting", "commute",
-                                   "fixpoints", "notlex"))
+    p_verify.add_argument("property", choices=tuple(verify_mod.PROPERTIES))
     common(p_verify, file_required=False)
     p_verify.add_argument("--trials", type=int, default=10)
     p_verify.add_argument("--cap", type=int, default=2)

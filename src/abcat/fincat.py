@@ -78,7 +78,8 @@ class FinCategory:
 
     def compose(self, g: int, f: int) -> int:
         """Index of g∘f; requires cod(f) == dom(g)."""
-        if not (0 <= f < self.n_morphisms and 0 <= g < self.n_morphisms):
+        n = len(self.dom)
+        if not (0 <= f < n and 0 <= g < n):
             raise InputError(f"morphism index out of range in compose({g}, {f})")
         if self.cod[f] != self.dom[g]:
             raise InputError(f"morphisms {g} and {f} are not composable")
@@ -88,9 +89,6 @@ class FinCategory:
             except KeyError:
                 raise InputError(f"composite ({g}, {f}) missing from table") from None
         return self._rule(g, f)
-
-    def identity_of(self, c: int) -> int:
-        return self.identity[c]
 
     def _build_caches(self):
         out = [[] for _ in range(self.n_objects)]
@@ -388,15 +386,8 @@ class ProductCategory(FinCategory):
     def pair_object(self, a: int, b: int) -> int:
         return a * self.right.n_objects + b
 
-    def unpair_object(self, i: int) -> tuple:
-        return divmod(i, self.right.n_objects)
-
     def pair_morphism(self, p: int, q: int) -> int:
         return p * self.right.n_morphisms + q
-
-    def unpair_morphism(self, i: int) -> tuple:
-        return divmod(i, self.right.n_morphisms)
-
 
 def product_category(c: FinCategory, d: FinCategory, *, max_pairs: int = 2_000_000) -> ProductCategory:
     """Componentwise product; objects and morphisms are index pairs."""

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .abdiag import AbDiagram, ab_colimit, AbColimit, direct_sum_family
-from .abgrp import (AbHom, FGAbGroup, describe_form, hom_compose, hom_equal,
-                    identity_hom)
+from .abdiag import AbDiagram, ab_colimit, AbColimit
+from .abgrp import (AbHom, FGAbGroup, biproduct, describe_form, hom_compose, hom_equal,
+                    identity_hom, summand_offsets)
 from .errors import BudgetError, InputError, PreconditionError, TruncationError
 from .fincat import FinCategory, FinFunctor, discrete_category
 from .intmat import IntMatrix, block_diagonal, hstack
@@ -253,14 +253,11 @@ def harting_expand(family, h: HXCategory) -> AbDiagram:
     offset_tables = []
     for obj in h.objects:
         parts = [family[v] for v in obj.word]
-        offsets = []
-        total = 0
-        for p in parts:
-            offsets.append(total)
-            total += p.gens
+        offsets = summand_offsets(parts)
         rels = [p.relations for p in parts]
-        groups.append(FGAbGroup(total, block_diagonal(rels) if parts else IntMatrix.zeros(0, 0)))
-        offset_tables.append(tuple(offsets))
+        groups.append(FGAbGroup(offsets[-1],
+                                block_diagonal(rels) if parts else IntMatrix.zeros(0, 0)))
+        offset_tables.append(offsets)
     homs = []
     for (si, ti, mapping) in h.morphisms:
         src_obj, tgt_obj = h.objects[si], h.objects[ti]
@@ -306,37 +303,17 @@ def harting_compare(family, h: HXCategory) -> HartingComparison:
     family = list(family)
     expanded = harting_expand(family, h)
     colim = ab_colimit(expanded)
-    total, injections = direct_sum_family(family)
-
-    ds_offsets = []
-    acc = 0
-    for g in family:
-        ds_offsets.append(acc)
-        acc += g.gens
-
-    def sum_cocone_component(oi):
-        obj = h.objects[oi]
-        src = expanded.groups[oi]
-        mat = [[0] * src.gens for _ in range(total.gens)]
-        col = 0
-        for v in obj.word:
-            part = family[v]
-            for t in range(part.gens):
-                mat[ds_offsets[v] + t][col] = 1
-                col += 1
-        return AbHom(src, total, IntMatrix(mat, shape=(total.gens, src.gens)))
-
-    sum_cocone = [sum_cocone_component(oi) for oi in range(len(h.objects))]
+    total, injections, _ = biproduct(family)
+    sum_cocone = [AbHom(group, total,
+                        hstack(*[injections[v].matrix for v in obj.word]) if obj.word
+                        else IntMatrix.zeros(total.gens, 0))
+                  for obj, group in zip(h.objects, expanded.groups)]
     forward = colim.factor(sum_cocone, check=False)
 
     arity_one = [h.object_index(HXObject(1, (x,))) for x in range(h.alphabet.size)]
-    if family:
-        cols = [colim.cocone.components[arity_one[x]].matrix
-                for x in range(h.alphabet.size)]
-        backward_matrix = hstack(*cols) if cols else IntMatrix.zeros(colim.carrier.gens, 0)
-    else:
-        backward_matrix = IntMatrix.zeros(colim.carrier.gens, 0)
-    backward = AbHom(total, colim.carrier, backward_matrix)
+    backward = AbHom(total, colim.carrier,
+                     hstack(*[colim.cocone.components[i].matrix for i in arity_one])
+                     if family else IntMatrix.zeros(colim.carrier.gens, 0))
 
     failures = []
     if not hom_equal(hom_compose(forward, backward), identity_hom(total)):

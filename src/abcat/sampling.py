@@ -234,11 +234,6 @@ def random_involution(rng: Random, size: int):
     return tuple(table)
 
 
-def random_gset(rng: Random, size: int):
-    """A Z/2-set: carrier plus an involution."""
-    return FinSet(size), random_involution(rng, size)
-
-
 def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor,
                   max_size: int, attempts: int = 200):
     """A random diagram h2 on the same shape plus a natural map h => h2."""

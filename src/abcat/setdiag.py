@@ -332,14 +332,10 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
 
 def fixed_points(table, x: SetFunctor) -> FinSet:
     """Elements fixed by every morphism of a one-object group action."""
-    if x.base.n_objects != 1:
-        raise InputError("fixed points require a one-object base")
+    fixed = fixed_point_indices(x)
     if x.base.n_morphisms != len(table):
         raise InputError("base does not match the group table")
-    carrier = x.sets[0]
-    fixed = [i for i in range(carrier.size)
-             if all(x.tables[m][i] == i for m in range(x.base.n_morphisms))]
-    return FinSet(len(fixed), tuple(carrier.label(i) for i in fixed))
+    return FinSet(len(fixed), tuple(x.sets[0].label(i) for i in fixed))
 
 
 def fixed_point_indices(x: SetFunctor) -> tuple:

@@ -1,26 +1,28 @@
 """Verification harnesses for the structural theorems on exact instances.
 
-Each function checks one statement on concrete data and returns a report
-with an ``ok`` flag plus the certificate details a caller can print.
-File-driven and randomized CLI verification both route through here, as
-does the acceptance suite.
+Each ``verify_*`` function checks one statement on concrete data and
+returns a report with an ``ok`` flag plus the certificate details a
+caller can print.  ``PROPERTIES`` is the command line's table, keyed by
+property: a row holds the document kind, the check of such a document,
+and the trial that ``run_suite`` samples for the seeded suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable
 
 from .abdiag import (AbDiagram, GModule, ab_colimit, coinvariants, gmodule_diagram,
                      induced_map_on_colimits, invariants, ab4_check)
-from .abgrp import (AbHom, describe_form, factor_through_kernel, hom_compose,
-                    hom_equal, is_epi, is_mono, is_zero_hom, kernel)
+from .abgrp import (AbHom, describe_form, factor_through_kernel, free_abelian, hom,
+                    hom_compose, hom_equal, is_epi, is_mono, is_zero_hom, kernel)
+from .documents import AbNaturalMap, EquivariantMap, FamilyMap
 from .errors import InputError
-from .fincat import (FinCategory, FinFunctor, discrete_category, is_final,
-                     is_sifted, parallel_pair_category, span_category)
+from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
+                     is_final, is_sifted, parallel_pair_category, span_category)
 from .intmat import IntMatrix, block_diagonal
-from .harting import (HXCategory, harting_compare, harting_expand, hx_category,
-                      hx_filtered_bounded_report, hx_sifted_bounded_report)
+from .harting import HXCategory, harting_compare, harting_expand, hx_category
 from .setdiag import (SetFunctor, commute_check, fixed_point_indices, restrict_along,
                       set_colimit, pointwise_product, FinSet)
 from .setdiag import validate_functor as validate_set_functor
@@ -106,26 +108,6 @@ def verify_harting(family, cap: int = 2, stability_cap: int | None = None,
         details["cap stable"] = stable
         ok = ok and stable
     return VerifyReport("coproduct expansion comparison", ok, details)
-
-
-def verify_hx_structure(alphabet_size: int, cap: int,
-                        parallel_arity_cap: int = 2) -> VerifyReport:
-    """Bounded filteredness and siftedness of a truncated word category."""
-    hx = hx_category(FinSet(alphabet_size), cap)
-    filtered = hx_filtered_bounded_report(hx, parallel_arity_cap=parallel_arity_cap)
-    sifted = hx_sifted_bounded_report(hx)
-    details = {
-        "objects": len(hx.objects),
-        "morphisms": len(hx.morphisms),
-        "filtered checks": filtered.checked,
-        "sifted checks": sifted.checked,
-    }
-    if filtered.failures:
-        details["filtered failures"] = filtered.failures[:5]
-    if sifted.failures:
-        details["sifted failures"] = sifted.failures[:5]
-    return VerifyReport("bounded word-category structure", filtered.ok and sifted.ok,
-                        details)
 
 
 def verify_ab4(source_family, target_family, monos, *, cross_cap: int | None = 2) -> VerifyReport:
@@ -322,71 +304,115 @@ def verify_sifted_products(g: SetFunctor, h: SetFunctor) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# randomized suites (seeded)
+# the verification table
+#
+# Rows call the verifiers through their module-level names, looked up at
+# call time, so a verifier replaced on this module is seen by every row.
+
+COMMUTE_SHAPES = (discrete_category(2), parallel_pair_category(), span_category())
+MAX_CHAIN = 4   # longest chain a commute or fixpoints trial samples
 
 
-def harting_suite(trials: int, seed: int, cap: int = 2,
-                  stability_cap: int | None = 3) -> VerifyReport:
+def _notlex_example() -> EquivariantMap:
+    """Negation on Z into the swap on Z^2, over Z/2."""
+    z = free_abelian(1)
+    z2 = free_abelian(2)
+    table = ((0, 1), (1, 0))
+    return EquivariantMap(GModule(table, z, {1: hom(z, z, [[-1]])}),
+                          GModule(table, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])}),
+                          hom(z, z2, [[-1], [1]]))
+
+
+def _notlex(value, **_):
+    if not isinstance(value, EquivariantMap):
+        raise InputError("notlex expects a gmodule document with target and map")
+    return verify_notlex(value.source, value.target, value.component)
+
+
+def _harting(value, **options):
+    groups = value.source if isinstance(value, FamilyMap) else value.groups
+    return verify_harting(list(groups), **options)
+
+
+def _ab4(value, cap, **_):
+    if not isinstance(value, FamilyMap):
+        raise InputError("ab4 expects a family document with target_groups and maps")
+    return verify_ab4(list(value.source), list(value.target), list(value.components),
+                      cross_cap=cap)
+
+
+def _ab5(value, **_):
+    if not isinstance(value, AbNaturalMap):
+        raise InputError("ab5 expects an abdiagram document with target and maps")
+    return verify_ab5(value.source, value.target, list(value.components))
+
+
+def _commute(value, **_):
+    if not isinstance(value.base, ProductCategory):
+        raise InputError("commute expects a setdiagram with factors")
+    return verify_commute(value.base.left, value.base.right, value)
+
+
+def _fixpoints(value, **_):
+    base = value.base
+    if not isinstance(base, ProductCategory):
+        raise InputError("fixpoints expects a setdiagram with factors")
+    right = base.right
+    if right.n_objects != 1:
+        raise InputError("the second factor must be a one-object group category")
+    table = [[right.compose(g, f) for f in range(right.n_morphisms)]
+             for g in range(right.n_morphisms)]
+    return verify_fixpoints(table, base.left, right, value)
+
+
+@dataclass(frozen=True)
+class Property:
+    """A row: a document of kind ``kind`` is checked by ``check(value,
+    cap=, stability_cap=)``; ``trial(rng, t, cap=, stability_cap=)``
+    samples and checks trial ``t`` of the seeded suite named ``suite``.
+    A property without a suite checks ``example()`` instead."""
+
+    kind: str
+    check: Callable
+    suite: str | None = None
+    trial: Callable | None = None
+    example: Callable | None = None
+
+
+PROPERTIES = {
+    "ab4": Property("family", _ab4, "randomized coproduct mono suite",
+                    lambda rng, t, cap, **_: verify_ab4(
+                        *sampling.random_mono_family(rng, rng.randint(1, 3)), cross_cap=cap)),
+    "ab5": Property("abdiagram", _ab5, "randomized filtered exactness suite",
+                    lambda rng, t, **_: verify_ab5(
+                        *sampling.random_ab5_instance(rng, rng.randint(2, 3)))),
+    "harting": Property("family", _harting, "randomized coproduct expansion suite",
+                        lambda rng, t, **options: verify_harting(
+                            sampling.random_family(rng, rng.randint(1, 3)), **options)),
+    # a sampled set diagram on a product base is checked as a document is
+    "commute": Property("setdiagram", _commute, "randomized interchange suite",
+                        lambda rng, t, **_: _commute(sampling.random_commute_instance(
+                            rng, rng.randint(2, MAX_CHAIN),
+                            COMMUTE_SHAPES[t % len(COMMUTE_SHAPES)])[-1])),
+    "fixpoints": Property("setdiagram", _fixpoints, "randomized fixed point suite",
+                          lambda rng, t, **_: _fixpoints(sampling.random_gset_chain(
+                              rng, rng.randint(2, MAX_CHAIN))[-1])),
+    "notlex": Property("gmodule", _notlex, example=_notlex_example),
+}
+
+
+def run_suite(prop: str, trials: int, seed: int, *, cap: int = 2,
+              stability_cap: int | None = None) -> VerifyReport:
+    """The seeded suite of ``prop``, keeping the first three failing
+    (trial, details) pairs."""
+    row = PROPERTIES[prop]
+    if row.trial is None:
+        raise InputError(f"{prop} has no seeded suite")
     rng = Random(seed)
     failures = []
     for t in range(trials):
-        family = sampling.random_family(rng, rng.randint(1, 3))
-        rep = verify_harting(family, cap=cap, stability_cap=stability_cap)
+        rep = row.trial(rng, t, cap=cap, stability_cap=stability_cap)
         if not rep.ok:
             failures.append((t, rep.details))
-    return VerifyReport("randomized coproduct expansion suite", not failures,
-                        {"trials": trials, "seed": seed, "failures": failures[:3]})
-
-
-def ab4_suite(trials: int, seed: int, cross_cap: int | None = 2) -> VerifyReport:
-    rng = Random(seed)
-    failures = []
-    for t in range(trials):
-        src, tgt, monos = sampling.random_mono_family(rng, rng.randint(1, 3))
-        rep = verify_ab4(src, tgt, monos, cross_cap=cross_cap)
-        if not rep.ok:
-            failures.append((t, rep.details))
-    return VerifyReport("randomized coproduct mono suite", not failures,
-                        {"trials": trials, "seed": seed, "failures": failures[:3]})
-
-
-def ab5_suite(trials: int, seed: int, max_length: int = 3) -> VerifyReport:
-    rng = Random(seed)
-    failures = []
-    for t in range(trials):
-        d, e, eta = sampling.random_ab5_instance(rng, rng.randint(2, max_length))
-        rep = verify_ab5(d, e, eta)
-        if not rep.ok:
-            failures.append((t, rep.details))
-    return VerifyReport("randomized filtered exactness suite", not failures,
-                        {"trials": trials, "seed": seed, "failures": failures[:3]})
-
-
-def commute_suite(trials: int, seed: int, max_chain: int = 4,
-                  max_size: int = 4) -> VerifyReport:
-    rng = Random(seed)
-    shapes = [discrete_category(2), parallel_pair_category(), span_category()]
-    failures = []
-    for t in range(trials):
-        shape = shapes[t % len(shapes)]
-        f_cat, _, x = sampling.random_commute_instance(
-            rng, rng.randint(2, max_chain), shape, max_size)
-        rep = verify_commute(f_cat, shape, x)
-        if not rep.ok:
-            failures.append((t, rep.details))
-    return VerifyReport("randomized interchange suite", not failures,
-                        {"trials": trials, "seed": seed, "failures": failures[:3]})
-
-
-def fixpoints_suite(trials: int, seed: int, max_chain: int = 4,
-                    max_size: int = 5) -> VerifyReport:
-    rng = Random(seed)
-    failures = []
-    for t in range(trials):
-        table, f_cat, bg, _, x = sampling.random_gset_chain(
-            rng, rng.randint(2, max_chain), max_size)
-        rep = verify_fixpoints(table, f_cat, bg, x)
-        if not rep.ok:
-            failures.append((t, rep.details))
-    return VerifyReport("randomized fixed point suite", not failures,
+    return VerifyReport(row.suite, not failures,
                         {"trials": trials, "seed": seed, "failures": failures[:3]})

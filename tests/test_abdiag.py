@@ -10,9 +10,9 @@ import random
 import pytest
 
 from abcat.abdiag import (AbDiagram, GModule, ab4_check, ab_colimit, ab_limit,
-                          coinvariants, constant_diagram, direct_sum_family,
-                          generator_check, gmodule_diagram,
-                          induced_map_on_colimits, invariants, validate_diagram)
+                          coinvariants, constant_diagram, generator_check,
+                          gmodule_diagram, induced_map_on_colimits, invariants,
+                          validate_diagram)
 from abcat.abgrp import (are_isomorphic, biproduct, cyclic, free_abelian,
                          hom, hom_compose, hom_equal, hom_validate,
                          identity_hom, is_epi, is_mono, is_zero_hom, zero_hom)
@@ -323,12 +323,12 @@ def test_mono_chain_transitions_are_mono():
         assert is_mono(diag.homs[m])
 
 
-def test_direct_sum_family_edges():
-    total, injections = direct_sum_family([])
+def test_biproduct_edges():
+    total, injections, _ = biproduct([])
     assert total.is_trivial and injections == []
-    single, injections = direct_sum_family([cyclic(4)])
+    single, injections, _ = biproduct([cyclic(4)])
     assert single.canonical_form == (0, (4,))
-    both, _ = direct_sum_family([Z, cyclic(2)])
+    both, _, _ = biproduct([Z, cyclic(2)])
     assert both.canonical_form == (1, (2,))
 
 

@@ -10,7 +10,8 @@ from abcat.abdiag import constant_diagram
 from abcat.abgrp import cyclic
 from abcat.cli import main
 from abcat.documents import Document, serialize_document
-from abcat.fincat import chain_category
+from abcat.fincat import chain_category, identity_functor
+from abcat.setdiag import FinSet, SetFunctor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -112,20 +113,31 @@ def test_ab_colimit_rejects_generators_that_do_not_generate(tmp_path, capsys):
 
 
 def test_ab_colimit_limit_reject_an_invalid_base(tmp_path, capsys):
-    diagram = constant_diagram(chain_category(3), cyclic(2))
-    doc = json.loads(serialize_document(Document("abdiagram", diagram)))
-    # (1<=2)∘(0<=1) set to 0<=1, whose codomain is 1, not 2
-    doc["base"]["composition"] = [
-        [g, f, "0<=1" if (g, f) == ("1<=2", "0<=1") else gf]
-        for g, f, gf in doc["base"]["composition"]]
-    bad = tmp_path / "bad_base.json"
-    bad.write_text(json.dumps(doc))
-    for op in ("colimit", "limit"):
-        code, out, err = run_cli(capsys, "ab", op, bad)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: invalid category:") and err.count("\n") == 1
-        assert "wrong endpoints" in err
+    chain = chain_category(3)
+    documents = {
+        "abdiagram": Document("abdiagram", constant_diagram(chain, cyclic(2))),
+        "setdiagram": Document("setdiagram", SetFunctor(chain, [FinSet(2)] * 3,
+                                                        [(0, 1)] * chain.n_morphisms)),
+        "functor": Document("functor", identity_functor(chain)),
+    }
+    commands = {"abdiagram": (("ab", "colimit"), ("ab", "limit")),
+                "setdiagram": (("colimit",), ("limit",)),
+                "functor": (("check", "final"),)}
+    for kind, document in documents.items():
+        doc = json.loads(serialize_document(document))
+        for key in ("source", "target") if kind == "functor" else ("base",):
+            # (1<=2)∘(0<=1) set to 0<=1, whose codomain is 1, not 2
+            doc[key]["composition"] = [
+                [g, f, "0<=1" if (g, f) == ("1<=2", "0<=1") else gf]
+                for g, f, gf in doc[key]["composition"]]
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(json.dumps(doc))
+        for words in commands[kind]:
+            code, out, err = run_cli(capsys, *words, bad)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: invalid category:") and err.count("\n") == 1
+            assert "wrong endpoints" in err
 
 
 def test_verify_notlex_exits_zero_with_certificate(capsys):
