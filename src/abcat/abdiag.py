@@ -2,10 +2,13 @@
 
 Colimits are computed by presentation (coproduct of all object groups,
 plus one relation column per source generator of each gluing morphism,
-which are the base's generating morphisms when it has them); limits are
-kernels inside the product.  Coinvariants and invariants of a group
-action, family coproducts, induced maps on colimits, and the checks
-behind the coproduct-exactness results all live here.
+which are the base's generating morphisms when it has them), presented
+on the quotient: columns that kill a generator or identify two up to
+sign are consumed, so the carrier keeps one generator per surviving
+class.  Limits are kernels inside the product.  Coinvariants and
+invariants of a group action, family coproducts, induced maps on
+colimits, and the checks behind the coproduct-exactness results all
+live here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, factor_through_kernel
                     zero_hom)
 from .errors import InputError, PreconditionError
 from .fincat import FinCategory, ValidationReport, group_as_category, validate_group_table
-from .intmat import IntMatrix, block_diagonal, hstack, vstack
+from .intmat import IntMatrix, _signed_quotient, block_diagonal, hstack, vstack
 
 
 class AbDiagram:
@@ -76,21 +79,25 @@ class AbCone:
 
 
 class AbColimit:
-    """Colimit presentation with its cocone and factorization."""
+    """Colimit presentation with its cocone and factorization.
 
-    __slots__ = ("carrier", "cocone", "diagram")
+    Generator k of the carrier is the class of generator i of object c,
+    for (c, i) == ``representatives[k]``.
+    """
 
-    def __init__(self, carrier, cocone, diagram):
+    __slots__ = ("carrier", "cocone", "diagram", "representatives")
+
+    def __init__(self, carrier, cocone, diagram, representatives):
         self.carrier = carrier
         self.cocone = cocone
         self.diagram = diagram
+        self.representatives = representatives
 
     def factor(self, components, *, vertex: FGAbGroup | None = None,
                check: bool = True) -> AbHom:
-        """The unique map out of the colimit matching a cocone.
-
-        ``vertex`` is only needed for the empty base, where it cannot be
-        read off the components.
+        """The unique map out of the colimit matching a cocone, read at the
+        ``representatives``.  ``vertex`` is only needed for the empty base,
+        where it cannot be read off the components.
         """
         components = list(components)
         if len(components) != self.diagram.base.n_objects:
@@ -104,10 +111,10 @@ class AbColimit:
                     raise InputError(f"components do not form a cocone at morphism {m}")
         if components:
             vertex = components[0].target
-            matrix = hstack(*[c.matrix for c in components])
-        else:
-            vertex = vertex if vertex is not None else zero_group()
-            matrix = IntMatrix.zeros(vertex.gens, 0)
+        elif vertex is None:
+            vertex = zero_group()
+        matrix = IntMatrix.from_columns(
+            [components[c].matrix.column(i) for c, i in self.representatives], vertex.gens)
         return AbHom(self.carrier, vertex, matrix)
 
 
@@ -148,45 +155,47 @@ class AbLimit:
 
 
 def ab_colimit(d: AbDiagram) -> AbColimit:
-    """Colimit by presentation: all generators, all object relations, and
-    one column per (glued morphism, source generator) gluing image to source.
+    """Colimit by presentation, on the quotient of the sum's generators.
 
-    The glued morphisms are the base's ``generators`` when it has them,
-    since the gluing of a composite g∘f follows from those of g and f;
-    otherwise every non-identity morphism.
+    The relations are every object's, plus one column per (glued morphism,
+    source generator) gluing image to source.  The glued morphisms are the
+    base's ``generators`` when it has them, since the gluing of a
+    composite g∘f follows from those of g and f; otherwise every
+    non-identity morphism.  ``intmat._signed_quotient`` consumes the
+    sparse columns that kill a generator or identify two up to sign: the
+    carrier has one generator per surviving class and the columns left
+    over, and each leg sends a generator to its class with a sign, or to 0.
     """
     base = d.base
     offsets = summand_offsets(d.groups)
-    total = offsets[-1]
     glued = base.generators if base.generators is not None else range(base.n_morphisms)
     cols = []   # sparse (row, value) lists
-    if total:   # a carrier on no generators keeps a 0 x 0 relation matrix
-        for g, off in zip(d.groups, offsets):
-            rel = g.relations.data
-            for j in range(g.relations.cols):
-                cols.append([(off + i, rel[i][j]) for i in range(g.gens) if rel[i][j]])
-        for m in glued:
-            a, b = base.dom[m], base.cod[m]
-            if base.identity[a] == m:
-                continue
-            mat = d.homs[m].matrix.data
-            for j in range(d.groups[a].gens):
-                col = [(offsets[b] + i, mat[i][j])
-                       for i in range(d.groups[b].gens) if mat[i][j]]
-                col.append((offsets[a] + j, -1))
-                cols.append(col)
-    rows = [[0] * len(cols) for _ in range(total)]
-    for k, col in enumerate(cols):
-        for i, v in col:
-            rows[i][k] += v
-    carrier = FGAbGroup(total, IntMatrix._trusted(tuple(map(tuple, rows)), total, len(cols)))
+    for g, off in zip(d.groups, offsets):
+        cols.extend([(off + i, x) for i, x in enumerate(c) if x]
+                    for c in zip(*g.relations.data))
+    for m in glued:
+        a, b = base.dom[m], base.cod[m]
+        if base.identity[a] == m:
+            continue
+        mat = d.homs[m].matrix.data
+        for j in range(d.groups[a].gens):
+            col = [(offsets[b] + i, mat[i][j])
+                   for i in range(d.groups[b].gens) if mat[i][j]]
+            col.append((offsets[a] + j, -1))
+            cols.append(col)
+    live, where, residual = _signed_quotient(offsets[-1], cols)
+    carrier = FGAbGroup(len(live), IntMatrix.from_columns(residual, len(live)))
     components = []
     for c, group in enumerate(d.groups):
-        leg = [(0,) * group.gens] * total
-        for i in range(group.gens):
-            leg[offsets[c] + i] = tuple(1 if k == i else 0 for k in range(group.gens))
-        components.append(AbHom(group, carrier, IntMatrix._trusted(tuple(leg), total, group.gens)))
-    return AbColimit(carrier, AbCocone(carrier, tuple(components)), d)
+        leg = [[0] * group.gens for _ in live]
+        for i, hit in enumerate(where[offsets[c]:offsets[c + 1]]):
+            if hit is not None:
+                leg[hit[0]][i] = hit[1]
+        components.append(AbHom(group, carrier, IntMatrix._trusted(
+            tuple(map(tuple, leg)), len(live), group.gens)))
+    coords = [(c, i) for c, group in enumerate(d.groups) for i in range(group.gens)]
+    representatives = tuple(coords[r] for r in live)
+    return AbColimit(carrier, AbCocone(carrier, tuple(components)), d, representatives)
 
 
 def ab_limit(d: AbDiagram) -> AbLimit:

@@ -108,7 +108,7 @@ class IntMatrix:
             yield self.column(j)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data)) if self.rows and self.cols else (),
+        return IntMatrix(tuple(zip(*self.data)) if self.rows else ((),) * self.cols,
                          shape=(self.cols, self.rows))
 
     def is_zero(self) -> bool:
@@ -560,15 +560,20 @@ def preimage_basis(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     return lat.basis_matrix()
 
 
-def lattice_invariants(relations: IntMatrix) -> tuple[int, tuple]:
-    """Canonical form (free rank, invariant factors >= 2) of Z^n / columns.
+def _signed_quotient(n: int, columns) -> tuple[list, list, list]:
+    """Present Z^n modulo ``columns`` on fewer coordinates.
 
-    Equivalent to reading the Smith diagonal of `relations`, but columns
-    that merely identify two coordinates up to sign (the bulk of colimit
-    presentations) are eliminated by a signed union-find sweep before any
-    dense elimination happens.
+    ``columns`` are sparse lists of (row, value) pairs.  A signed
+    union-find sweep, repeated to a fixed point, consumes every column
+    that kills one coordinate or identifies two up to sign (the bulk of
+    colimit presentations).  Returns ``live``, the surviving root
+    coordinates in increasing order; ``where``, holding for each
+    coordinate i either (k, sign), meaning e_i == sign * e_live[k] modulo
+    the columns, or None when e_i lies in their lattice; and the other
+    columns written densely on ``live``, zero columns and repeats dropped,
+    in first-seen order.  Z^n modulo ``columns`` is Z^len(live) modulo
+    those.
     """
-    n = relations.rows
     parent = list(range(n))
     rel_sign = [1] * n
     alive = [True] * n
@@ -585,13 +590,7 @@ def lattice_invariants(relations: IntMatrix) -> tuple[int, tuple]:
             rel_sign[j] = run
         return i, run
 
-    pending = []
-    for j in range(relations.cols):
-        col = [(i, relations.data[i][j]) for i in range(n) if relations.data[i][j]]
-        if col:
-            pending.append(col)
-
-    residual = []
+    pending = [col for col in columns if col]
     while True:
         changed = False
         nxt = []
@@ -615,30 +614,37 @@ def lattice_invariants(relations: IntMatrix) -> tuple[int, tuple]:
                 changed = True
             else:
                 nxt.append(entries)
-        if not changed:
-            residual = nxt
-            break
         pending = nxt
+        if not changed:
+            break
 
     live = [i for i in range(n) if parent[i] == i and alive[i]]
     index = {r: k for k, r in enumerate(live)}
-    cols = []
-    for col in residual:
+    where = []
+    for i in range(n):
+        r, s = find(i)
+        where.append((index[r], s) if alive[r] else None)
+    residual = {}
+    for col in pending:
         dense = [0] * len(live)
-        nontrivial = False
         for i, val in col:
-            r, s = find(i)
-            if not alive[r]:
-                continue
-            dense[index[r]] += s * val
-            nontrivial = True
-        if nontrivial and any(dense):
-            cols.append(dense)
-    if cols:
-        mat = IntMatrix.from_columns(cols, len(live))
-        diag = smith_diagonal(mat)
-    else:
-        diag = ()
+            if where[i] is not None:
+                dense[where[i][0]] += where[i][1] * val
+        if any(dense):
+            residual.setdefault(tuple(dense), None)
+    return live, where, list(residual)
+
+
+def lattice_invariants(relations: IntMatrix) -> tuple[int, tuple]:
+    """Canonical form (free rank, invariant factors >= 2) of Z^n / columns.
+
+    Equivalent to reading the Smith diagonal of `relations`, but the
+    columns that ``_signed_quotient`` consumes never reach the dense
+    elimination.
+    """
+    cols = [[(i, x) for i, x in enumerate(c) if x] for c in zip(*relations.data)]
+    live, _, residual = _signed_quotient(relations.rows, cols)
+    diag = smith_diagonal(IntMatrix.from_columns(residual, len(live))) if residual else ()
     rank = sum(1 for d in diag if d != 0)
     factors = tuple(d for d in diag if d >= 2)
     return len(live) - rank, factors

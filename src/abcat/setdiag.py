@@ -172,7 +172,8 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
 
     Classes of the tagged disjoint union under the closure of
     (c, x) ~ (c', table(x)); representatives are the least pair in
-    (object index, element index) order.
+    (object index, element index) order.  The glued morphisms are the
+    base's ``generators`` when it has them, whose closure is the same.
     """
     base = d.base
     offsets = []
@@ -181,7 +182,7 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
         offsets.append(total)
         total += s.size
     uf = UnionFind(total)
-    for m in range(base.n_morphisms):
+    for m in base.generators if base.generators is not None else range(base.n_morphisms):
         if base.identity[base.dom[m]] == m:
             continue
         a, b = base.dom[m], base.cod[m]

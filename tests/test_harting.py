@@ -250,6 +250,19 @@ def test_compare_cap_four_stability():
             assert big.canonical_form == small.canonical_form
 
 
+@pytest.mark.parametrize("letters,cap", [(3, 3), (3, 4)])
+def test_expansion_colimit_is_presented_on_the_family(letters, cap):
+    # the gluing identifies every copy of a letter's generators, so the
+    # carrier keeps the family's generators and no more relations
+    hx = hx_category(FinSet(letters), cap)
+    rng = random.Random(100 * letters + cap)
+    for _ in range(3):
+        family = random_family(rng, letters)
+        carrier = ab_colimit(harting_expand(family, hx)).carrier
+        assert carrier.gens == sum(g.gens for g in family)
+        assert carrier.relations.cols <= sum(g.relations.cols for g in family)
+
+
 def test_bounded_reports_small():
     two = hx_category(AB, 2)
     filtered = hx_filtered_bounded_report(two)

@@ -46,6 +46,13 @@ def test_matrix_basics():
     assert vstack(IntMatrix.zeros(0, 2), m) == m
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0)])
+def test_transpose_of_empty_matrices(rows, cols):
+    t = IntMatrix.zeros(rows, cols).transpose()
+    assert t == IntMatrix.zeros(cols, rows)
+    assert t.transpose() == IntMatrix.zeros(rows, cols)
+
+
 def test_determinant_known_values():
     assert determinant(IntMatrix.identity(3)) == 1
     assert determinant(IntMatrix([[2, 4], [6, 8]])) == -8

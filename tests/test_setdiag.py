@@ -10,9 +10,10 @@ from itertools import product as iproduct
 import pytest
 
 from abcat.errors import InputError, PreconditionError
-from abcat.fincat import (FinFunctor, chain_category, discrete_category,
+from abcat.fincat import (FinCategory, FinFunctor, chain_category, discrete_category,
                           full_subcategory, group_as_category, identity_functor,
                           parallel_pair_category, product_category, span_category)
+from abcat.harting import hx_category
 from abcat.setdiag import (FinSet, SetFunctor, commute_check, constant_functor,
                            fixed_points, fixed_point_indices, limit_points,
                            pointwise_product, restrict_along, set_colimit,
@@ -149,6 +150,28 @@ def test_colimit_representatives_least_pair():
     carrier, cocone = set_colimit(d)
     assert carrier.size == 1
     assert carrier.labels[0].startswith("0.")
+
+
+def test_colimit_glues_along_generators_like_all_morphisms():
+    # word (n, x) -> triples (i, j, e): positions i, j and an element e of
+    # letter x_i's set; an index map f sends (i, j, e) to (f(i), f(j), e)
+    hx = hx_category(FinSet(2), 3)
+    base = hx.category
+    assert base.generators is not None
+    every = FinCategory(base.n_objects, base.dom, base.cod, base.identity,
+                        object_labels=base.object_labels)
+    sizes = (2, 3)
+    elements = [[(i, j, e) for i in range(o.arity) for j in range(o.arity)
+                 for e in range(sizes[o.word[i]])] for o in hx.objects]
+    index = [{t: k for k, t in enumerate(elems)} for elems in elements]
+    tables = [tuple(index[ti][(f[i], f[j], e)] for i, j, e in elements[si])
+              for si, ti, f in hx.morphisms]
+    sets = [FinSet(len(elems)) for elems in elements]
+    carrier, cocone = set_colimit(SetFunctor(base, sets, tables))
+    reference, ref_cocone = set_colimit(SetFunctor(every, sets, tables))
+    assert carrier.size == reference.size == 10
+    assert carrier.labels == reference.labels
+    assert cocone.components == ref_cocone.components
 
 
 def test_restrict_identity_and_constant():
