@@ -25,21 +25,46 @@ from .intmat import IntMatrix, _signed_quotient, block_diagonal, hstack, vstack
 
 
 class AbDiagram:
-    """Functor from a finite category into f.g. abelian groups."""
+    """Functor from a finite category into f.g. abelian groups.
 
-    __slots__ = ("base", "groups", "homs")
+    ``homs`` is one hom per morphism, or a rule ``m -> AbHom`` that values
+    the diagram only at the morphisms read.  ``hom(m)`` is the accessor:
+    it checks the endpoints of each hom on first use and caches it.  A
+    tuple of homs is checked in full at construction.
+    """
+
+    __slots__ = ("base", "groups", "_rule", "_cache")
 
     def __init__(self, base: FinCategory, groups, homs):
         self.base = base
         self.groups = tuple(groups)
-        self.homs = tuple(homs)
         if len(self.groups) != base.n_objects:
             raise InputError("one group per object required")
-        if len(self.homs) != base.n_morphisms:
+        self._cache = {}
+        if callable(homs):
+            self._rule = homs
+            return
+        homs = tuple(homs)
+        if len(homs) != base.n_morphisms:
             raise InputError("one hom per morphism required")
-        for m, h in enumerate(self.homs):
-            if h.source != self.groups[base.dom[m]] or h.target != self.groups[base.cod[m]]:
+        self._rule = homs.__getitem__
+        for m in range(len(homs)):
+            self.hom(m)
+
+    def hom(self, m: int) -> AbHom:
+        h = self._cache.get(m)
+        if h is None:
+            h = self._rule(m)
+            if (h.source != self.groups[self.base.dom[m]]
+                    or h.target != self.groups[self.base.cod[m]]):
                 raise InputError(f"hom for morphism {m} has wrong endpoints")
+            self._cache[m] = h
+        return h
+
+    @property
+    def homs(self) -> tuple:
+        """Every hom, in morphism order."""
+        return tuple(self.hom(m) for m in range(self.base.n_morphisms))
 
     def __eq__(self, other):
         if not isinstance(other, AbDiagram):
@@ -49,15 +74,19 @@ class AbDiagram:
 
 
 def validate_diagram(d: AbDiagram) -> ValidationReport:
-    """Functor laws up to hom equality modulo relations."""
+    """Functor laws up to hom equality modulo relations, and every hom
+    carrying its source relations into the target's."""
     problems = []
     for c in range(d.base.n_objects):
-        if not hom_equal(d.homs[d.base.identity[c]], identity_hom(d.groups[c])):
+        if not hom_equal(d.hom(d.base.identity[c]), identity_hom(d.groups[c])):
             problems.append(f"hom of identity morphism at object {c} is not the identity")
     for (g, f) in d.base.composable_pairs():
         gf = d.base.compose(g, f)
-        if not hom_equal(d.homs[gf], hom_compose(d.homs[g], d.homs[f])):
+        if not hom_equal(d.hom(gf), hom_compose(d.hom(g), d.hom(f))):
             problems.append(f"homs break composite ({g},{f})")
+    for m in range(d.base.n_morphisms):
+        if hom_validate(d.hom(m)).problems:
+            problems.append(f"hom for morphism {m} does not respect the relations")
     return ValidationReport(tuple(problems))
 
 
@@ -96,7 +125,8 @@ class AbColimit:
     def factor(self, components, *, vertex: FGAbGroup | None = None,
                check: bool = True) -> AbHom:
         """The unique map out of the colimit matching a cocone, read at the
-        ``representatives``.  ``vertex`` is only needed for the empty base,
+        ``representatives``.  ``check`` tests the cocone condition at the
+        base's generators.  ``vertex`` is only needed for the empty base,
         where it cannot be read off the components.
         """
         components = list(components)
@@ -104,9 +134,9 @@ class AbColimit:
             raise InputError("one cocone component per object required")
         if check:
             base = self.diagram.base
-            for m in range(base.n_morphisms):
+            for m in base.generating():
                 a, b = base.dom[m], base.cod[m]
-                if not hom_equal(hom_compose(components[b], self.diagram.homs[m]),
+                if not hom_equal(hom_compose(components[b], self.diagram.hom(m)),
                                  components[a]):
                     raise InputError(f"components do not form a cocone at morphism {m}")
         if components:
@@ -142,7 +172,7 @@ class AbLimit:
         if check:
             for m in range(base.n_morphisms):
                 a, b = base.dom[m], base.cod[m]
-                if not hom_equal(hom_compose(self.diagram.homs[m], components[a]),
+                if not hom_equal(hom_compose(self.diagram.hom(m), components[a]),
                                  components[b]):
                     raise InputError(f"components do not form a cone at morphism {m}")
         if not components:
@@ -168,16 +198,15 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
     """
     base = d.base
     offsets = summand_offsets(d.groups)
-    glued = base.generators if base.generators is not None else range(base.n_morphisms)
     cols = []   # sparse (row, value) lists
     for g, off in zip(d.groups, offsets):
         cols.extend([(off + i, x) for i, x in enumerate(c) if x]
                     for c in zip(*g.relations.data))
-    for m in glued:
+    for m in base.generating():
         a, b = base.dom[m], base.cod[m]
         if base.identity[a] == m:
             continue
-        mat = d.homs[m].matrix.data
+        mat = d.hom(m).matrix.data
         for j in range(d.groups[a].gens):
             col = [(offsets[b] + i, mat[i][j])
                    for i in range(d.groups[b].gens) if mat[i][j]]
@@ -211,7 +240,7 @@ def ab_limit(d: AbDiagram) -> AbLimit:
     targets = []
     for m in nonid:
         a, b = base.dom[m], base.cod[m]
-        row = hom_compose(d.homs[m], projections[a]) - projections[b]
+        row = hom_compose(d.hom(m), projections[a]) - projections[b]
         blocks.append(row.matrix)
         targets.append(d.groups[b])
     q, _, _ = biproduct(targets)
@@ -327,7 +356,9 @@ def induced_map_on_colimits(d: AbDiagram, e: AbDiagram, components,
     """The unique map between colimits commuting with both cocones.
 
     ``components`` is a natural family of homs D(c) -> E(c); naturality
-    is checked and an InputError names the first failing morphism.
+    is checked at the base's generators, which implies it at every
+    composite for functors, and an InputError names the first failing
+    morphism.
     Returns (hom, colimit of d, colimit of e).
     """
     components = list(components)
@@ -339,10 +370,10 @@ def induced_map_on_colimits(d: AbDiagram, e: AbDiagram, components,
     for c in range(base.n_objects):
         if components[c].source != d.groups[c] or components[c].target != e.groups[c]:
             raise InputError(f"component at object {c} has wrong endpoints")
-    for m in range(base.n_morphisms):
+    for m in base.generating():
         a, b = base.dom[m], base.cod[m]
-        if not hom_equal(hom_compose(components[b], d.homs[m]),
-                         hom_compose(e.homs[m], components[a])):
+        if not hom_equal(hom_compose(components[b], d.hom(m)),
+                         hom_compose(e.hom(m), components[a])):
             raise InputError(f"components are not natural at morphism {m}")
     if colim_d is None:
         colim_d = ab_colimit(d)

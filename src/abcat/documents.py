@@ -616,12 +616,12 @@ def _serialize_value(doc: Document) -> dict:
                 "base": category_body(base),
                 "groups": {base.object_label(c): abgroup_body(value.source.groups[c])
                            for c in range(base.n_objects)},
-                "homs": {base.morphism_label(m): [list(r) for r in value.source.homs[m].matrix.data]
+                "homs": {base.morphism_label(m): [list(r) for r in value.source.hom(m).matrix.data]
                          for m in range(base.n_morphisms)},
                 "target": {
                     "groups": {base.object_label(c): abgroup_body(value.target.groups[c])
                                for c in range(base.n_objects)},
-                    "homs": {base.morphism_label(m): [list(r) for r in value.target.homs[m].matrix.data]
+                    "homs": {base.morphism_label(m): [list(r) for r in value.target.hom(m).matrix.data]
                              for m in range(base.n_morphisms)},
                 },
                 "maps": {base.object_label(c): [list(r) for r in value.components[c].matrix.data]
@@ -633,7 +633,7 @@ def _serialize_value(doc: Document) -> dict:
                 "base": category_body(base),
                 "groups": {base.object_label(c): abgroup_body(value.groups[c])
                            for c in range(base.n_objects)},
-                "homs": {base.morphism_label(m): [list(r) for r in value.homs[m].matrix.data]
+                "homs": {base.morphism_label(m): [list(r) for r in value.hom(m).matrix.data]
                          for m in range(base.n_morphisms)},
             }
     elif kind == "gmodule":

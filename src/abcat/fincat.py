@@ -33,9 +33,10 @@ class FinCategory:
     Objects are indices 0..n_objects-1 and morphisms 0..n_morphisms-1.
     ``composition`` maps composable pairs (g, f) with cod(f) == dom(g) to
     the index of g∘f.  Large generated categories may instead supply
-    ``compose_rule``; objects and morphisms stay fully enumerated either
-    way.  Optional ``generators`` must compose, together with the
-    identities, to every morphism; group colimits glue along them alone.
+    ``compose_rule``, and then also ``dom`` and ``cod`` as read-only
+    sequences that compute their entries on demand.  Optional
+    ``generators`` must compose, together with the identities, to every
+    morphism; group colimits glue along them alone.
     Values are immutable after construction.
     """
 
@@ -47,8 +48,9 @@ class FinCategory:
                  compose_rule=None, object_labels=None, morphism_labels=None,
                  generators=None):
         self.n_objects = int(n_objects)
-        self.dom = tuple(int(x) for x in dom)
-        self.cod = tuple(int(x) for x in cod)
+        lazy = compose_rule is not None and not isinstance(dom, (list, tuple))
+        self.dom = dom if lazy else tuple(int(x) for x in dom)
+        self.cod = cod if lazy else tuple(int(x) for x in cod)
         self.identity = tuple(int(x) for x in identity)
         if len(self.dom) != len(self.cod):
             raise InputError("dom and cod tables differ in length")
@@ -72,6 +74,10 @@ class FinCategory:
     @property
     def n_morphisms(self) -> int:
         return len(self.dom)
+
+    def generating(self):
+        """The generators when given, else every morphism."""
+        return self.generators if self.generators is not None else range(self.n_morphisms)
 
     def composable(self, g: int, f: int) -> bool:
         return self.cod[f] == self.dom[g]

@@ -15,13 +15,20 @@ machinery here produces the isomorphism explicitly.
 
 The full HX is infinite, so instances are truncated at an arity cap.
 All identifications needed for the coproduct are witnessed by arity <= 2
-objects; cap stability is covered by the property suites.
+objects; cap stability is covered by the property suites.  A truncation
+holds its words and hom-set sizes and ranks index maps in closed form,
+and an expansion values its routing homs only at the morphisms read, so
+colimits cost per generator, not per index map.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
+from math import prod
 
 from .abdiag import AbDiagram, ab_colimit, AbColimit
 from .abgrp import (AbHom, FGAbGroup, biproduct, describe_form, hom_compose, hom_equal,
@@ -64,27 +71,86 @@ class HXMorphism:
                 raise InputError(f"words disagree at position {i}")
 
 
+class _Lazy(Sequence):
+    """A read-only sequence of ``length`` items computed by ``item``."""
+
+    __slots__ = ("_length", "_item")
+
+    def __init__(self, length: int, item):
+        self._length = length
+        self._item = item
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, m):
+        if not 0 <= m < self._length:
+            raise IndexError(f"morphism index {m} out of range")
+        return self._item(m)
+
+    def __iter__(self):
+        return map(self._item, range(self._length))
+
+
 class HXCategory:
     """Truncation of HX at a given arity cap, realized as a FinCategory.
 
-    Objects are ordered by (arity, word); morphisms by (source, target,
-    mapping).  Composition is by rule (composition of index maps) since
-    fully tabulating it is quadratic in the morphism count.
+    Objects are ordered by (arity, word) and held eagerly; morphisms are
+    ordered by (source, target, mapping) and never enumerated.  The maps
+    of one (source, target) pair form a contiguous block starting at the
+    prefix offset ``_starts[source * len(objects) + target]``, and a map's
+    place in its block is its mapping in mixed radix: digit i chooses one
+    of the target positions carrying letter i of the source word, the
+    last digit running fastest.  ``morphisms``, the category's ``dom``
+    and ``cod``, its identities, generators and composition rule are all
+    read off that ranking.
     """
 
     __slots__ = ("alphabet", "cap", "category", "objects", "morphisms",
-                 "_object_index", "_morphism_index", "_hom_lists")
+                 "_object_index", "_spots", "_starts")
 
-    def __init__(self, alphabet: FinSet, cap: int, category: FinCategory,
-                 objects, morphisms, object_index, morphism_index, hom_lists):
+    def __init__(self, alphabet: FinSet, cap: int, objects, spots, starts):
         self.alphabet = alphabet
         self.cap = cap
-        self.category = category
-        self.objects = objects
-        self.morphisms = morphisms
-        self._object_index = object_index
-        self._morphism_index = morphism_index
-        self._hom_lists = hom_lists
+        self.objects = tuple(objects)
+        self._object_index = {o: i for i, o in enumerate(self.objects)}
+        self._spots = spots
+        self._starts = starts
+        total, n = starts[-1], len(self.objects)
+        self.morphisms = _Lazy(total, self._unrank)
+        ident = [self._index(i, i, tuple(range(o.arity))) for i, o in enumerate(self.objects)]
+        self.category = FinCategory(
+            n, _Lazy(total, lambda m: (bisect_right(starts, m) - 1) // n),
+            _Lazy(total, lambda m: (bisect_right(starts, m) - 1) % n), ident, None,
+            compose_rule=self._compose, object_labels=map(self.word_label, self.objects),
+            generators=_elementary_maps(self))
+
+    def _unrank(self, m: int) -> tuple:
+        p = bisect_right(self._starts, m) - 1
+        si, ti = divmod(p, len(self.objects))
+        spots = self._spots[ti]
+        rest = m - self._starts[p]
+        mapping = []
+        for v in reversed(self.objects[si].word):
+            rest, digit = divmod(rest, len(spots[v]))
+            mapping.append(spots[v][digit])
+        return si, ti, tuple(reversed(mapping))
+
+    def _index(self, si: int, ti: int, mapping) -> int | None:
+        """Index of ``mapping``, of the source's length, from object si to
+        object ti, or None when it is not an index map between their words."""
+        word, target, spots = self.objects[si].word, self.objects[ti].word, self._spots[ti]
+        rank = 0
+        for v, j in zip(word, mapping):
+            if not 0 <= j < len(target) or target[j] != v:
+                return None
+            rank = rank * len(spots[v]) + spots[v].index(j)
+        return self._starts[si * len(self.objects) + ti] + rank
+
+    def _compose(self, g: int, f: int) -> int:
+        s1, _, fmap = self._unrank(f)
+        _, t2, gmap = self._unrank(g)
+        return self._index(s1, t2, tuple(gmap[j] for j in fmap))
 
     def object_index(self, obj: HXObject) -> int:
         try:
@@ -93,96 +159,51 @@ class HXCategory:
             raise InputError(f"object {obj} is not in the truncation") from None
 
     def morphism_index(self, mor: HXMorphism) -> int:
-        key = (self._object_index[mor.source], self._object_index[mor.target], mor.mapping)
-        try:
-            return self._morphism_index[key]
-        except KeyError:
-            raise InputError("morphism is not in the truncation") from None
+        return self._index(self.object_index(mor.source), self.object_index(mor.target),
+                           mor.mapping)
 
-    def hom_indices(self, src: int, tgt: int) -> tuple:
-        return self._hom_lists.get((src, tgt), ())
+    def hom_indices(self, src: int, tgt: int) -> range:
+        p = src * len(self.objects) + tgt
+        return range(self._starts[p], self._starts[p + 1])
+
+    def _maps(self, src: int, tgt: int):
+        """(index, mapping) for each morphism src -> tgt, in index order."""
+        spots = self._spots[tgt]
+        return zip(self.hom_indices(src, tgt),
+                   iproduct(*(spots.get(v, ()) for v in self.objects[src].word)))
 
     def word_label(self, obj: HXObject) -> str:
         return "(" + ",".join(self.alphabet.label(v) for v in obj.word) + ")"
 
 
 def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> HXCategory:
-    """Enumerate all words of arity <= cap and all index maps between them.
+    """All words of arity <= cap, with the index maps between them in
+    closed form.
 
-    The category's generators are the elementary index maps, so colimits
-    over it glue along those alone.  Raises BudgetError when the
-    enumeration would exceed ``max_morphisms``.
+    Only the objects and the size of each hom-set are computed; the
+    category's generators are the elementary index maps, so colimits over
+    it glue along those alone.  Raises BudgetError when the truncation
+    holds more than ``max_morphisms`` index maps.
     """
     if cap < 1:
         raise InputError("cap must be at least 1")
-    size = alphabet.size
-    objects = []
-    for n in range(cap + 1):
-        if size == 0 and n > 0:
-            break
-        for word in iproduct(range(size), repeat=n):
-            objects.append(HXObject(n, word))
-    object_index = {o: i for i, o in enumerate(objects)}
-
+    objects = [HXObject(n, word) for n in range(cap + 1)
+               for word in iproduct(range(alphabet.size), repeat=n)]
     # positions of each letter inside each word; a morphism out of a word
     # chooses, per position, one matching position of the target word
-    positions = []
-    for obj in objects:
-        spots = {}
-        for j, v in enumerate(obj.word):
-            spots.setdefault(v, []).append(j)
-        positions.append(spots)
-
-    total = 0
+    spots = [{v: tuple(j for j, y in enumerate(o.word) if y == v) for v in o.word}
+             for o in objects]
+    starts = [0]
     for src in objects:
-        for spots in positions:
-            count = 1
-            for v in src.word:
-                count *= len(spots.get(v, ()))
-                if not count:
-                    break
-            total += count
-    if total > max_morphisms:
-        raise BudgetError(f"HX truncation holds {total} morphisms, "
+        for target in spots:
+            starts.append(starts[-1] + prod(len(target.get(v, ())) for v in src.word))
+    if starts[-1] > max_morphisms:
+        raise BudgetError(f"HX truncation holds {starts[-1]} morphisms, "
                           f"budget is {max_morphisms}")
-
-    morphisms = []
-    morphism_index = {}
-    hom_lists = {}
-    for si, src in enumerate(objects):
-        for ti in range(len(objects)):
-            spots = positions[ti]
-            choices = [spots.get(v) for v in src.word]
-            if any(c is None for c in choices):
-                continue
-            local = []
-            for mapping in iproduct(*choices):
-                idx = len(morphisms)
-                morphisms.append((si, ti, mapping))
-                morphism_index[(si, ti, mapping)] = idx
-                local.append(idx)
-            if local:
-                hom_lists[(si, ti)] = tuple(local)
-
-    dom = [m[0] for m in morphisms]
-    cod = [m[1] for m in morphisms]
-    ident = [morphism_index[(i, i, tuple(range(o.arity)))] for i, o in enumerate(objects)]
-
-    def rule(g, f):
-        s1, _, fmap = morphisms[f]
-        _, t2, gmap = morphisms[g]
-        return morphism_index[(s1, t2, tuple(gmap[j] for j in fmap))]
-
-    labels = ["(" + ",".join(alphabet.label(v) for v in o.word) + ")" for o in objects]
-    category = FinCategory(len(objects), dom, cod, ident, None, compose_rule=rule,
-                           object_labels=labels,
-                           generators=_elementary_maps(objects, object_index,
-                                                       morphism_index, size, cap))
-    return HXCategory(alphabet, cap, category, tuple(objects), tuple(morphisms),
-                      object_index, morphism_index, hom_lists)
+    return HXCategory(alphabet, cap, objects, spots, starts)
 
 
-def _elementary_maps(objects, object_index, morphism_index, size, cap) -> list:
+def _elementary_maps(h: HXCategory) -> list:
     """Sorted indices of the adjacent transpositions, the order-preserving
     insertions of one position and the order-preserving merges of two
     adjacent equal letters.
@@ -194,7 +215,7 @@ def _elementary_maps(objects, object_index, morphism_index, size, cap) -> list:
     source or the target.
     """
     found = []
-    for si, obj in enumerate(objects):
+    for si, obj in enumerate(h.objects):
         n, word = obj.arity, obj.word
         ident = tuple(range(n))
         steps = []
@@ -204,14 +225,14 @@ def _elementary_maps(objects, object_index, morphism_index, size, cap) -> list:
             if word[k] == word[k + 1]:
                 steps.append((word[:k + 1] + word[k + 2:],
                               ident[:k + 1] + tuple(i - 1 for i in ident[k + 1:])))
-        if n < cap:
+        if n < h.cap:
             for k in range(n + 1):
                 shifted = ident[:k] + tuple(i + 1 for i in ident[k:])
-                for v in range(size):
+                for v in range(h.alphabet.size):
                     steps.append((word[:k] + (v,) + word[k:], shifted))
         for target, mapping in steps:
-            ti = object_index[HXObject(len(target), target)]
-            found.append(morphism_index[(si, ti, mapping)])
+            found.append(h._index(si, h._object_index[HXObject(len(target), target)],
+                                  mapping))
     return sorted(found)
 
 
@@ -244,7 +265,8 @@ def harting_expand(family, h: HXCategory) -> AbDiagram:
 
     Object (n, x) carries the direct sum of the family at the letters of
     x; a morphism routes summand i into summand f(i) identically and the
-    routing matrix adds up over the fibres of f.
+    routing matrix adds up over the fibres of f.  The object groups are
+    built eagerly, the routing homs only at the morphisms read.
     """
     family = list(family)
     if len(family) != h.alphabet.size:
@@ -258,19 +280,19 @@ def harting_expand(family, h: HXCategory) -> AbDiagram:
         groups.append(FGAbGroup(offsets[-1],
                                 block_diagonal(rels) if parts else IntMatrix.zeros(0, 0)))
         offset_tables.append(offsets)
-    homs = []
-    for (si, ti, mapping) in h.morphisms:
-        src_obj, tgt_obj = h.objects[si], h.objects[ti]
+
+    def route(m):
+        si, ti, mapping = h.morphisms[m]
         src_group, tgt_group = groups[si], groups[ti]
         mat = [[0] * src_group.gens for _ in range(tgt_group.gens)]
         for i, j in enumerate(mapping):
-            part = family[src_obj.word[i]]
+            part = family[h.objects[si].word[i]]
             for t in range(part.gens):
                 mat[offset_tables[ti][j] + t][offset_tables[si][i] + t] = 1
-        homs.append(AbHom(src_group, tgt_group,
-                          IntMatrix._trusted(tuple(map(tuple, mat)),
-                                             tgt_group.gens, src_group.gens)))
-    return AbDiagram(h.category, groups, homs)
+        return AbHom(src_group, tgt_group,
+                     IntMatrix._trusted(tuple(map(tuple, mat)), tgt_group.gens, src_group.gens))
+
+    return AbDiagram(h.category, groups, route)
 
 
 @dataclass(frozen=True)
@@ -357,12 +379,14 @@ def hx_sifted_bounded_report(h: HXCategory) -> BoundedReport:
 
     Every cospan out of such a pair factors through the concatenation
     cospan, which links the whole slice in zig-zags of length one; the
-    check verifies that mediating map exists for every cospan.
+    check finds the mediating map of every cospan.
     """
     failures = []
     witnesses = {}
     checked = 0
     n = len(h.objects)
+    reach = [{t for t in range(n) if h.hom_indices(s, t)} for s in range(n)]
+    maps = cache(lambda s, t: tuple(h._maps(s, t)))
     for ui in range(n):
         u = h.objects[ui]
         for vi in range(n):
@@ -373,16 +397,13 @@ def hx_sifted_bounded_report(h: HXCategory) -> BoundedReport:
             target, left, right = hx_coproduct(h, u, v)
             wi = h.object_index(target)
             witnesses[(ui, vi)] = (wi, left.mapping, right.mapping)
-            for other in range(n):
-                w = h.objects[other]
-                for p in h.hom_indices(ui, other):
-                    pm = h.morphisms[p][2]
-                    for q in h.hom_indices(vi, other):
-                        qm = h.morphisms[q][2]
-                        mediating = pm + qm
-                        key = (wi, other, mediating)
-                        if key not in h._morphism_index:
-                            failures.append((ui, vi, other, p, q))
+            for other in sorted(reach[ui] & reach[vi]):
+                # the maps out of the concatenation come in the order of
+                # the cospans they mediate: left positions first
+                mediating = iter(maps(wi, other))
+                for (p, pm), (q, qm) in iproduct(maps(ui, other), maps(vi, other)):
+                    if next(mediating, (None, None))[1] != pm + qm:
+                        failures.append((ui, vi, other, p, q))
     return BoundedReport(not failures, checked, tuple(failures), witnesses)
 
 
@@ -408,8 +429,8 @@ def hx_filtered_bounded_report(h: HXCategory, *, parallel_arity_cap: int = 2) ->
             checked += 1
             target, left, right = hx_coproduct(h, u, v)
             wi = h.object_index(target)
-            li = h._morphism_index.get((ui, wi, left.mapping))
-            ri = h._morphism_index.get((vi, wi, right.mapping))
+            li = h._index(ui, wi, left.mapping)
+            ri = h._index(vi, wi, right.mapping)
             if li is None or ri is None:
                 failures.append(("bound", ui, vi))
             else:
@@ -417,17 +438,14 @@ def hx_filtered_bounded_report(h: HXCategory, *, parallel_arity_cap: int = 2) ->
     small = [i for i, o in enumerate(h.objects) if o.arity <= parallel_arity_cap]
     for ui in small:
         for vi in small:
-            pairs = h.hom_indices(ui, vi)
+            pairs = list(h._maps(ui, vi))
             for a in range(len(pairs)):
                 for b in range(a + 1, len(pairs)):
                     checked += 1
-                    f, g = pairs[a], pairs[b]
-                    fm = h.morphisms[f][2]
-                    gm = h.morphisms[g][2]
+                    (f, fm), (g, gm) = pairs[a], pairs[b]
                     found = None
                     for wi2 in range(n):
-                        for hi in h.hom_indices(vi, wi2):
-                            hm = h.morphisms[hi][2]
+                        for hi, hm in h._maps(vi, wi2):
                             if all(hm[fm[i]] == hm[gm[i]] for i in range(len(fm))):
                                 found = hi
                                 break

@@ -184,8 +184,8 @@ def random_ab5_instance(rng: Random, length: int):
     homs = []
     for m in range(base.n_morphisms):
         a, b = base.dom[m], base.cod[m]
-        blocked = AbHom(sums[a][0], sums[b][0], _block_pair(e_diag.homs[m].matrix,
-                                                            k_diag.homs[m].matrix))
+        blocked = AbHom(sums[a][0], sums[b][0], _block_pair(e_diag.hom(m).matrix,
+                                                            k_diag.hom(m).matrix))
         homs.append(hom_compose(scrambles[b][1], hom_compose(blocked, scrambles[a][2])))
     d_diag = AbDiagram(base, groups, homs)
     eta = [hom_compose(sums[c][2][0], scrambles[c][2]) for c in range(length)]

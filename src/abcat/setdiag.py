@@ -182,7 +182,7 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
         offsets.append(total)
         total += s.size
     uf = UnionFind(total)
-    for m in base.generators if base.generators is not None else range(base.n_morphisms):
+    for m in base.generating():
         if base.identity[base.dom[m]] == m:
             continue
         a, b = base.dom[m], base.cod[m]

@@ -14,13 +14,14 @@ from random import Random
 from typing import Callable
 
 from .abdiag import (AbDiagram, GModule, ab_colimit, coinvariants, gmodule_diagram,
-                     induced_map_on_colimits, invariants, ab4_check)
+                     induced_map_on_colimits, invariants, ab4_check, validate_diagram)
 from .abgrp import (AbHom, describe_form, factor_through_kernel, free_abelian, hom,
                     hom_compose, hom_equal, is_epi, is_mono, is_zero_hom, kernel)
 from .documents import AbNaturalMap, EquivariantMap, FamilyMap
 from .errors import InputError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
-                     is_final, is_sifted, parallel_pair_category, span_category)
+                     is_final, is_sifted, parallel_pair_category, span_category,
+                     validate_category)
 from .intmat import IntMatrix, block_diagonal
 from .harting import HXCategory, harting_compare, harting_expand, hx_category
 from .setdiag import (SetFunctor, commute_check, fixed_point_indices, restrict_along,
@@ -163,7 +164,7 @@ def verify_ab5(d: AbDiagram, e: AbDiagram, components) -> VerifyReport:
     for m in range(base.n_morphisms):
         a, b = base.dom[m], base.cod[m]
         lifted = factor_through_kernel(kernels[b][1],
-                                       hom_compose(d.homs[m], kernels[a][1]))
+                                       hom_compose(d.hom(m), kernels[a][1]))
         k_homs.append(lifted)
     k_diag = AbDiagram(base, k_groups, k_homs)
     colim_k = ab_colimit(k_diag)
@@ -347,6 +348,13 @@ def _ab4(value, cap, **_):
 def _ab5(value, **_):
     if not isinstance(value, AbNaturalMap):
         raise InputError("ab5 expects an abdiagram document with target and maps")
+    # naturality is checked at generators only, which presumes functors
+    for what, validate, item in (("category", validate_category, value.source.base),
+                                 ("diagram", validate_diagram, value.source),
+                                 ("target diagram", validate_diagram, value.target)):
+        report = validate(item)
+        if not report.ok:
+            raise InputError(f"invalid {what}: " + "; ".join(report.problems[:3]))
     return verify_ab5(value.source, value.target, list(value.components))
 
 

@@ -66,7 +66,7 @@ def test_colimit_cocone_commutes():
     base = d.base
     for m in range(base.n_morphisms):
         a, b = base.dom[m], base.cod[m]
-        assert hom_equal(hom_compose(col.cocone.components[b], d.homs[m]),
+        assert hom_equal(hom_compose(col.cocone.components[b], d.hom(m)),
                          col.cocone.components[a])
 
 
@@ -320,7 +320,7 @@ def test_mono_chain_transitions_are_mono():
     diag = random_mono_chain(rng, 3)
     assert validate_diagram(diag).ok
     for m in range(diag.base.n_morphisms):
-        assert is_mono(diag.homs[m])
+        assert is_mono(diag.hom(m))
 
 
 def test_biproduct_edges():
@@ -342,8 +342,8 @@ def test_colim_preserves_pointwise_biproduct():
     homs = []
     for m in range(base.n_morphisms):
         a, b = base.dom[m], base.cod[m]
-        h = hom_compose(sums[b][1][0], hom_compose(d1.homs[m], sums[a][2][0])) + \
-            hom_compose(sums[b][1][1], hom_compose(d2.homs[m], sums[a][2][1]))
+        h = hom_compose(sums[b][1][0], hom_compose(d1.hom(m), sums[a][2][0])) + \
+            hom_compose(sums[b][1][1], hom_compose(d2.hom(m), sums[a][2][1]))
         homs.append(h)
     dsum = AbDiagram(base, [s[0] for s in sums], homs)
     assert validate_diagram(dsum).ok

@@ -172,6 +172,41 @@ def test_verify_ab5_file(capsys):
     assert code == 0
 
 
+def _broken_ab5_chain(tmp_path, name, edit):
+    doc = json.loads((FIXTURES / "ab5_chain.json").read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_ab5_rejects_an_invalid_category(capsys, tmp_path):
+    def edit(doc):
+        # (0<=1)∘(0<=0) set to 1<=1, whose domain is 1, not 0
+        doc["base"]["composition"] = [
+            row[:2] + ["1<=1"] if row[:2] == ["0<=1", "0<=0"] else row
+            for row in doc["base"]["composition"]]
+    bad = _broken_ab5_chain(tmp_path, "bad_category.json", edit)
+    for words in (("verify", "ab5"), ("ab", "colimit")):
+        code, out, err = run_cli(capsys, *words, bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid category:") and err.count("\n") == 1
+
+
+def test_ill_defined_hom_is_rejected(capsys, tmp_path):
+    def edit(doc):
+        # sends the relation (0, 2) to (2, 2), outside the target lattice
+        doc["homs"]["0<=1"] = [[1, 1], [0, 1]]
+    bad = _broken_ab5_chain(tmp_path, "bad_hom.json", edit)
+    for words in (("verify", "ab5"), ("ab", "colimit"), ("ab", "limit")):
+        code, out, err = run_cli(capsys, *words, bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid diagram:") and err.count("\n") == 1
+        assert "does not respect the relations" in err
+
+
 def test_verify_commute_and_fixpoints_file(capsys):
     code, out, _ = run_cli(capsys, "verify", "commute", FIXTURES / "gset_chain.json")
     assert code == 0

@@ -163,7 +163,7 @@ def brute_force_colimit_invariants(diagram):
         if base.identity[a] == m:
             continue
         transported = hom_compose(canons[b].to_canonical,
-                                  hom_compose(diagram.homs[m], canons[a].from_canonical))
+                                  hom_compose(diagram.hom(m), canons[a].from_canonical))
         mat = transported.matrix
         for j in range(len(orders_per_object[a])):
             g = [0] * total
@@ -201,7 +201,7 @@ def brute_force_limit_invariants(diagram):
             continue
         transported[m] = hom_compose(
             canons[b].to_canonical,
-            hom_compose(diagram.homs[m], canons[a].from_canonical)).matrix
+            hom_compose(diagram.hom(m), canons[a].from_canonical)).matrix
     members = []
     spaces = [list(iproduct(*(range(d) for d in orders))) for orders in orders_per_object]
     for combo in iproduct(*spaces):
@@ -285,7 +285,7 @@ def full_relation_relations(diagram, morphisms=None):
         a, b = base.dom[m], base.cod[m]
         if base.identity[a] == m:
             continue
-        mat = diagram.homs[m].matrix
+        mat = diagram.hom(m).matrix
         for j in range(diagram.groups[a].gens):
             col = [0] * total
             for i in range(diagram.groups[b].gens):

@@ -5,8 +5,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from abcat.abdiag import ab_colimit, validate_diagram
-from abcat.abgrp import (biproduct, cyclic, free_abelian, hom_compose,
+from abcat.abdiag import ab_colimit, induced_map_on_colimits, validate_diagram
+from abcat.abgrp import (biproduct, cyclic, free_abelian, hom, hom_compose,
                          hom_equal, identity_hom, zero_group)
 from abcat.errors import BudgetError, InputError, TruncationError
 from abcat.fincat import is_connected, validate_category, validate_functor
@@ -130,12 +130,12 @@ def test_expand_morphism_matrices():
     # identity morphisms carry identity matrices
     for oi in range(len(single.objects)):
         ident = single.category.identity[oi]
-        assert diagram.homs[ident].matrix == IntMatrix.identity(diagram.groups[oi].gens)
+        assert diagram.hom(ident).matrix == IntMatrix.identity(diagram.groups[oi].gens)
     # the fold (2,aa) -> (1,a) adds the two coordinates
     src = single.object_index(HXObject(2, (0, 0)))
     tgt = single.object_index(HXObject(1, (0,)))
     fold = [m for m in single.hom_indices(src, tgt)][0]
-    assert diagram.homs[fold].matrix == IntMatrix([[1, 1]])
+    assert diagram.hom(fold).matrix == IntMatrix([[1, 1]])
     # an injection lands in the matching summand
     two = hx_category(AB, 2)
     family2 = [free_abelian(1), free_abelian(1)]
@@ -144,7 +144,7 @@ def test_expand_morphism_matrices():
     tgt2 = two.object_index(HXObject(2, (1, 0)))
     arrows = two.hom_indices(src2, tgt2)
     assert len(arrows) == 1
-    assert diagram2.homs[arrows[0]].matrix == IntMatrix([[0], [1]])
+    assert diagram2.hom(arrows[0]).matrix == IntMatrix([[0], [1]])
 
 
 def test_expand_is_functorial_random():
@@ -175,8 +175,8 @@ def test_expand_preserves_pointwise_products():
         assert shuffles[oi].rows == split.gens and shuffles[oi].cols == mixed.gens
     # naturality of the shuffle on every morphism
     for mi, (si, ti, _) in enumerate(two.morphisms):
-        lhs = shuffles[ti] @ d_sum.homs[mi].matrix
-        rhs = block_diagonal([d_a.homs[mi].matrix, d_b.homs[mi].matrix]) @ shuffles[si]
+        lhs = shuffles[ti] @ d_sum.hom(mi).matrix
+        rhs = block_diagonal([d_a.hom(mi).matrix, d_b.hom(mi).matrix]) @ shuffles[si]
         assert lhs == rhs
 
 
@@ -295,3 +295,94 @@ def test_expand_respects_word_validation():
         harting_expand([free_abelian(1)], two)  # one group for two letters
     with pytest.raises(InputError):
         HXMorphism(HXObject(1, (0,)), HXObject(1, (1,)), (0,))
+
+
+def _enumerated(letters, cap):
+    """Reference truncation by listing every index map: objects by (arity,
+    word), morphisms by (source, target, mapping), with the index of each
+    map, the hom lists, the identities, the elementary maps and
+    composition as index-map composition."""
+    objects = [HXObject(n, w) for n in range(cap + 1)
+               for w in iproduct(range(letters), repeat=n)]
+    where = {o: i for i, o in enumerate(objects)}
+    morphisms, index, homs = [], {}, {}
+    for si, src in enumerate(objects):
+        for ti, tgt in enumerate(objects):
+            choices = [[j for j, y in enumerate(tgt.word) if y == x] for x in src.word]
+            for mapping in iproduct(*choices):
+                index[(si, ti, mapping)] = len(morphisms)
+                homs.setdefault((si, ti), []).append(len(morphisms))
+                morphisms.append((si, ti, mapping))
+    identities = [index[(i, i, tuple(range(o.arity)))] for i, o in enumerate(objects)]
+    generators = set()
+    for si, src in enumerate(objects):
+        n, w = src.arity, src.word
+        ident = tuple(range(n))
+        for k in range(n - 1):
+            generators.add(index[(si, where[HXObject(n, w[:k] + (w[k + 1], w[k]) + w[k + 2:])],
+                                  ident[:k] + (k + 1, k) + ident[k + 2:])])
+            if w[k] == w[k + 1]:
+                generators.add(index[(si, where[HXObject(n - 1, w[:k + 1] + w[k + 2:])],
+                                      ident[:k + 1] + tuple(i - 1 for i in ident[k + 1:]))])
+        for k in range(n + 1) if n < cap else ():
+            for v in range(letters):
+                generators.add(index[(si, where[HXObject(n + 1, w[:k] + (v,) + w[k:])],
+                                      ident[:k] + tuple(i + 1 for i in ident[k:]))])
+
+    def compose(g, f):
+        s1, _, fmap = morphisms[f]
+        _, t2, gmap = morphisms[g]
+        return index[(s1, t2, tuple(gmap[j] for j in fmap))]
+
+    return objects, morphisms, homs, identities, sorted(generators), compose
+
+
+@pytest.mark.parametrize("letters,cap", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
+def test_closed_form_matches_enumeration(letters, cap):
+    objects, morphisms, homs, identities, generators, compose = _enumerated(letters, cap)
+    hx = hx_category(FinSet(letters), cap)
+    cat = hx.category
+    assert list(hx.objects) == objects
+    assert list(hx.morphisms) == morphisms and len(hx.morphisms) == len(morphisms)
+    assert list(cat.dom) == [m[0] for m in morphisms]
+    assert list(cat.cod) == [m[1] for m in morphisms]
+    for si in range(len(objects)):
+        for ti in range(len(objects)):
+            assert list(hx.hom_indices(si, ti)) == homs.get((si, ti), [])
+    for m, (si, ti, mapping) in enumerate(morphisms):
+        assert hx.morphism_index(HXMorphism(objects[si], objects[ti], mapping)) == m
+    assert list(cat.identity) == identities
+    assert list(cat.generators) == generators
+    rng = random.Random(1000 * letters + cap)
+    for _ in range(500):
+        f = rng.randrange(len(morphisms))
+        following = list(hx.hom_indices(morphisms[f][1], rng.randrange(len(objects))))
+        if following:
+            g = rng.choice(following)
+            assert cat.compose(g, f) == compose(g, f)
+
+
+@pytest.mark.parametrize("letters,cap", [(2, 6), (3, 5)])
+def test_compare_past_the_enumeration_wall(letters, cap):
+    # millions of index maps, valued only at the generators
+    hx = hx_category(FinSet(letters), cap, max_morphisms=10 ** 9)
+    assert len(hx.morphisms) > 10 ** 6
+    family = random_family(random.Random(10 * letters + cap), letters)
+    rep = harting_compare(family, hx)
+    assert rep.ok, rep.failures
+    assert rep.canonical_form == biproduct(family)[0].canonical_form
+    assert len(rep.colimit.diagram._cache) <= len(hx.category.generators)
+
+
+def test_non_natural_component_at_one_generator_is_rejected():
+    hx = hx_category(AB, 2)
+    d = harting_expand([free_abelian(1), cyclic(3)], hx)
+    components = [identity_hom(g) for g in d.groups]
+    a = hx.object_index(HXObject(1, (0,)))
+    components[a] = hom(d.groups[a], d.groups[a], [[2]])
+    # natural everywhere but at the maps into and out of the word (a)
+    with pytest.raises(InputError, match="not natural"):
+        induced_map_on_colimits(d, d, components)
+    components[a] = identity_hom(d.groups[a])
+    induced, _, _ = induced_map_on_colimits(d, d, components)
+    assert hom_equal(induced, identity_hom(induced.source))
