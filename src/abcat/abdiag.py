@@ -1,14 +1,15 @@
 """Diagrams of finitely generated abelian groups over finite categories.
 
-Colimits are computed by presentation (coproduct of all object groups,
-plus one relation column per source generator of each gluing morphism,
-which are the base's generating morphisms when it has them), presented
-on the quotient: columns that kill a generator or identify two up to
-sign are consumed, so the carrier keeps one generator per surviving
-class.  Limits are kernels inside the product.  Coinvariants and
-invariants of a group action, family coproducts, induced maps on
-colimits, and the checks behind the coproduct-exactness results all
-live here.
+Colimits and limits glue along the base's ``generating()`` morphisms:
+its non-identity generators when it has them, else every non-identity
+morphism.  Colimits are computed by presentation (coproduct of all
+object groups, plus one relation column per source generator of each
+gluing morphism), presented on the quotient: columns that kill a
+generator or identify two up to sign are consumed, so the carrier keeps
+one generator per surviving class.  Limits are kernels inside the
+product.  Coinvariants and invariants of a group action, family
+coproducts, induced maps on colimits, and the checks behind the
+coproduct-exactness results all live here.
 """
 
 from __future__ import annotations
@@ -161,16 +162,16 @@ class AbLimit:
 
     def factor(self, components, *, vertex: FGAbGroup | None = None,
                check: bool = True) -> AbHom:
-        """The unique map into the limit matching a cone.
-
-        ``vertex`` is only needed for the empty base.
+        """The unique map into the limit matching a cone.  ``check``
+        tests the cone condition at the base's generators.  ``vertex`` is
+        only needed for the empty base.
         """
         components = list(components)
         base = self.diagram.base
         if len(components) != base.n_objects:
             raise InputError("one cone component per object required")
         if check:
-            for m in range(base.n_morphisms):
+            for m in base.generating():
                 a, b = base.dom[m], base.cod[m]
                 if not hom_equal(hom_compose(self.diagram.hom(m), components[a]),
                                  components[b]):
@@ -189,9 +190,8 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
 
     The relations are every object's, plus one column per (glued morphism,
     source generator) gluing image to source.  The glued morphisms are the
-    base's ``generators`` when it has them, since the gluing of a
-    composite g∘f follows from those of g and f; otherwise every
-    non-identity morphism.  ``intmat._signed_quotient`` consumes the
+    base's ``generating()`` morphisms, since the gluing of a composite g∘f
+    follows from those of g and f.  ``intmat._signed_quotient`` consumes the
     sparse columns that kill a generator or identify two up to sign: the
     carrier has one generator per surviving class and the columns left
     over, and each leg sends a generator to its class with a sign, or to 0.
@@ -204,8 +204,6 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
                     for c in zip(*g.relations.data))
     for m in base.generating():
         a, b = base.dom[m], base.cod[m]
-        if base.identity[a] == m:
-            continue
         mat = d.hom(m).matrix.data
         for j in range(d.groups[a].gens):
             col = [(offsets[b] + i, mat[i][j])
@@ -228,17 +226,22 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
 
 
 def ab_limit(d: AbDiagram) -> AbLimit:
-    """Limit as the kernel of the combined difference map out of the product."""
+    """Limit as the kernel of the combined difference map out of the product.
+
+    The difference map has one block per morphism of the base's
+    ``generating()``; a tuple agreeing along those agrees along every
+    composite.  The kernel is Hermite-reduced, so the carrier does not
+    depend on which generating set is read.
+    """
     base = d.base
     product, _, projections = biproduct(d.groups)
-    nonid = [m for m in range(base.n_morphisms)
-             if base.identity[base.dom[m]] != m]
-    if not nonid:
+    glued = base.generating()
+    if not glued:
         cone = AbCone(product, tuple(projections))
         return AbLimit(product, cone, d, identity_hom(product))
     blocks = []
     targets = []
-    for m in nonid:
+    for m in glued:
         a, b = base.dom[m], base.cod[m]
         row = hom_compose(d.hom(m), projections[a]) - projections[b]
         blocks.append(row.matrix)

@@ -106,6 +106,47 @@ def _name(value, path):
     return value
 
 
+def _resolver(names, noun):
+    """``resolve(name, path)``: the position of a name among ``names``."""
+    index = {name: i for i, name in enumerate(names)}
+
+    def resolve(name, path):
+        if isinstance(name, str) and name in index:
+            return index[name]
+        _name(name, path)
+        raise DocumentError(f"unresolved {noun} reference '{name}'", path=path)
+
+    return resolve
+
+
+def _section(payload, key, names, noun, what, read, path, default=None):
+    """One entry per name, from the JSON object ``payload[key]``.
+
+    Each key of the section must be one of ``names``; the entry at
+    position i is ``read(i, value, value_path)``.  A name without a key
+    takes ``default(i)`` when that is given and not None, and is
+    otherwise reported as having no ``what``.
+    """
+    path_here = f"{path}.{key}"
+    resolve = _resolver(names, noun)
+    entries = [None] * len(names)
+    for k, value in _need(payload, key, dict, path).items():
+        i = resolve(k, path_here)
+        entries[i] = read(i, value, f"{path_here}.{k}")
+    for i, entry in enumerate(entries):
+        if entry is None and default is not None:
+            entry = entries[i] = default(i)
+        if entry is None:
+            raise DocumentError(f"{noun} '{names[i]}' has no {what}", path=path_here)
+    return entries
+
+
+def _labels(cat: FinCategory):
+    """Object names and morphism names of a category, in index order."""
+    return ([cat.object_label(c) for c in range(cat.n_objects)],
+            [cat.morphism_label(m) for m in range(cat.n_morphisms)])
+
+
 def _int_matrix_rows(rows, shape, path):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DocumentError("matrix must be a list of integer rows", path=path)
@@ -118,6 +159,14 @@ def _int_matrix_rows(rows, shape, path):
         return IntMatrix(rows, shape=shape)
     except Exception as exc:
         raise DocumentError(str(exc), path=path) from None
+
+
+def _homs_between(sources, targets):
+    """Section reader for a matrix from ``sources[i]`` to ``targets[i]``."""
+    def read(i, rows, path):
+        src, tgt = sources[i], targets[i]
+        return AbHom(src, tgt, _int_matrix_rows(rows, (tgt.gens, src.gens), path))
+    return read
 
 
 def _columns_matrix(columns, rows, path):
@@ -142,69 +191,41 @@ def parse_category_body(payload, path="category") -> FinCategory:
     objects = _name_list(_need(payload, "objects", list, path), f"{path}.objects")
     if len(set(objects)) != len(objects):
         raise DocumentError("object names are not distinct", path=f"{path}.objects")
-    obj_index = {name: i for i, name in enumerate(objects)}
-    morphisms = _need(payload, "morphisms", list, path)
+    obj = _resolver(objects, "object")
     names = []
     dom = []
     cod = []
-    for i, entry in enumerate(morphisms):
+    for i, entry in enumerate(_need(payload, "morphisms", list, path)):
         mpath = f"{path}.morphisms[{i}]"
         if not isinstance(entry, dict):
             raise DocumentError("morphism entries must be objects", path=mpath)
-        name = _need(entry, "name", str, mpath)
+        names.append(_need(entry, "name", str, mpath))
         d = _need(entry, "dom", str, mpath)
         c = _need(entry, "cod", str, mpath)
-        if d not in obj_index:
-            raise DocumentError(f"unresolved object reference '{d}'", path=f"{mpath}.dom")
-        if c not in obj_index:
-            raise DocumentError(f"unresolved object reference '{c}'", path=f"{mpath}.cod")
-        names.append(name)
-        dom.append(obj_index[d])
-        cod.append(obj_index[c])
+        dom.append(obj(d, f"{mpath}.dom"))
+        cod.append(obj(c, f"{mpath}.cod"))
     if len(set(names)) != len(names):
         raise DocumentError("morphism names are not distinct", path=f"{path}.morphisms")
-    mor_index = {name: i for i, name in enumerate(names)}
-    identities = _need(payload, "identities", dict, path)
-    ident = [None] * len(objects)
-    for oname, mname in identities.items():
-        _name(mname, f"{path}.identities.{oname}")
-        if oname not in obj_index:
-            raise DocumentError(f"unresolved object reference '{oname}'",
-                                path=f"{path}.identities")
-        if mname not in mor_index:
-            raise DocumentError(f"unresolved morphism reference '{mname}'",
-                                path=f"{path}.identities.{oname}")
-        ident[obj_index[oname]] = mor_index[mname]
-    for i, v in enumerate(ident):
-        if v is None:
-            raise DocumentError(f"object '{objects[i]}' has no identity",
-                                path=f"{path}.identities")
+    mor = _resolver(names, "morphism")
+    ident = _section(payload, "identities", objects, "object", "identity",
+                     lambda _, name, p: mor(name, p), path)
     table = {}
     for i, triple in enumerate(_need(payload, "composition", list, path)):
         tpath = f"{path}.composition[{i}]"
         if not isinstance(triple, list) or len(triple) != 3:
             raise DocumentError("composition entries must be [g, f, gf] triples",
                                 path=tpath)
-        g, f, gf = triple
-        for k, name in enumerate((g, f, gf)):
-            _name(name, f"{tpath}[{k}]")
-            if name not in mor_index:
-                raise DocumentError(f"unresolved morphism reference '{name}'",
-                                    path=f"{tpath}[{k}]")
-        table[(mor_index[g], mor_index[f])] = mor_index[gf]
+        g, f, gf = [mor(name, f"{tpath}[{k}]") for k, name in enumerate(triple)]
+        table[(g, f)] = gf
     # composites with identities may be omitted; they are forced
     for f, (d, c) in enumerate(zip(dom, cod)):
         table.setdefault((ident[c], f), f)
         table.setdefault((f, ident[d]), f)
     generators = None
     if "generators" in payload:
-        generators = []
-        for name in _name_list(_need(payload, "generators", list, path),
-                               f"{path}.generators"):
-            if name not in mor_index:
-                raise DocumentError(f"unresolved morphism reference '{name}'",
-                                    path=f"{path}.generators")
-            generators.append(mor_index[name])
+        gpath = f"{path}.generators"
+        generators = [mor(name, gpath)
+                      for name in _name_list(_need(payload, "generators", list, path), gpath)]
     cat = FinCategory(len(objects), dom, cod, ident, table,
                       object_labels=objects, morphism_labels=names,
                       generators=generators)
@@ -219,8 +240,7 @@ def parse_category_body(payload, path="category") -> FinCategory:
 
 def category_body(cat: FinCategory) -> dict:
     cat = cat.with_composition_table()
-    objects = [cat.object_label(i) for i in range(cat.n_objects)]
-    names = [cat.morphism_label(i) for i in range(cat.n_morphisms)]
+    objects, names = _labels(cat)
     body = {
         "objects": objects,
         "morphisms": [{"name": names[m], "dom": objects[cat.dom[m]],
@@ -236,14 +256,6 @@ def category_body(cat: FinCategory) -> dict:
     return body
 
 
-def _morphism_names(cat: FinCategory):
-    return {cat.morphism_label(m): m for m in range(cat.n_morphisms)}
-
-
-def _object_names(cat: FinCategory):
-    return {cat.object_label(c): c for c in range(cat.n_objects)}
-
-
 # ---------------------------------------------------------------------------
 # per-kind parsers
 
@@ -251,38 +263,31 @@ def _object_names(cat: FinCategory):
 def _parse_functor(payload, path="functor") -> FinFunctor:
     source = parse_category_body(_need(payload, "source", dict, path), f"{path}.source")
     target = parse_category_body(_need(payload, "target", dict, path), f"{path}.target")
-    s_obj = _object_names(source)
-    s_mor = _morphism_names(source)
-    t_obj = _object_names(target)
-    t_mor = _morphism_names(target)
-    on_objects = [None] * source.n_objects
-    for k, v in _need(payload, "on_objects", dict, path).items():
-        _name(v, f"{path}.on_objects.{k}")
-        if k not in s_obj:
-            raise DocumentError(f"unresolved object reference '{k}'",
-                                path=f"{path}.on_objects")
-        if v not in t_obj:
-            raise DocumentError(f"unresolved object reference '{v}'",
-                                path=f"{path}.on_objects.{k}")
-        on_objects[s_obj[k]] = t_obj[v]
-    on_morphisms = [None] * source.n_morphisms
-    for k, v in _need(payload, "on_morphisms", dict, path).items():
-        _name(v, f"{path}.on_morphisms.{k}")
-        if k not in s_mor:
-            raise DocumentError(f"unresolved morphism reference '{k}'",
-                                path=f"{path}.on_morphisms")
-        if v not in t_mor:
-            raise DocumentError(f"unresolved morphism reference '{v}'",
-                                path=f"{path}.on_morphisms.{k}")
-        on_morphisms[s_mor[k]] = t_mor[v]
-    if None in on_objects:
-        missing = source.object_label(on_objects.index(None))
-        raise DocumentError(f"object '{missing}' has no image", path=f"{path}.on_objects")
-    if None in on_morphisms:
-        missing = source.morphism_label(on_morphisms.index(None))
-        raise DocumentError(f"morphism '{missing}' has no image",
-                            path=f"{path}.on_morphisms")
+    s_obj, s_mor = _labels(source)
+    t_obj, t_mor = _labels(target)
+    obj, mor = _resolver(t_obj, "object"), _resolver(t_mor, "morphism")
+    on_objects = _section(payload, "on_objects", s_obj, "object", "image",
+                          lambda _, name, p: obj(name, p), path)
+    on_morphisms = _section(payload, "on_morphisms", s_mor, "morphism", "image",
+                            lambda _, name, p: mor(name, p), path)
     return FinFunctor(source, target, on_objects, on_morphisms)
+
+
+def _read_set(_, value, path):
+    if isinstance(value, int) and not isinstance(value, bool):
+        if value < 0:
+            raise DocumentError("set size must be nonnegative", path=path)
+        return FinSet(value)
+    if isinstance(value, list):
+        return FinSet(len(value), tuple(_name_list(value, path)))
+    raise DocumentError("set must be a size or a label list", path=path)
+
+
+def _read_table(_, value, path):
+    if not isinstance(value, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in value):
+        raise DocumentError("map must be a list of element indices", path=path)
+    return tuple(value)
 
 
 def _parse_setdiagram(payload, path="setdiagram") -> SetFunctor:
@@ -296,44 +301,16 @@ def _parse_setdiagram(payload, path="setdiagram") -> SetFunctor:
         base = product_category(left, right)
     else:
         base = parse_category_body(_need(payload, "base", dict, path), f"{path}.base")
-    obj_names = _object_names(base)
-    mor_names = _morphism_names(base)
-    sets_payload = _need(payload, "sets", dict, path)
-    sets = [None] * base.n_objects
-    for k, v in sets_payload.items():
-        if k not in obj_names:
-            raise DocumentError(f"unresolved object reference '{k}'", path=f"{path}.sets")
-        if isinstance(v, int) and not isinstance(v, bool):
-            if v < 0:
-                raise DocumentError("set size must be nonnegative",
-                                    path=f"{path}.sets.{k}")
-            sets[obj_names[k]] = FinSet(v)
-        elif isinstance(v, list):
-            sets[obj_names[k]] = FinSet(len(v), tuple(v))
-        else:
-            raise DocumentError("set must be a size or a label list",
-                                path=f"{path}.sets.{k}")
-    if None in sets:
-        missing = base.object_label(sets.index(None))
-        raise DocumentError(f"object '{missing}' has no carrier", path=f"{path}.sets")
-    maps_payload = _need(payload, "maps", dict, path)
-    tables = [None] * base.n_morphisms
-    for k, v in maps_payload.items():
-        if k not in mor_names:
-            raise DocumentError(f"unresolved morphism reference '{k}'",
-                                path=f"{path}.maps")
-        if not isinstance(v, list):
-            raise DocumentError("map must be a list of element indices",
-                                path=f"{path}.maps.{k}")
-        tables[mor_names[k]] = tuple(v)
-    for m in range(base.n_morphisms):
-        if tables[m] is None:
-            if base.identity[base.dom[m]] == m:
-                tables[m] = tuple(range(sets[base.dom[m]].size))
-            else:
-                raise DocumentError(
-                    f"morphism '{base.morphism_label(m)}' has no map",
-                    path=f"{path}.maps")
+    objects, morphisms = _labels(base)
+    sets = _section(payload, "sets", objects, "object", "carrier", _read_set, path)
+
+    def identity_table(m):
+        if base.identity[base.dom[m]] == m:
+            return tuple(range(sets[base.dom[m]].size))
+        return None
+
+    tables = _section(payload, "maps", morphisms, "morphism", "map", _read_table,
+                      path, default=identity_table)
     try:
         return SetFunctor(base, sets, tables)
     except Exception as exc:
@@ -364,6 +341,10 @@ def abgroup_body(group: FGAbGroup) -> dict:
     }
 
 
+def _read_group(_, value, path):
+    return parse_abgroup_body(value, path)
+
+
 def _parse_abhom(payload, path="abhom") -> AbHom:
     source = parse_abgroup_body(_need(payload, "source", dict, path), f"{path}.source")
     target = parse_abgroup_body(_need(payload, "target", dict, path), f"{path}.target")
@@ -372,70 +353,32 @@ def _parse_abhom(payload, path="abhom") -> AbHom:
     return AbHom(source, target, matrix)
 
 
-def _parse_groups_map(payload, base, path):
-    obj_names = _object_names(base)
-    groups = [None] * base.n_objects
-    for k, v in payload.items():
-        if k not in obj_names:
-            raise DocumentError(f"unresolved object reference '{k}'", path=path)
-        groups[obj_names[k]] = parse_abgroup_body(v, f"{path}.{k}")
-    for c, g in enumerate(groups):
-        if g is None:
-            raise DocumentError(f"object '{base.object_label(c)}' has no group",
-                                path=path)
-    return groups
+def _parse_diagram_body(payload, base, path) -> AbDiagram:
+    """The ``groups`` and ``homs`` sections of a diagram on ``base``."""
+    objects, morphisms = _labels(base)
+    groups = _section(payload, "groups", objects, "object", "group", _read_group, path)
 
+    def identity_hom(m):
+        if base.identity[base.dom[m]] == m:
+            g = groups[base.dom[m]]
+            return AbHom(g, g, IntMatrix.identity(g.gens))
+        return None
 
-def _parse_homs_map(payload, base, groups, path):
-    mor_names = _morphism_names(base)
-    homs = [None] * base.n_morphisms
-    for k, v in payload.items():
-        if k not in mor_names:
-            raise DocumentError(f"unresolved morphism reference '{k}'", path=path)
-        m = mor_names[k]
-        src = groups[base.dom[m]]
-        tgt = groups[base.cod[m]]
-        homs[m] = AbHom(src, tgt,
-                        _int_matrix_rows(v, (tgt.gens, src.gens), f"{path}.{k}"))
-    for m, h in enumerate(homs):
-        if h is None:
-            if base.identity[base.dom[m]] == m:
-                g = groups[base.dom[m]]
-                homs[m] = AbHom(g, g, IntMatrix.identity(g.gens))
-            else:
-                raise DocumentError(
-                    f"morphism '{base.morphism_label(m)}' has no hom", path=path)
-    return homs
+    read = _homs_between([groups[c] for c in base.dom], [groups[c] for c in base.cod])
+    homs = _section(payload, "homs", morphisms, "morphism", "hom", read, path,
+                    default=identity_hom)
+    return AbDiagram(base, groups, homs)
 
 
 def _parse_abdiagram(payload, path="abdiagram"):
     base = parse_category_body(_need(payload, "base", dict, path), f"{path}.base")
-    groups = _parse_groups_map(_need(payload, "groups", dict, path), base,
-                               f"{path}.groups")
-    homs = _parse_homs_map(_need(payload, "homs", dict, path), base, groups,
-                           f"{path}.homs")
-    diagram = AbDiagram(base, groups, homs)
+    diagram = _parse_diagram_body(payload, base, path)
     if "target" not in payload:
         return diagram
-    tpayload = _need(payload, "target", dict, path)
-    tgroups = _parse_groups_map(_need(tpayload, "groups", dict, f"{path}.target"),
-                                base, f"{path}.target.groups")
-    thoms = _parse_homs_map(_need(tpayload, "homs", dict, f"{path}.target"),
-                            base, tgroups, f"{path}.target.homs")
-    target = AbDiagram(base, tgroups, thoms)
-    obj_names = _object_names(base)
-    maps = [None] * base.n_objects
-    for k, v in _need(payload, "maps", dict, path).items():
-        if k not in obj_names:
-            raise DocumentError(f"unresolved object reference '{k}'",
-                                path=f"{path}.maps")
-        c = obj_names[k]
-        maps[c] = AbHom(groups[c], tgroups[c],
-                        _int_matrix_rows(v, (tgroups[c].gens, groups[c].gens),
-                                         f"{path}.maps.{k}"))
-    if None in maps:
-        missing = base.object_label(maps.index(None))
-        raise DocumentError(f"object '{missing}' has no map", path=f"{path}.maps")
+    target = _parse_diagram_body(_need(payload, "target", dict, path), base,
+                                 f"{path}.target")
+    maps = _section(payload, "maps", _labels(base)[0], "object", "map",
+                    _homs_between(diagram.groups, target.groups), path)
     return AbNaturalMap(diagram, target, tuple(maps))
 
 
@@ -444,33 +387,25 @@ def _parse_gmodule_body(payload, path="gmodule"):
                           f"{path}.elements")
     if len(set(elements)) != len(elements):
         raise DocumentError("element names are not distinct", path=f"{path}.elements")
-    index = {name: i for i, name in enumerate(elements)}
+    element = _resolver(elements, "element")
     table_payload = _need(payload, "table", list, path)
     if len(table_payload) != len(elements):
         raise DocumentError("table must have one row per element", path=f"{path}.table")
     table = []
     for i, row in enumerate(table_payload):
+        rpath = f"{path}.table[{i}]"
         if not isinstance(row, list) or len(row) != len(elements):
             raise DocumentError(f"table row {i} must list {len(elements)} elements",
-                                path=f"{path}.table[{i}]")
-        out = []
-        for name in row:
-            _name(name, f"{path}.table[{i}]")
-            if name not in index:
-                raise DocumentError(f"unresolved element reference '{name}'",
-                                    path=f"{path}.table[{i}]")
-            out.append(index[name])
-        table.append(tuple(out))
+                                path=rpath)
+        table.append(tuple(element(name, rpath) for name in row))
     carrier = parse_abgroup_body(_need(payload, "carrier", dict, path),
                                  f"{path}.carrier")
     action = {}
     for k, v in _need(payload, "action", dict, path).items():
-        if k not in index:
-            raise DocumentError(f"unresolved element reference '{k}'",
-                                path=f"{path}.action")
-        action[index[k]] = AbHom(carrier, carrier,
-                                 _int_matrix_rows(v, (carrier.gens, carrier.gens),
-                                                  f"{path}.action.{k}"))
+        g = element(k, f"{path}.action")
+        action[g] = AbHom(carrier, carrier,
+                          _int_matrix_rows(v, (carrier.gens, carrier.gens),
+                                           f"{path}.action.{k}"))
     try:
         module = GModule(table, carrier, action)
     except Exception as exc:
@@ -498,36 +433,13 @@ def _parse_family(payload, path="family"):
     index = _name_list(_need(payload, "index", list, path), f"{path}.index")
     if len(set(index)) != len(index):
         raise DocumentError("index labels are not distinct", path=f"{path}.index")
-    positions = {name: i for i, name in enumerate(index)}
-
-    def read_groups(sub, sub_path):
-        groups = [None] * len(index)
-        for k, v in sub.items():
-            if k not in positions:
-                raise DocumentError(f"unresolved index reference '{k}'", path=sub_path)
-            groups[positions[k]] = parse_abgroup_body(v, f"{sub_path}.{k}")
-        for i, g in enumerate(groups):
-            if g is None:
-                raise DocumentError(f"index '{index[i]}' has no group", path=sub_path)
-        return tuple(groups)
-
-    groups = read_groups(_need(payload, "groups", dict, path), f"{path}.groups")
+    groups = tuple(_section(payload, "groups", index, "index", "group", _read_group, path))
     if "target_groups" not in payload:
         return GroupFamily(tuple(index), groups)
-    targets = read_groups(_need(payload, "target_groups", dict, path),
-                          f"{path}.target_groups")
-    maps = [None] * len(index)
-    for k, v in _need(payload, "maps", dict, path).items():
-        if k not in positions:
-            raise DocumentError(f"unresolved index reference '{k}'",
-                                path=f"{path}.maps")
-        i = positions[k]
-        maps[i] = AbHom(groups[i], targets[i],
-                        _int_matrix_rows(v, (targets[i].gens, groups[i].gens),
-                                         f"{path}.maps.{k}"))
-    if None in maps:
-        raise DocumentError(f"index '{index[maps.index(None)]}' has no map",
-                            path=f"{path}.maps")
+    targets = tuple(_section(payload, "target_groups", index, "index", "group",
+                             _read_group, path))
+    maps = _section(payload, "maps", index, "index", "map",
+                    _homs_between(groups, targets), path)
     return FamilyMap(tuple(index), groups, targets, tuple(maps))
 
 
@@ -575,106 +487,85 @@ def load_document(path) -> Document:
         return parse_document(fh.read())
 
 
+def _rows(hom: AbHom) -> list:
+    return [list(r) for r in hom.matrix.data]
+
+
+def _groups_body(names, groups) -> dict:
+    return {name: abgroup_body(g) for name, g in zip(names, groups)}
+
+
+def _diagram_body(d: AbDiagram) -> dict:
+    objects, morphisms = _labels(d.base)
+    return {"groups": _groups_body(objects, d.groups),
+            "homs": {name: _rows(d.hom(m)) for m, name in enumerate(morphisms)}}
+
+
+def _module_body(module: GModule, names) -> dict:
+    return {
+        "elements": list(names),
+        "table": [[names[v] for v in row] for row in module.table],
+        "carrier": abgroup_body(module.carrier),
+        "action": {names[g]: _rows(h) for g, h in sorted(module.generator_action.items())},
+    }
+
+
 def _serialize_value(doc: Document) -> dict:
     kind, value = doc.kind, doc.value
     if kind == "category":
         body = category_body(value)
     elif kind == "functor":
-        src_names = [value.source.object_label(i) for i in range(value.source.n_objects)]
-        src_mors = [value.source.morphism_label(i) for i in range(value.source.n_morphisms)]
+        s_obj, s_mor = _labels(value.source)
+        t_obj, t_mor = _labels(value.target)
         body = {
             "source": category_body(value.source),
             "target": category_body(value.target),
-            "on_objects": {src_names[c]: value.target.object_label(value.on_objects[c])
-                           for c in range(value.source.n_objects)},
-            "on_morphisms": {src_mors[m]: value.target.morphism_label(value.on_morphisms[m])
-                             for m in range(value.source.n_morphisms)},
+            "on_objects": {name: t_obj[c] for name, c in zip(s_obj, value.on_objects)},
+            "on_morphisms": {name: t_mor[m] for name, m in zip(s_mor, value.on_morphisms)},
         }
     elif kind == "setdiagram":
         base = value.base
-        sets = {}
-        for c in range(base.n_objects):
-            s = value.sets[c]
-            sets[base.object_label(c)] = list(s.labels) if s.labels else s.size
-        maps = {base.morphism_label(m): list(value.tables[m])
-                for m in range(base.n_morphisms)}
+        objects, morphisms = _labels(base)
+        body = {"sets": {name: list(s.labels) if s.labels else s.size
+                         for name, s in zip(objects, value.sets)},
+                "maps": {name: list(t) for name, t in zip(morphisms, value.tables)}}
         if isinstance(base, ProductCategory):
-            body = {"factors": [category_body(base.left), category_body(base.right)],
-                    "sets": sets, "maps": maps}
+            body["factors"] = [category_body(base.left), category_body(base.right)]
         else:
-            body = {"base": category_body(base), "sets": sets, "maps": maps}
+            body["base"] = category_body(base)
     elif kind == "abgroup":
         body = abgroup_body(value)
     elif kind == "abhom":
         body = {"source": abgroup_body(value.source),
                 "target": abgroup_body(value.target),
-                "matrix": [list(r) for r in value.matrix.data]}
+                "matrix": _rows(value)}
     elif kind == "abdiagram":
-        if isinstance(value, AbNaturalMap):
-            base = value.source.base
-            body = {
-                "base": category_body(base),
-                "groups": {base.object_label(c): abgroup_body(value.source.groups[c])
-                           for c in range(base.n_objects)},
-                "homs": {base.morphism_label(m): [list(r) for r in value.source.hom(m).matrix.data]
-                         for m in range(base.n_morphisms)},
-                "target": {
-                    "groups": {base.object_label(c): abgroup_body(value.target.groups[c])
-                               for c in range(base.n_objects)},
-                    "homs": {base.morphism_label(m): [list(r) for r in value.target.hom(m).matrix.data]
-                             for m in range(base.n_morphisms)},
-                },
-                "maps": {base.object_label(c): [list(r) for r in value.components[c].matrix.data]
-                         for c in range(base.n_objects)},
-            }
-        else:
-            base = value.base
-            body = {
-                "base": category_body(base),
-                "groups": {base.object_label(c): abgroup_body(value.groups[c])
-                           for c in range(base.n_objects)},
-                "homs": {base.morphism_label(m): [list(r) for r in value.hom(m).matrix.data]
-                         for m in range(base.n_morphisms)},
-            }
+        natural = isinstance(value, AbNaturalMap)
+        source = value.source if natural else value
+        body = {"base": category_body(source.base), **_diagram_body(source)}
+        if natural:
+            body["target"] = _diagram_body(value.target)
+            body["maps"] = {name: _rows(h) for name, h
+                            in zip(_labels(source.base)[0], value.components)}
     elif kind == "gmodule":
-        def module_body(module, names):
-            return {
-                "elements": list(names),
-                "table": [[names[v] for v in row] for row in module.table],
-                "carrier": abgroup_body(module.carrier),
-                "action": {names[g]: [list(r) for r in h.matrix.data]
-                           for g, h in sorted(module.generator_action.items())},
-            }
-        if isinstance(value, EquivariantMap):
-            names = [f"g{i}" for i in range(len(value.source.table))]
-            names[value.source.unit] = "e"
-            body = module_body(value.source, names)
-            tbody = module_body(value.target, names)
-            del tbody["elements"]
-            del tbody["table"]
-            body["target"] = tbody
-            body["map"] = [list(r) for r in value.component.matrix.data]
-        else:
-            names = [f"g{i}" for i in range(len(value.table))]
-            names[value.unit] = "e"
-            body = module_body(value, names)
+        equivariant = isinstance(value, EquivariantMap)
+        source = value.source if equivariant else value
+        names = [f"g{i}" for i in range(len(source.table))]
+        names[source.unit] = "e"
+        body = _module_body(source, names)
+        if equivariant:
+            target = _module_body(value.target, names)
+            del target["elements"], target["table"]
+            body["target"] = target
+            body["map"] = _rows(value.component)
     else:
-        if isinstance(value, FamilyMap):
-            body = {
-                "index": list(value.index),
-                "groups": {value.index[i]: abgroup_body(value.source[i])
-                           for i in range(len(value.index))},
-                "target_groups": {value.index[i]: abgroup_body(value.target[i])
-                                  for i in range(len(value.index))},
-                "maps": {value.index[i]: [list(r) for r in value.components[i].matrix.data]
-                         for i in range(len(value.index))},
-            }
-        else:
-            body = {
-                "index": list(value.index),
-                "groups": {value.index[i]: abgroup_body(value.groups[i])
-                           for i in range(len(value.index))},
-            }
+        family_map = isinstance(value, FamilyMap)
+        body = {"index": list(value.index),
+                "groups": _groups_body(value.index,
+                                       value.source if family_map else value.groups)}
+        if family_map:
+            body["target_groups"] = _groups_body(value.index, value.target)
+            body["maps"] = {name: _rows(h) for name, h in zip(value.index, value.components)}
     return {"kind": kind, **body}
 
 

@@ -42,7 +42,7 @@ class FinCategory:
 
     __slots__ = ("n_objects", "dom", "cod", "identity", "_table", "_rule",
                  "object_labels", "morphism_labels", "generators",
-                 "_hom_cache", "_out_cache", "_in_cache")
+                 "_hom_cache", "_out_cache", "_in_cache", "_generating")
 
     def __init__(self, n_objects, dom, cod, identity, composition=None, *,
                  compose_rule=None, object_labels=None, morphism_labels=None,
@@ -70,14 +70,25 @@ class FinCategory:
         self._hom_cache = None
         self._out_cache = None
         self._in_cache = None
+        self._generating = None
 
     @property
     def n_morphisms(self) -> int:
         return len(self.dom)
 
-    def generating(self):
-        """The generators when given, else every morphism."""
-        return self.generators if self.generators is not None else range(self.n_morphisms)
+    def generating(self) -> tuple:
+        """The non-identity generators when given, else every non-identity
+        morphism, in index order.
+
+        For a functor, a (co)cone or naturality condition that holds at
+        these holds at every morphism, so limits, colimits and their
+        checks read only these.
+        """
+        if self._generating is None:
+            pool = sorted(set(self.generators)) if self.generators is not None \
+                else range(self.n_morphisms)
+            self._generating = tuple(m for m in pool if self.identity[self.dom[m]] != m)
+        return self._generating
 
     def composable(self, g: int, f: int) -> bool:
         return self.cod[f] == self.dom[g]
@@ -518,10 +529,11 @@ def validate_category(cat: FinCategory, *, check_generators: bool = True) -> Val
     spurious table entries, and generator closure gaps.
     """
     n, m = cat.n_objects, cat.n_morphisms
-    for i, x in enumerate(cat.dom):
+    dom, cod = tuple(cat.dom), tuple(cat.cod)
+    for i, x in enumerate(dom):
         if not 0 <= x < n:
             raise InputError(f"dom[{i}] = {x} out of range")
-    for i, x in enumerate(cat.cod):
+    for i, x in enumerate(cod):
         if not 0 <= x < n:
             raise InputError(f"cod[{i}] = {x} out of range")
     for c, x in enumerate(cat.identity):
@@ -535,19 +547,19 @@ def validate_category(cat: FinCategory, *, check_generators: bool = True) -> Val
     problems = []
     for c in range(n):
         e = cat.identity[c]
-        if cat.dom[e] != c or cat.cod[e] != c:
-            problems.append(f"identity of object {c} has endpoints ({cat.dom[e]},{cat.cod[e]})")
+        if dom[e] != c or cod[e] != c:
+            problems.append(f"identity of object {c} has endpoints ({dom[e]},{cod[e]})")
 
     if cat.has_table:
         for (g, f), gf in sorted(cat._table.items()):
             if not (0 <= f < m and 0 <= g < m):
                 raise InputError(f"composition key ({g},{f}) out of range")
-            if not cat.composable(g, f):
+            if cod[f] != dom[g]:
                 problems.append(f"composite defined for non-composable pair ({g},{f})")
                 continue
             if not 0 <= gf < m:
                 raise InputError(f"composition value for ({g},{f}) out of range")
-            if cat.dom[gf] != cat.dom[f] or cat.cod[gf] != cat.cod[g]:
+            if dom[gf] != dom[f] or cod[gf] != cod[g]:
                 problems.append(f"composite ({g},{f}) has wrong endpoints")
         table_keys = set(cat._table)
     else:
@@ -555,9 +567,7 @@ def validate_category(cat: FinCategory, *, check_generators: bool = True) -> Val
 
     composites = {}
     for f in range(m):
-        for g in range(m):
-            if not cat.composable(g, f):
-                continue
+        for g in cat.morphisms_from(cod[f]):
             if table_keys is not None and (g, f) not in table_keys:
                 problems.append(f"composite ({g},{f}) undefined")
                 continue
@@ -566,19 +576,19 @@ def validate_category(cat: FinCategory, *, check_generators: bool = True) -> Val
             if not cat.has_table:
                 if not 0 <= gf < m:
                     raise InputError(f"composition value for ({g},{f}) out of range")
-                if cat.dom[gf] != cat.dom[f] or cat.cod[gf] != cat.cod[g]:
+                if dom[gf] != dom[f] or cod[gf] != cod[g]:
                     problems.append(f"composite ({g},{f}) has wrong endpoints")
 
     for f in range(m):
-        left = composites.get((cat.identity[cat.cod[f]], f))
-        right = composites.get((f, cat.identity[cat.dom[f]]))
+        left = composites.get((cat.identity[cod[f]], f))
+        right = composites.get((f, cat.identity[dom[f]]))
         if left is not None and left != f:
             problems.append(f"left identity fails for morphism {f}")
         if right is not None and right != f:
             problems.append(f"right identity fails for morphism {f}")
 
     for (g, f), gf in composites.items():
-        for h in cat.morphisms_from(cat.cod[g]):
+        for h in cat.morphisms_from(cod[g]):
             hg = composites.get((h, g))
             h_gf = composites.get((h, gf))
             if hg is None or h_gf is None:
@@ -602,6 +612,7 @@ def generator_closure(cat: FinCategory, composites: dict) -> set:
     ``composites`` maps pairs (g, f) to g∘f; pairs that are missing or not
     composable are skipped, so a partial or faulty table is safe to pass.
     """
+    dom, cod = tuple(cat.dom), tuple(cat.cod)
     reachable = set(cat.identity) | set(cat.generators)
     frontier = list(reachable)
     while frontier:
@@ -609,7 +620,7 @@ def generator_closure(cat: FinCategory, composites: dict) -> set:
         for x in frontier:
             for y in list(reachable):
                 for g, f in ((x, y), (y, x)):
-                    if cat.composable(g, f):
+                    if cod[f] == dom[g]:
                         gf = composites.get((g, f))
                         if gf is not None and gf not in reachable:
                             reachable.add(gf)
@@ -892,10 +903,11 @@ class CoconeWitness:
 def cone_search(diagram: FinFunctor, *, require_filtered: bool = False) -> CoconeWitness | None:
     """Exhaustive search for a cocone under a finite diagram.
 
-    Vertices are tried in ascending order and legs in lexicographic
-    order, so the witness is deterministic.  With ``require_filtered``
-    the target is checked first and a PreconditionError raised if it is
-    not filtered.
+    ``diagram`` must be a functor: legs are tested only at the source's
+    ``generating()`` morphisms.  Vertices are tried in ascending order and
+    legs in lexicographic order, so the witness is deterministic.  With
+    ``require_filtered`` the target is checked first and a
+    PreconditionError raised if it is not filtered.
     """
     target = diagram.target
     source = diagram.source
@@ -903,8 +915,7 @@ def cone_search(diagram: FinFunctor, *, require_filtered: bool = False) -> Cocon
         rep = is_filtered(target)
         if not rep.filtered:
             raise PreconditionError(f"target category is not filtered: {rep.reason}")
-    nonid = [m for m in range(source.n_morphisms)
-             if source.identity[source.dom[m]] != m]
+    glued = source.generating()
     for v in range(target.n_objects):
         candidate_legs = [target.hom(diagram.on_objects[d], v)
                           for d in range(source.n_objects)]
@@ -912,7 +923,7 @@ def cone_search(diagram: FinFunctor, *, require_filtered: bool = False) -> Cocon
             continue
         for legs in iproduct(*candidate_legs):
             ok = True
-            for m in nonid:
+            for m in glued:
                 a, b = source.dom[m], source.cod[m]
                 if target.compose(legs[b], diagram.on_morphisms[m]) != legs[a]:
                     ok = False

@@ -9,6 +9,7 @@ to satisfy a closure condition.
 
 from __future__ import annotations
 
+from math import gcd
 from random import Random
 
 from .abdiag import AbDiagram
@@ -17,7 +18,7 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, from_canonical_fo
 from .errors import InputError
 from .fincat import (FinCategory, chain_category, group_as_category,
                      product_category)
-from .intmat import IntMatrix, hstack
+from .intmat import IntMatrix, block_diagonal, hstack
 from .setdiag import FinSet, SetFunctor
 from .setdiag import validate_functor as validate_set_functor
 
@@ -120,17 +121,11 @@ def random_hom(rng: Random, a: FGAbGroup, b: FGAbGroup, bound: int = 3) -> AbHom
             elif ei == 0:
                 rows[i][j] = 0
             else:
-                step = ei // _gcd(ei, dj)
+                step = ei // gcd(ei, dj)
                 k = rng.randint(-bound, bound)
                 rows[i][j] = k * step
     middle = AbHom(src, tgt, IntMatrix(rows, shape=(tgt.gens, src.gens)))
     return hom_compose(cb.from_canonical, hom_compose(middle, ca.to_canonical))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _canonical_orders(group: FGAbGroup):
@@ -184,25 +179,12 @@ def random_ab5_instance(rng: Random, length: int):
     homs = []
     for m in range(base.n_morphisms):
         a, b = base.dom[m], base.cod[m]
-        blocked = AbHom(sums[a][0], sums[b][0], _block_pair(e_diag.hom(m).matrix,
-                                                            k_diag.hom(m).matrix))
+        blocked = AbHom(sums[a][0], sums[b][0], block_diagonal([e_diag.hom(m).matrix,
+                                                                k_diag.hom(m).matrix]))
         homs.append(hom_compose(scrambles[b][1], hom_compose(blocked, scrambles[a][2])))
     d_diag = AbDiagram(base, groups, homs)
     eta = [hom_compose(sums[c][2][0], scrambles[c][2]) for c in range(length)]
     return d_diag, e_diag, eta
-
-
-def _block_pair(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
-    rows = m1.rows + m2.rows
-    cols = m1.cols + m2.cols
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(m1.rows):
-        for j in range(m1.cols):
-            out[i][j] = m1.data[i][j]
-    for i in range(m2.rows):
-        for j in range(m2.cols):
-            out[m1.rows + i][m1.cols + j] = m2.data[i][j]
-    return IntMatrix(out, shape=(rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +219,7 @@ def random_involution(rng: Random, size: int):
 def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor,
                   max_size: int, attempts: int = 200):
     """A random diagram h2 on the same shape plus a natural map h => h2."""
+    glued = shape.generating()
     for _ in range(attempts):
         h2 = random_shape_functor(rng, shape, max_size)
         tau = [None] * shape.n_objects
@@ -244,9 +227,7 @@ def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor,
         for c in range(shape.n_objects):
             forced = {}
             conflict = False
-            for m in range(shape.n_morphisms):
-                if shape.identity[shape.dom[m]] == m:
-                    continue
+            for m in glued:
                 a, b = shape.dom[m], shape.cod[m]
                 if b == c and tau[a] is not None:
                     for x in range(h.sets[a].size):
@@ -266,9 +247,7 @@ def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor,
                     component.append(forced[x])
                     continue
                 allowed = list(range(h2.sets[c].size))
-                for m in range(shape.n_morphisms):
-                    if shape.identity[shape.dom[m]] == m:
-                        continue
+                for m in glued:
                     a, b = shape.dom[m], shape.cod[m]
                     if a == c and tau[b] is not None:
                         want = tau[b][h.tables[m][x]]

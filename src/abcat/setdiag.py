@@ -143,16 +143,16 @@ class Cocone:
 def set_limit(d: SetFunctor) -> tuple[FinSet, Cone]:
     """Limit carrier and projection cone.
 
-    The carrier consists of all compatible tuples, enumerated in
-    lexicographic order (object index first, element index second).  The
-    limit over an empty base is a singleton.
+    The carrier consists of all tuples compatible along the base's
+    ``generating()`` morphisms (for a functor, along all of them),
+    enumerated in lexicographic order (object index first, element index
+    second).  The limit over an empty base is a singleton.
     """
     base = d.base
     points = []
-    nonid = [m for m in range(base.n_morphisms)
-             if base.identity[base.dom[m]] != m]
+    glued = base.generating()
     for x in iproduct(*(range(s.size) for s in d.sets)):
-        if all(d.tables[m][x[base.dom[m]]] == x[base.cod[m]] for m in nonid):
+        if all(d.tables[m][x[base.dom[m]]] == x[base.cod[m]] for m in glued):
             points.append(x)
     labels = tuple("(" + ",".join(d.sets[c].label(v) for c, v in enumerate(x)) + ")"
                    for x in points)
@@ -173,7 +173,7 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
     Classes of the tagged disjoint union under the closure of
     (c, x) ~ (c', table(x)); representatives are the least pair in
     (object index, element index) order.  The glued morphisms are the
-    base's ``generators`` when it has them, whose closure is the same.
+    base's ``generating()`` morphisms, whose closure is the same.
     """
     base = d.base
     offsets = []
@@ -183,8 +183,6 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
         total += s.size
     uf = UnionFind(total)
     for m in base.generating():
-        if base.identity[base.dom[m]] == m:
-            continue
         a, b = base.dom[m], base.cod[m]
         t = d.tables[m]
         for x in range(d.sets[a].size):

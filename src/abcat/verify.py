@@ -160,13 +160,12 @@ def verify_ab5(d: AbDiagram, e: AbDiagram, components) -> VerifyReport:
     base = d.base
     kernels = [kernel(components[c]) for c in range(base.n_objects)]
     k_groups = [k for k, _ in kernels]
-    k_homs = []
-    for m in range(base.n_morphisms):
-        a, b = base.dom[m], base.cod[m]
-        lifted = factor_through_kernel(kernels[b][1],
-                                       hom_compose(d.hom(m), kernels[a][1]))
-        k_homs.append(lifted)
-    k_diag = AbDiagram(base, k_groups, k_homs)
+
+    def k_hom(m):
+        return factor_through_kernel(kernels[base.cod[m]][1],
+                                     hom_compose(d.hom(m), kernels[base.dom[m]][1]))
+
+    k_diag = AbDiagram(base, k_groups, k_hom)
     colim_k = ab_colimit(k_diag)
     induced, colim_d, colim_e = induced_map_on_colimits(d, e, components)
     big_kernel, big_incl = kernel(induced)

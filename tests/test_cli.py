@@ -264,6 +264,25 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     assert run_cli(capsys, "check", "filtered", wrong_kind)[0] == 2
 
 
+def test_malformed_set_diagram_values_exit_two(tmp_path, capsys):
+    # set labels are strings and map entries are integers, never coerced
+    edits = [("sets", "0", [[1], [2]], "expected a list of names at setdiagram.sets.0"),
+             ("sets", "0", [1, 2], "expected a list of names at setdiagram.sets.0"),
+             ("maps", "f", [1.9, 1], "map must be a list of element indices"),
+             ("maps", "f", ["1", 1], "map must be a list of element indices"),
+             ("maps", "f", [True, 1], "map must be a list of element indices")]
+    for section, key, value, message in edits:
+        doc = json.loads((FIXTURES / "equalizer_sets.json").read_text())
+        doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("limit", "colimit"):
+            code, out, err = run_cli(capsys, command, bad)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+
+
 def test_verify_notlex_rejects_non_equivariant_map(tmp_path, capsys):
     doc = json.loads((FIXTURES / "notlex.json").read_text())
     doc["map"] = [[1], [0]]   # not equivariant for negation vs swap

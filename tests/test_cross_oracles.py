@@ -15,12 +15,14 @@ from math import gcd, prod
 from abcat.abdiag import AbDiagram, ab_colimit, ab_limit, validate_diagram
 from abcat.abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, from_canonical_form,
                          hom_compose, identity_hom, summand_offsets)
-from abcat.fincat import (chain_category, group_as_category,
-                          parallel_pair_category, span_category)
+from abcat.fincat import (FinCategory, chain_category, diamond_category,
+                          group_as_category, parallel_pair_category, poset_category,
+                          span_category)
 from abcat.harting import harting_expand, hx_category
 from abcat.intmat import IntMatrix, block_diagonal, hstack
-from abcat.sampling import random_family, random_hom, scramble_group
-from abcat.setdiag import FinSet
+from abcat.sampling import (DIAMOND_COVERS, random_family, random_hom,
+                            random_poset_functor, scramble_group)
+from abcat.setdiag import FinSet, SetFunctor, set_limit
 
 EXPONENT_FACTORS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (4, 4), (2, 2)]
 
@@ -384,3 +386,49 @@ def test_generator_colimit_matches_full_relation_colimit():
                 for col in (s @ q - IntMatrix.identity(full.rows)).columns():
                     assert sub.contains_relation(col), (build, letters, cap, trial)
                 assert generated.canonical_form == FGAbGroup(full.rows, full).canonical_form
+
+
+def with_cover_generators(poset, covers):
+    """The same poset category with its cover relations as ``generators``."""
+    labels = [poset.morphism_label(m) for m in range(poset.n_morphisms)]
+    table = {(g, f): poset.compose(g, f) for g, f in poset.composable_pairs()}
+    return FinCategory(poset.n_objects, poset.dom, poset.cod, poset.identity, table,
+                       object_labels=poset.object_labels, morphism_labels=labels,
+                       generators=[labels.index(f"{a}<={b}") for a, b in covers])
+
+
+def linearized(rng, x: SetFunctor):
+    """The diagram (Z/n)[X] of a set diagram, in scrambled presentations."""
+    n = rng.choice([0, 2, 3, 4])
+    plain = []
+    for s in x.sets:
+        columns = [[n * (i == j) for i in range(s.size)] for j in range(s.size)] if n else []
+        plain.append(FGAbGroup(s.size, IntMatrix.from_columns(columns, s.size)))
+    scrambles = [scramble_group(rng, g) for g in plain]
+    homs = []
+    for m, table in enumerate(x.tables):
+        a, b = x.base.dom[m], x.base.cod[m]
+        rows = [[int(table[j] == i) for j in range(len(table))] for i in range(plain[b].gens)]
+        linear = AbHom(plain[a], plain[b], IntMatrix(rows, shape=(plain[b].gens, plain[a].gens)))
+        homs.append(hom_compose(scrambles[b][1], hom_compose(linear, scrambles[a][2])))
+    return AbDiagram(x.base, [s[0] for s in scrambles], homs)
+
+
+def test_limits_along_covers_match_limits_along_every_morphism():
+    # a functor agreeing along the covers agrees along every relation, and
+    # both limits are canonical, so reading the covers alone changes nothing
+    rng = random.Random(2024)
+    shapes = [(chain_category(4), ((0, 1), (1, 2), (2, 3))),
+              (diamond_category(), DIAMOND_COVERS),
+              (poset_category(3, [(0, 1), (0, 2)]), ((0, 1), (0, 2)))]
+    for poset, covers in shapes:
+        generated = with_cover_generators(poset, covers)
+        for _ in range(6):
+            x = random_poset_functor(rng, poset, covers)
+            assert set_limit(x) == set_limit(SetFunctor(generated, x.sets, x.tables))
+            d = linearized(rng, x)
+            assert validate_diagram(d).ok
+            full = ab_limit(d)
+            along_covers = ab_limit(AbDiagram(generated, d.groups, d.homs))
+            assert along_covers.carrier == full.carrier
+            assert along_covers.cone.components == full.cone.components

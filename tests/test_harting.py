@@ -5,11 +5,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from abcat.abdiag import ab_colimit, induced_map_on_colimits, validate_diagram
+from abcat.abdiag import (AbDiagram, ab_colimit, ab_limit, induced_map_on_colimits,
+                          validate_diagram)
 from abcat.abgrp import (biproduct, cyclic, free_abelian, hom, hom_compose,
                          hom_equal, identity_hom, zero_group)
 from abcat.errors import BudgetError, InputError, TruncationError
-from abcat.fincat import is_connected, validate_category, validate_functor
+from abcat.fincat import FinCategory, is_connected, validate_category, validate_functor
 from abcat.harting import (HXMorphism, HXObject, h_embedding, harting_compare,
                            harting_expand, hx_category, hx_coproduct,
                            hx_filtered_bounded_report, hx_sifted_bounded_report)
@@ -372,6 +373,19 @@ def test_compare_past_the_enumeration_wall(letters, cap):
     assert rep.ok, rep.failures
     assert rep.canonical_form == biproduct(family)[0].canonical_form
     assert len(rep.colimit.diagram._cache) <= len(hx.category.generators)
+
+
+def test_limit_of_expansion_values_homs_at_generators_only():
+    hx = hx_category(FinSet(1), 3)
+    cat = hx.category
+    d = harting_expand(random_family(random.Random(13), 1), hx)
+    lim = ab_limit(d)
+    assert set(d._cache) <= set(cat.generators) < set(range(cat.n_morphisms))
+    # the same diagram on the same category without generators
+    plain = FinCategory(cat.n_objects, list(cat.dom), list(cat.cod), cat.identity,
+                        {(g, f): cat.compose(g, f) for g, f in cat.composable_pairs()})
+    full = ab_limit(AbDiagram(plain, d.groups, d.homs))
+    assert (lim.carrier, lim.cone.components) == (full.carrier, full.cone.components)
 
 
 def test_non_natural_component_at_one_generator_is_rejected():
