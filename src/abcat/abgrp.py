@@ -2,8 +2,9 @@
 
 A group is Z^g modulo the column lattice of its relation matrix; a
 homomorphism is an integer matrix on generators, considered modulo the
-codomain's relations.  Smith normal form drives everything: canonical
-forms, kernels, cokernels, and the mono/epi/iso decisions.
+codomain's relations.  Kernels, membership and factorizations read
+Hermite column lattices; invariant factors come from the Smith diagonal,
+and the isomorphisms with canonical forms from Smith's transforms.
 
 >>> g = group_from_presentation(IntMatrix([[2, 0], [0, 3]]))
 >>> g.canonical_form
@@ -347,8 +348,9 @@ def factor_through_kernel(inclusion: AbHom, u: AbHom) -> AbHom:
     """Unique factorization of ``u`` through a kernel inclusion.
 
     Requires that the composite being killed actually kills ``u``; the
-    columns of ``u`` then lie in the kernel's generator lattice and the
-    integer solve is exact.
+    columns of ``u`` then lie in the lattice spanned by the inclusion's
+    independent columns, and reducing them against the Hermite basis of
+    its graph reads off the one exact integer solution.
     """
     if u.target != inclusion.target:
         raise InputError("map does not land in the kernel's ambient group")

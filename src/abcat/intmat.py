@@ -1,13 +1,16 @@
-"""Exact integer matrices: Smith normal form, kernels, and column lattices.
+"""Exact integer matrices: Hermite column lattices and Smith normal form.
 
 Everything works with Python's arbitrary-precision integers; there is no
-floating point anywhere.  Pivoting in the Smith reduction always picks a
-nonzero entry of smallest absolute value (ties broken by position), which
-makes every transform deterministic but does not bound their growth: the
-transforms of an 18 x 16 matrix with entries of absolute value at most 9
-still reach about 9,600 bits.  Column lattices are kept in Hermite normal
-form instead, so each entry of a lattice basis at a pivot row lies below
-that row's pivot, and the basis does not depend on the generators' order.
+floating point anywhere.  Column lattices are kept in Hermite normal
+form, so each entry of a lattice basis at a pivot row lies below that
+row's pivot, and the basis does not depend on the generators' order.
+Kernels, preimages and solves all read one such lattice: the columns
+(M_j; e_j) of the graph of M, with (L_k; 0) for a target lattice L.
+Smith normal form with transforms serves only the canonical forms.  Its
+pivoting always picks a nonzero entry of smallest absolute value (ties
+broken by position), which makes every transform deterministic but does
+not bound their growth: the transforms of an 18 x 16 matrix with entries
+of absolute value at most 9 still reach about 9,600 bits.
 """
 
 from __future__ import annotations
@@ -104,8 +107,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def columns(self):
-        for j in range(self.cols):
-            yield self.column(j)
+        return zip(*self.data) if self.rows else iter(((),) * self.cols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.data)) if self.rows else ((),) * self.cols,
@@ -240,14 +242,6 @@ class SmithNormalForm:
         self.v = v
         self.u_inv = u_inv
         self.v_inv = v_inv
-
-    @property
-    def diagonal(self) -> tuple:
-        return tuple(self.s.data[i][i] for i in range(min(self.s.rows, self.s.cols)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
 
 
 def _smith_work(m: IntMatrix, track: bool):
@@ -398,61 +392,17 @@ def smith_diagonal(m: IntMatrix) -> tuple:
     return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : M x == 0}, as columns."""
-    d = smith(m)
-    r = d.rank
-    cols = [d.v.column(j) for j in range(r, m.cols)]
-    return IntMatrix.from_columns(cols, m.cols)
-
-
-def solve(m: IntMatrix, b) -> tuple | None:
-    """One integer solution x of M x == b, or None if none exists."""
-    d = smith(m)
-    return _solve_with(d, m, b)
-
-
-def _solve_with(d: SmithNormalForm, m: IntMatrix, b):
-    b = tuple(b)
-    if len(b) != m.rows:
-        raise InputError(f"vector of length {len(b)}, expected {m.rows}")
-    w = d.u.apply(b)
-    y = [0] * m.cols
-    limit = min(m.rows, m.cols)
-    for i in range(m.rows):
-        di = d.s.data[i][i] if i < limit else 0
-        if di:
-            if w[i] % di:
-                return None
-            y[i] = w[i] // di
-        elif w[i]:
-            return None
-    return d.v.apply(y)
-
-
-def solve_many(m: IntMatrix, columns) -> IntMatrix | None:
-    """Solve M X == B columnwise; None if any column has no solution."""
-    d = smith(m)
-    sols = []
-    for c in columns:
-        x = _solve_with(d, m, c)
-        if x is None:
-            return None
-        sols.append(x)
-    return IntMatrix.from_columns(sols, m.cols)
-
-
 class ColumnLattice:
     """Integer column lattice kept as a column Hermite normal form.
 
-    Supports membership tests and extraction of an independent basis.
-    The pivot row of every stored column is its first nonzero row, pivot
-    rows are pairwise distinct, and every pivot is positive.  A column
-    that ``add`` inserts or changes is reduced into [0, pivot) at each
-    later pivot row; ``basis_matrix`` reduces the older columns at pivots
-    that came after them, so its result is the unique Hermite basis of
-    the lattice, whatever order the columns were added in (Kannan-Bachem
-    1979).
+    Supports membership tests, reduction of a column against the basis,
+    and extraction of an independent basis.  The pivot row of every
+    stored column is its first nonzero row, pivot rows are pairwise
+    distinct, and every pivot is positive.  A column that ``add`` inserts
+    or changes is reduced into [0, pivot) at each later pivot row;
+    ``basis_matrix`` reduces the older columns at pivots that came after
+    them, so its result is the unique Hermite basis of the lattice,
+    whatever order the columns were added in (Kannan-Bachem 1979).
     """
 
     __slots__ = ("dim", "_cols", "_pivot_of")
@@ -486,9 +436,7 @@ class ColumnLattice:
         return v
 
     def add(self, col) -> None:
-        v = [int(x) for x in col]
-        if len(v) != self.dim:
-            raise InputError(f"column of length {len(v)}, expected {self.dim}")
+        v = self.residue(col)
         while True:
             p = self._first_nonzero(v)
             if p is None:
@@ -500,37 +448,37 @@ class ColumnLattice:
                 self._cols.append(self._reduce_below(v, p))
                 self._pivot_of[p] = len(self._cols) - 1
                 return
+            # no multiple of the pivot column clears v at p: merge by xgcd
             b = self._cols[idx]
             a, c = b[p], v[p]
-            if c % a == 0:
-                q = c // a
-                v = [x - q * y for x, y in zip(v, b)]
-            else:
-                g, s, t = xgcd(a, c)
-                self._cols[idx] = self._reduce_below(
-                    [s * x + t * y for x, y in zip(b, v)], p)
-                v = [(a // g) * y - (c // g) * x for x, y in zip(b, v)]
+            g, s, t = xgcd(a, c)
+            self._cols[idx] = self._reduce_below([s * x + t * y for x, y in zip(b, v)], p)
+            v = self.residue([(a // g) * y - (c // g) * x for x, y in zip(b, v)])
 
-    def contains(self, col) -> bool:
+    def residue(self, col, rows=None) -> list:
+        """``col`` reduced at the pivot rows before ``rows`` (default: all).
+
+        Each step clears the first nonzero entry with the basis column
+        pivoting there, and stops at an entry that no pivot divides.  The
+        first ``rows`` entries come out zero exactly when some lattice
+        vector agrees with ``col`` on them.
+        """
         v = [int(x) for x in col]
         if len(v) != self.dim:
             raise InputError(f"column of length {len(v)}, expected {self.dim}")
-        while True:
-            p = self._first_nonzero(v)
-            if p is None:
-                return True
-            idx = self._pivot_of.get(p)
-            if idx is None:
-                return False
-            b = self._cols[idx]
-            if v[p] % b[p]:
-                return False
-            q = v[p] // b[p]
-            v = [x - q * y for x, y in zip(v, b)]
+        for p in range(self.dim if rows is None else rows):
+            x = v[p]
+            if x:
+                idx = self._pivot_of.get(p)
+                if idx is None or x % self._cols[idx][p]:
+                    break
+                b = self._cols[idx]
+                q = x // b[p]
+                v = [y - q * z for y, z in zip(v, b)]
+        return v
 
-    @property
-    def rank(self) -> int:
-        return len(self._cols)
+    def contains(self, col) -> bool:
+        return not any(self.residue(col))
 
     def basis_matrix(self) -> IntMatrix:
         """The Hermite basis, columns in increasing pivot row.
@@ -544,20 +492,65 @@ class ColumnLattice:
         return IntMatrix.from_columns(ordered, self.dim)
 
 
-def preimage_basis(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
-    """Basis of {x : M x lies in the column lattice of `lattice`}.
+def _graph_lattice(m: IntMatrix, lattice_columns=()) -> ColumnLattice:
+    """Lattice of the columns (M_j; e_j) and (L_k; 0), in m.rows + m.cols rows."""
+    n = m.cols
+    pad = (0,) * n
+    lat = ColumnLattice(m.rows + n)
+    for col in lattice_columns:
+        lat.add(col + pad)
+    for j, col in enumerate(m.columns()):
+        lat.add(col + pad[:j] + (1,) + pad[j + 1:])
+    return lat
 
-    Both matrices must have the same number of rows.  The result has
-    m.cols rows, with independent columns.
+
+def preimage_basis(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
+    """Hermite basis of {x : M x lies in the column lattice of `lattice`}.
+
+    Both matrices must have the same number of rows.  The preimage is the
+    bottom of the graph lattice's vectors whose top m.rows entries vanish,
+    and those are spanned by its Hermite basis columns pivoting below the
+    top.  The result has m.cols rows, with independent columns.
+
+    >>> preimage_basis(IntMatrix([[1, 1], [0, 2]]), IntMatrix([[0], [4]])).data
+    ((2,), (-2,))
     """
     if m.rows != lattice.rows:
         raise InputError("row mismatch between map and lattice")
-    combined = hstack(m, lattice) if lattice.cols else m
-    kb = kernel_basis(combined)
-    lat = ColumnLattice(m.cols)
-    for j in range(kb.cols):
-        lat.add(kb.column(j)[: m.cols])
-    return lat.basis_matrix()
+    r = m.rows
+    basis = _graph_lattice(m, lattice.columns()).basis_matrix()
+    return IntMatrix.from_columns([c[r:] for c in basis.columns() if not any(c[:r])], m.cols)
+
+
+def kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Hermite basis of the integer kernel {x : M x == 0}, as columns."""
+    return preimage_basis(m, IntMatrix.zeros(m.rows, 0))
+
+
+def solve_many(m: IntMatrix, columns) -> IntMatrix | None:
+    """Solve M X == B columnwise; None if any column has no solution.
+
+    Each (b; 0) is reduced at the top rows of the graph lattice; the top
+    reaches zero exactly when M x == b has a solution, and the bottom is
+    then -x.
+
+    >>> solve_many(IntMatrix([[2, 0], [0, 3]]), [(4, 9), (2, -3)]).data
+    ((2, 1), (3, -1))
+    >>> solve_many(IntMatrix([[2, 0], [0, 3]]), [(1, 0)]) is None
+    True
+    """
+    r, n = m.shape
+    lat = _graph_lattice(m)
+    sols = []
+    for b in columns:
+        b = tuple(b)
+        if len(b) != r:
+            raise InputError(f"vector of length {len(b)}, expected {r}")
+        v = lat.residue(b + (0,) * n, r)
+        if any(v[:r]):
+            return None
+        sols.append([-x for x in v[r:]])
+    return IntMatrix.from_columns(sols, n)
 
 
 def _signed_quotient(n: int, columns) -> tuple[list, list, list]:

@@ -19,9 +19,11 @@ from abcat.abgrp import (are_isomorphic, biproduct, cyclic, free_abelian,
 from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (chain_category, discrete_category,
                           parallel_pair_category, span_category)
+from abcat.harting import harting_expand, hx_category
 from abcat.intmat import IntMatrix, smith_diagonal
-from abcat.sampling import (random_ab5_instance, random_group, random_hom,
-                            random_mono_chain, random_mono_family)
+from abcat.sampling import (random_ab5_instance, random_family, random_group,
+                            random_hom, random_mono_chain, random_mono_family)
+from abcat.setdiag import FinSet
 from abcat.verify import verify_ab5
 from cat_corpus import Z2_TABLE
 
@@ -82,11 +84,15 @@ def test_limit_equalizer_x2_zero():
     assert lim.carrier.is_trivial
 
 
-def test_limit_initial_object():
-    base = chain_category(3)
-    d = constant_diagram(base, cyclic(6))
+@pytest.mark.parametrize("build", [
+    lambda: constant_diagram(chain_category(3), cyclic(6)),
+    # the empty word is initial; the limit is a kernel into 164 relations
+    lambda: harting_expand(random_family(random.Random(1), 2), hx_category(FinSet(2), 3)),
+], ids=["chain", "hx_words"])
+def test_limit_initial_object(build):
+    d = build()  # object 0 is initial in both bases
     lim = ab_limit(d)
-    ok, _ = are_isomorphic(lim.carrier, cyclic(6))
+    ok, _ = are_isomorphic(lim.carrier, d.groups[0])
     assert ok
 
 

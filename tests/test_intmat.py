@@ -11,9 +11,10 @@ from math import gcd
 
 import pytest
 
+from abcat.errors import InputError
 from abcat.intmat import (ColumnLattice, IntMatrix, determinant, hstack,
                           kernel_basis, lattice_invariants, preimage_basis,
-                          smith, smith_diagonal, smith_normal_form, solve,
+                          smith, smith_diagonal, smith_normal_form,
                           solve_many, vstack, xgcd)
 
 
@@ -147,11 +148,36 @@ def test_lattice_invariants_unit_pair_heavy():
     assert lattice_invariants(m) == expected == (0, (2,))
 
 
+def assert_hermite(basis: IntMatrix):
+    """Positive pivots in increasing rows, and every other entry at a
+    pivot row reduced into [0, pivot)."""
+    columns = list(basis.columns())
+    pivots = [next(i for i, x in enumerate(c) if x) for c in columns]
+    assert pivots == sorted(set(pivots))
+    for j, p in enumerate(pivots):
+        assert columns[j][p] > 0
+        for k, other in enumerate(columns):
+            if k != j:
+                assert 0 <= other[p] < columns[j][p]
+
+
+def smith_preimage(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
+    """Oracle for preimage_basis by the Smith route: the kernel columns of
+    V for hstack(M, L), their top m.cols rows Hermite-reduced."""
+    combined = hstack(m, lattice)
+    d = smith(combined)
+    rank = sum(1 for i in range(min(combined.shape)) if d.s.data[i][i])
+    kernel = [d.v.column(j)[: m.cols] for j in range(rank, combined.cols)]
+    return ColumnLattice(m.cols, kernel).basis_matrix()
+
+
 def test_kernel_basis():
     m = IntMatrix([[1, 1]])
     kb = kernel_basis(m)
     assert kb.cols == 1
     assert (m @ kb).is_zero()
+    assert kernel_basis(IntMatrix.zeros(0, 3)) == IntMatrix.identity(3)
+    assert kernel_basis(IntMatrix.zeros(2, 0)) == IntMatrix.zeros(0, 0)
     rng = random.Random(11)
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), 8)
@@ -160,22 +186,41 @@ def test_kernel_basis():
         # columns are independent: their Smith diagonal has full rank
         if kb.cols:
             assert sum(1 for x in smith_diagonal(kb) if x) == kb.cols
+        assert_hermite(kb)
+        assert kb == smith_preimage(m, IntMatrix.zeros(m.rows, 0))
 
 
 def test_solve_and_solve_many():
     m = IntMatrix([[2, 0], [0, 3]])
-    assert solve(m, (4, 9)) == (2, 3)
-    assert solve(m, (1, 0)) is None
+    assert solve_many(m, [(4, 9)]).data == ((2,), (3,))
+    # one inconsistent column makes the whole system unsolvable
+    assert solve_many(m, [(1, 0)]) is None
+    assert solve_many(m, [(4, 9), (1, 0)]) is None
+    assert solve_many(m, []) == IntMatrix.zeros(2, 0)
+    with pytest.raises(InputError):
+        solve_many(m, [(4, 9, 0)])
+    # rank-deficient: some solution, not a unique one
+    deficient = IntMatrix([[1, 2, 3], [2, 4, 6]])
+    sols = solve_many(deficient, [(3, 6), (0, 0)])
+    assert [deficient.apply(c) for c in sols.columns()] == [(3, 6), (0, 0)]
+    assert solve_many(deficient, [(1, 1)]) is None
+    # no rows: every x solves, and 0 is returned; no columns: only b == 0
+    assert solve_many(IntMatrix.zeros(0, 2), [(), ()]) == IntMatrix.zeros(2, 2)
+    assert solve_many(IntMatrix.zeros(2, 0), [(0, 0)]) == IntMatrix.zeros(0, 1)
+    assert solve_many(IntMatrix.zeros(2, 0), [(0, 1)]) is None
     rng = random.Random(13)
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 6)
-        x = [rng.randint(-5, 5) for _ in range(m.cols)]
-        b = m.apply(x)
-        got = solve(m, b)
-        assert got is not None
-        assert m.apply(got) == b
-    sols = solve_many(m, [m.apply([1, 0, 0, 0][: m.cols]), m.apply([0, 1, 1, 1][: m.cols])])
-    assert sols is not None
+        xs = [[rng.randint(-5, 5) for _ in range(m.cols)] for _ in range(2)]
+        bs = [m.apply(x) for x in xs]
+        sols = solve_many(m, bs)
+        assert sols is not None
+        assert [m.apply(c) for c in sols.columns()] == bs
+        # independent columns: the solution is the unique one
+        kb = kernel_basis(m)
+        if kb.cols:
+            coeffs = [rng.randint(-5, 5) for _ in range(kb.cols)]
+            assert solve_many(kb, [kb.apply(coeffs)]).column(0) == tuple(coeffs)
 
 
 def brute_force_membership(columns, vec, bound):
@@ -223,16 +268,8 @@ def test_column_lattice_basis_spans():
             assert relat.contains(col)
         for j in range(basis.cols):
             assert lat.contains(basis.column(j))
-        # Hermite normal form: positive pivots, other entries at a pivot
-        # row reduced into [0, pivot), and the basis independent of order
-        columns = list(basis.columns())
-        pivots = [next(i for i, x in enumerate(c) if x) for c in columns]
-        assert pivots == sorted(set(pivots))
-        for j, p in enumerate(pivots):
-            assert columns[j][p] > 0
-            for k, other in enumerate(columns):
-                if k != j:
-                    assert 0 <= other[p] < columns[j][p]
+        # Hermite normal form, and the basis independent of order
+        assert_hermite(basis)
         shuffled = cols[:]
         rng.shuffle(shuffled)
         assert ColumnLattice(dim, shuffled).basis_matrix() == basis
@@ -262,6 +299,8 @@ def test_preimage_basis_characterizes_membership():
         for candidate in product(range(-2, 3), repeat=n):
             if lat.contains(m.apply(candidate)):
                 assert span.contains(candidate)
+        assert_hermite(basis)
+        assert basis == smith_preimage(m, lattice)
 
 
 def test_shape_errors():
