@@ -27,7 +27,7 @@ from .fincat import (FinCategory, FinFunctor, ZigZag, chain_category,
 from .setdiag import (FinSet, SetFunctor, commute_check, fixed_points,
                       restrict_along, set_colimit, set_limit)
 from .abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cokernel,
-                    cyclic, describe_form, free_abelian, group_from_presentation,
+                    cyclic, describe_form, direct_sum, free_abelian, group_from_presentation,
                     hom, hom_equal, is_epi, is_mono, kernel)
 from .abdiag import (AbDiagram, GModule, ab4_check, ab_colimit, ab_limit,
                      coinvariants, generator_check, induced_map_on_colimits,

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, factor_through_kernel,
-                    free_abelian, hom_compose, hom_equal, hom_validate,
+from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
+                    factor_through_kernel, free_abelian, hom_compose, hom_equal, hom_validate,
                     identity_hom, is_mono, kernel, summand_offsets, zero_group,
                     zero_hom)
 from .errors import InputError, PreconditionError
@@ -246,7 +246,7 @@ def ab_limit(d: AbDiagram) -> AbLimit:
         row = hom_compose(d.hom(m), projections[a]) - projections[b]
         blocks.append(row.matrix)
         targets.append(d.groups[b])
-    q, _, _ = biproduct(targets)
+    q = direct_sum(targets)
     diff = AbHom(product, q, vstack(*blocks))
     carrier, inclusion = kernel(diff)
     components = tuple(hom_compose(projections[c], inclusion)
@@ -329,24 +329,16 @@ def gmodule_diagram(m: GModule) -> tuple[FinCategory, AbDiagram]:
 
 def coinvariants(m: GModule) -> tuple[FGAbGroup, AbHom]:
     """Quotient of the carrier by all differences g.a - a, with projection."""
-    gens = m.generators
-    if not gens:
-        return cokernel(zero_hom(zero_group(), m.carrier))
-    blocks = [(m.full_action[g] - identity_hom(m.carrier)).matrix for g in gens]
-    stacked, _, _ = biproduct([m.carrier] * len(gens))
-    h = AbHom(stacked, m.carrier, hstack(*blocks))
-    return cokernel(h)
+    blocks = [(m.full_action[g] - identity_hom(m.carrier)).matrix for g in m.generators]
+    stacked = direct_sum([m.carrier] * len(blocks))
+    return cokernel(AbHom(stacked, m.carrier, hstack(IntMatrix.zeros(m.carrier.gens, 0), *blocks)))
 
 
 def invariants(m: GModule) -> tuple[FGAbGroup, AbHom]:
     """Subgroup of elements fixed by the action, with inclusion."""
-    gens = m.generators
-    if not gens:
-        return kernel(zero_hom(m.carrier, zero_group()))
-    blocks = [(m.full_action[g] - identity_hom(m.carrier)).matrix for g in gens]
-    stacked, _, _ = biproduct([m.carrier] * len(gens))
-    h = AbHom(m.carrier, stacked, vstack(*blocks))
-    return kernel(h)
+    blocks = [(m.full_action[g] - identity_hom(m.carrier)).matrix for g in m.generators]
+    stacked = direct_sum([m.carrier] * len(blocks))
+    return kernel(AbHom(m.carrier, stacked, vstack(IntMatrix.zeros(0, m.carrier.gens), *blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +410,9 @@ def ab4_check(source_family, target_family, monos) -> Ab4Report:
             raise InputError(f"component {i} has wrong endpoints")
         if not is_mono(h):
             raise PreconditionError(f"component {i} is not a monomorphism")
-    source_sum, _, _ = biproduct(source_family)
-    target_sum, _, _ = biproduct(target_family)
-    matrix = block_diagonal([h.matrix for h in monos]) if monos \
-        else IntMatrix.zeros(0, 0)
-    induced = AbHom(source_sum, target_sum, matrix)
+    source_sum = direct_sum(source_family)
+    target_sum = direct_sum(target_family)
+    induced = AbHom(source_sum, target_sum, block_diagonal([h.matrix for h in monos]))
     ker, _ = kernel(induced)
     return Ab4Report(ker.is_trivial, induced, ker, source_sum, target_sum)
 

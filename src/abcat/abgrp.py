@@ -30,7 +30,7 @@ __all__ = [
     "zero_group", "describe_form",
     "hom", "identity_hom", "zero_hom", "hom_validate", "hom_equal", "hom_compose",
     "is_zero_hom",
-    "kernel", "cokernel", "biproduct", "is_mono", "is_epi",
+    "kernel", "cokernel", "direct_sum", "biproduct", "is_mono", "is_epi",
     "canonicalize", "are_isomorphic",
     "factor_through_kernel", "factor_through_cokernel",
     "smith", "smith_normal_form", "smith_diagonal", "IntMatrix",
@@ -59,10 +59,7 @@ class FGAbGroup:
     @property
     def lattice(self) -> ColumnLattice:
         if self._lattice is None:
-            lat = ColumnLattice(self.gens)
-            for col in self.relations.columns():
-                lat.add(col)
-            self._lattice = lat
+            self._lattice = ColumnLattice(self.gens, self.relations.columns())
         return self._lattice
 
     @property
@@ -271,6 +268,12 @@ def summand_offsets(groups) -> list:
     return [0, *accumulate(g.gens for g in groups)]
 
 
+def direct_sum(groups) -> FGAbGroup:
+    """Direct sum alone, with block-diagonal relations; see ``biproduct``."""
+    rels = block_diagonal([g.relations for g in groups])
+    return FGAbGroup(rels.rows, rels)
+
+
 def biproduct(groups) -> tuple[FGAbGroup, list, list]:
     """Direct sum with injections and projections.
 
@@ -279,23 +282,23 @@ def biproduct(groups) -> tuple[FGAbGroup, list, list]:
     groups = list(groups)
     offsets = summand_offsets(groups)
     total = offsets[-1]
-    rels = block_diagonal([g.relations for g in groups]) if groups else IntMatrix.zeros(0, 0)
-    summed = FGAbGroup(total, rels)
+    summed = direct_sum(groups)
     injections = []
     projections = []
     for k, g in enumerate(groups):
-        inj = [[0] * g.gens for _ in range(total)]
-        for i in range(g.gens):
-            inj[offsets[k] + i][i] = 1
-        injections.append(AbHom(g, summed, IntMatrix(inj, shape=(total, g.gens))))
-        projections.append(AbHom(summed, g, injections[-1].matrix.transpose()))
+        zero = (0,) * g.gens
+        inj = (zero,) * offsets[k] + IntMatrix.identity(g.gens).data \
+            + (zero,) * (total - offsets[k + 1])
+        injections.append(AbHom(g, summed, IntMatrix._trusted(inj, total, g.gens)))
+        projections.append(AbHom(summed, g, IntMatrix._trusted(tuple(zip(*inj)), g.gens, total)))
     return summed, injections, projections
 
 
 def is_mono(h: AbHom) -> bool:
-    """Monomorphism test: trivial kernel."""
-    k, _ = kernel(h)
-    return k.is_trivial
+    """Monomorphism test: the preimage of the target relations, which
+    generates the kernel, lies in the source relations."""
+    pre = preimage_basis(h.matrix, h.target.reduced_relations)
+    return all(h.source.contains_relation(col) for col in pre.columns())
 
 
 def is_epi(h: AbHom) -> bool:
@@ -324,13 +327,10 @@ def canonicalize(group: FGAbGroup) -> Canonicalization:
     keep = torsion + free
     factors = tuple(dec.s.data[i][i] for i in torsion)
     canon = from_canonical_form(len(free), factors)
-    to_rows = tuple(dec.u.data[i] for i in keep)
-    to_matrix = IntMatrix(to_rows, shape=(len(keep), g))
-    from_cols = [dec.u_inv.column(i) for i in keep]
-    from_matrix = IntMatrix.from_columns(from_cols, g)
-    return Canonicalization(canon,
-                            AbHom(group, canon, to_matrix),
-                            AbHom(canon, group, from_matrix))
+    to_matrix = IntMatrix._trusted(tuple(dec.u.data[i] for i in keep), len(keep), g)
+    from_matrix = IntMatrix._trusted(tuple(tuple(row[i] for i in keep) for row in dec.u_inv.data),
+                                     g, len(keep))
+    return Canonicalization(canon, AbHom(group, canon, to_matrix), AbHom(canon, group, from_matrix))
 
 
 def are_isomorphic(a: FGAbGroup, b: FGAbGroup) -> tuple[bool, tuple | None]:

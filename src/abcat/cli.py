@@ -17,7 +17,7 @@ import json
 import sys
 
 from .abdiag import ab_colimit, ab_limit, coinvariants, invariants, validate_diagram
-from .abgrp import biproduct, describe_form, smith_normal_form
+from .abgrp import describe_form, direct_sum, smith_diagonal, smith_normal_form
 from .documents import AbNaturalMap, Document, EquivariantMap, FamilyMap, load_document
 from .errors import (BudgetError, DocumentError, InputError, PreconditionError,
                      TruncationError)
@@ -146,12 +146,12 @@ def _cmd_ab(args) -> int:
     if op == "snf":
         doc = _load(args.file, ("abgroup",))
         group = doc.value
-        s, u, v = smith_normal_form(group.relations)
         payload = {
-            "diagonal": list(s.data[i][i] for i in range(min(s.rows, s.cols))),
+            "diagonal": list(smith_diagonal(group.relations)),
             "canonical_form": describe_form(group.canonical_form),
         }
         if args.format == "machine":
+            s, u, v = smith_normal_form(group.relations)
             payload["s"] = [list(r) for r in s.data]
             payload["u"] = [list(r) for r in u.data]
             payload["v"] = [list(r) for r in v.data]
@@ -162,7 +162,7 @@ def _cmd_ab(args) -> int:
         family = doc.value
         if isinstance(family, FamilyMap):
             raise InputError("sum expects a plain family without maps")
-        total, _, _ = biproduct(family.groups)
+        total = direct_sum(family.groups)
         _emit({"sum": describe_form(total.canonical_form)}, args.format)
         return OK
     if op in ("coinvariants", "invariants"):

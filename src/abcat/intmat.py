@@ -6,11 +6,13 @@ form, so each entry of a lattice basis at a pivot row lies below that
 row's pivot, and the basis does not depend on the generators' order.
 Kernels, preimages and solves all read one such lattice: the columns
 (M_j; e_j) of the graph of M, with (L_k; 0) for a target lattice L.
-Smith normal form with transforms serves only the canonical forms.  Its
-pivoting always picks a nonzero entry of smallest absolute value (ties
-broken by position), which makes every transform deterministic but does
-not bound their growth: the transforms of an 18 x 16 matrix with entries
-of absolute value at most 9 still reach about 9,600 bits.
+The Smith diagonal is eliminated from the Hermite basis, whose entries
+stay below their pivots.  Smith form with transforms serves only the
+canonical-form maps, on the matrix it is given.  Its pivoting always
+picks a nonzero entry of smallest absolute value (ties broken by
+position), which makes every transform deterministic but does not bound
+their growth: those of an 18 x 16 matrix with entries of absolute value
+at most 9 still reach about 9,600 bits.
 """
 
 from __future__ import annotations
@@ -81,11 +83,11 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), shape=(rows, cols))
+        return cls._trusted(((0,) * cols,) * rows, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), shape=(n, n))
+        return cls._trusted(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), n, n)
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "IntMatrix":
@@ -245,50 +247,44 @@ class SmithNormalForm:
 
 
 def _smith_work(m: IntMatrix, track: bool):
+    """Smith elimination of ``m``.  U and V^-1 are kept by rows, U^-1 and V
+    by columns; the rows and columns of ``a`` before step t are already
+    clear, so no operation at step t touches them."""
     a = [list(row) for row in m.data]
     nr, nc = m.rows, m.cols
     if track:
-        u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-        ui = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-        v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-        vi = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+        # transform rows and columns are replaced whole, so they can share tuples
+        eye_r, eye_c = IntMatrix.identity(nr).data, IntMatrix.identity(nc).data
+        u, ui, v, vi = list(eye_r), list(eye_r), list(eye_c), list(eye_c)
 
-    def row_sub(i, t, q):
-        ai, at = a[i], a[t]
-        a[i] = [x - q * y for x, y in zip(ai, at)]
+    def row_sub(i, k, q):
+        ai, ak = a[i], a[k]
+        for c in range(t, nc):
+            if ak[c]:
+                ai[c] -= q * ak[c]
         if track:
-            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-            for r in range(nr):
-                ui[r][t] += q * ui[r][i]
+            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            ui[k] = [x + q * y for x, y in zip(ui[k], ui[i])]
 
-    def row_swap(i, t):
-        a[i], a[t] = a[t], a[i]
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
         if track:
-            u[i], u[t] = u[t], u[i]
-            for r in range(nr):
-                ui[r][i], ui[r][t] = ui[r][t], ui[r][i]
+            u[i], u[k] = u[k], u[i]
+            ui[i], ui[k] = ui[k], ui[i]
 
-    def row_neg(t):
-        a[t] = [-x for x in a[t]]
+    def col_sub(j, q):
+        # column t is clear off row t, so only a[t][j] changes
+        a[t][j] -= q * a[t][t]
         if track:
-            u[t] = [-x for x in u[t]]
-            for r in range(nr):
-                ui[r][t] = -ui[r][t]
-
-    def col_sub(j, t, q):
-        for r in range(nr):
-            a[r][j] -= q * a[r][t]
-        if track:
-            for r in range(nc):
-                v[r][j] -= q * v[r][t]
+            v[j] = [x - q * y for x, y in zip(v[j], v[t])]
             vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
 
-    def col_swap(j, t):
-        for r in range(nr):
-            a[r][j], a[r][t] = a[r][t], a[r][j]
+    def col_swap(j):
+        for r in range(t, nr):
+            row = a[r]
+            row[j], row[t] = row[t], row[j]
         if track:
-            for r in range(nc):
-                v[r][j], v[r][t] = v[r][t], v[r][j]
+            v[j], v[t] = v[t], v[j]
             vi[j], vi[t] = vi[t], vi[j]
 
     t = 0
@@ -311,14 +307,18 @@ def _smith_work(m: IntMatrix, track: bool):
         if bi != t:
             row_swap(bi, t)
         if bj != t:
-            col_swap(bj, t)
+            col_swap(bj)
         while True:
-            if a[t][t] < 0:
-                row_neg(t)
-            p = a[t][t]
+            at = a[t]
+            if at[t] < 0:
+                at[t:] = [-x for x in at[t:]]
+                if track:
+                    u[t] = [-x for x in u[t]]
+                    ui[t] = [-x for x in ui[t]]
+            p = at[t]
             restart = False
-            for i in range(nr):
-                if i == t or a[i][t] == 0:
+            for i in range(t + 1, nr):
+                if a[i][t] == 0:
                     continue
                 q = a[i][t] // p
                 if q:
@@ -329,34 +329,27 @@ def _smith_work(m: IntMatrix, track: bool):
                     break
             if restart:
                 continue
-            for j in range(nc):
-                if j == t or a[t][j] == 0:
+            for j in range(t + 1, nc):
+                if at[j] == 0:
                     continue
-                q = a[t][j] // p
+                q = at[j] // p
                 if q:
-                    col_sub(j, t, q)
-                if a[t][j]:
-                    col_swap(j, t)
+                    col_sub(j, q)
+                if at[j]:
+                    col_swap(j)
                     restart = True
                     break
             if restart:
                 continue
-            p = a[t][t]
-            bad = None
-            for i in range(t + 1, nr):
-                row = a[i]
-                for j in range(t + 1, nc):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            if p == 1:
+                break
+            bad = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
             if bad is None:
                 break
             row_sub(t, bad, -1)
         t += 1
     if track:
-        return a, u, v, ui, vi
+        return a, u, list(zip(*v)), list(zip(*ui)), vi
     return a
 
 
@@ -387,9 +380,12 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def smith_diagonal(m: IntMatrix) -> tuple:
-    """Diagonal of the Smith form, without tracking transforms."""
-    a = _smith_work(m, track=False)
-    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+    """Diagonal of the Smith form, eliminated without transforms on the
+    Hermite basis (same nonzero invariant factors, entries below their
+    pivots, no growth), padded with zeros to min(rows, cols)."""
+    basis = ColumnLattice(m.rows, m.columns()).basis_matrix()
+    a = _smith_work(basis, track=False)
+    return tuple(a[i][i] for i in range(basis.cols)) + (0,) * (min(m.shape) - basis.cols)
 
 
 class ColumnLattice:
@@ -432,7 +428,8 @@ class ColumnLattice:
                     q = x // b[r]
                     if q:
                         for i in range(r, self.dim):
-                            v[i] -= q * b[i]
+                            if b[i]:
+                                v[i] -= q * b[i]
         return v
 
     def add(self, col) -> None:
@@ -474,22 +471,29 @@ class ColumnLattice:
                     break
                 b = self._cols[idx]
                 q = x // b[p]
-                v = [y - q * z for y, z in zip(v, b)]
+                for i in range(p, self.dim):
+                    if b[i]:
+                        v[i] -= q * b[i]
         return v
 
     def contains(self, col) -> bool:
         return not any(self.residue(col))
 
-    def basis_matrix(self) -> IntMatrix:
-        """The Hermite basis, columns in increasing pivot row.
+    def _hermite_columns(self, start=0) -> list:
+        """Copies of the Hermite basis columns pivoting at row ``start`` or
+        later; the lattice itself is left unchanged."""
+        return [self._reduce_below(list(self._cols[self._pivot_of[p]]), p)
+                for p in sorted(self._pivot_of) if p >= start]
 
-        Reduces copies, so the lattice is left unchanged and concurrent
-        readers see the same basis.
-        """
-        ordered = []
-        for p in sorted(self._pivot_of):
-            ordered.append(self._reduce_below(list(self._cols[self._pivot_of[p]]), p))
-        return IntMatrix.from_columns(ordered, self.dim)
+    def basis_matrix(self) -> IntMatrix:
+        """The Hermite basis, columns in increasing pivot row."""
+        return _trusted_columns(self._hermite_columns(), self.dim)
+
+
+def _trusted_columns(columns, rows: int) -> IntMatrix:
+    """Wrap int columns of length ``rows`` as a matrix, unchecked."""
+    return IntMatrix._trusted(tuple(zip(*columns)) if columns else ((),) * rows,
+                              rows, len(columns))
 
 
 def _graph_lattice(m: IntMatrix, lattice_columns=()) -> ColumnLattice:
@@ -497,10 +501,11 @@ def _graph_lattice(m: IntMatrix, lattice_columns=()) -> ColumnLattice:
     n = m.cols
     pad = (0,) * n
     lat = ColumnLattice(m.rows + n)
-    for col in lattice_columns:
-        lat.add(col + pad)
+    # the basis is unique; adding the graph first is about twice as fast
     for j, col in enumerate(m.columns()):
         lat.add(col + pad[:j] + (1,) + pad[j + 1:])
+    for col in lattice_columns:
+        lat.add(col + pad)
     return lat
 
 
@@ -518,8 +523,8 @@ def preimage_basis(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     if m.rows != lattice.rows:
         raise InputError("row mismatch between map and lattice")
     r = m.rows
-    basis = _graph_lattice(m, lattice.columns()).basis_matrix()
-    return IntMatrix.from_columns([c[r:] for c in basis.columns() if not any(c[:r])], m.cols)
+    lat = _graph_lattice(m, lattice.columns())
+    return _trusted_columns([c[r:] for c in lat._hermite_columns(r)], m.cols)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -635,9 +640,14 @@ def lattice_invariants(relations: IntMatrix) -> tuple[int, tuple]:
     columns that ``_signed_quotient`` consumes never reach the dense
     elimination.
     """
-    cols = [[(i, x) for i, x in enumerate(c) if x] for c in zip(*relations.data)]
-    live, _, residual = _signed_quotient(relations.rows, cols)
-    diag = smith_diagonal(IntMatrix.from_columns(residual, len(live))) if residual else ()
+    columns = list(zip(*relations.data))
+    n, dense = relations.rows, relations
+    # the quotient needs a column that kills a coordinate or identifies two
+    if any(len(c) - c.count(0) <= 2 and all(-1 <= x <= 1 for x in c) for c in columns):
+        cols = [[(i, x) for i, x in enumerate(c) if x] for c in columns]
+        live, _, residual = _signed_quotient(n, cols)
+        n, dense = len(live), IntMatrix.from_columns(residual, len(live))
+    diag = smith_diagonal(dense)
     rank = sum(1 for d in diag if d != 0)
     factors = tuple(d for d in diag if d >= 2)
-    return len(live) - rank, factors
+    return n - rank, factors

@@ -13,8 +13,8 @@ from math import gcd
 from random import Random
 
 from .abdiag import AbDiagram
-from .abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, from_canonical_form,
-                    hom_compose, identity_hom)
+from .abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, direct_sum,
+                    from_canonical_form, hom_compose, identity_hom)
 from .errors import InputError
 from .fincat import (FinCategory, chain_category, group_as_category,
                      product_category)
@@ -139,7 +139,7 @@ def random_mono_chain(rng: Random, length: int, max_extra: int = 1) -> AbDiagram
     plain = [random_group(rng, max_gens=1)]
     for _ in range(length - 1):
         extra = random_group(rng, max_gens=max_extra)
-        summed, _, _ = biproduct([plain[-1], extra])
+        summed = direct_sum([plain[-1], extra])
         plain.append(summed)
     scrambles = [scramble_group(rng, g) for g in plain]
     groups = [s[0] for s in scrambles]

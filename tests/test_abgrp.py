@@ -12,14 +12,15 @@ from math import gcd, isqrt
 import pytest
 
 from abcat.abgrp import (are_isomorphic, biproduct, canonicalize,
-                         cokernel, cyclic, describe_form, factor_through_cokernel,
+                         cokernel, cyclic, describe_form, direct_sum, factor_through_cokernel,
                          factor_through_kernel, free_abelian, from_canonical_form,
                          group_from_presentation, hom, hom_compose, hom_equal,
                          hom_validate, identity_hom, is_epi, is_mono, is_zero_hom,
                          kernel, zero_group, zero_hom)
 from abcat.errors import InputError
 from abcat.intmat import IntMatrix, determinant, hstack
-from abcat.sampling import random_group, random_hom, random_matrix, scramble_group
+from abcat.sampling import (random_group, random_hom, random_matrix, random_mono_family,
+                            scramble_group)
 
 
 def test_presentation_basics():
@@ -105,18 +106,20 @@ def test_kernel_cokernel_compose_zero_random():
 
 
 def test_biproduct_identities():
-    groups = [free_abelian(1), cyclic(2), cyclic(4)]
+    groups = [free_abelian(1), cyclic(2), zero_group(), cyclic(4)]
     total, injections, projections = biproduct(groups)
     assert total.canonical_form == (1, (2, 4))
-    for i in range(3):
-        for j in range(3):
+    assert direct_sum(groups) == total and direct_sum(iter(groups)) == total
+    assert direct_sum([]) == biproduct([])[0] == zero_group()
+    for i in range(4):
+        for j in range(4):
             comp = hom_compose(projections[i], injections[j])
             if i == j:
                 assert hom_equal(comp, identity_hom(groups[i]))
             else:
                 assert is_zero_hom(comp)
     acc = zero_hom(total, total)
-    for i in range(3):
+    for i in range(4):
         acc = acc + hom_compose(injections[i], projections[i])
     assert hom_equal(acc, identity_hom(total))
 
@@ -160,6 +163,27 @@ def test_is_mono_against_finite_enumeration():
                 injective = False
             images[key] = e
         assert is_mono(h) == injective
+
+
+def test_is_mono_matches_trivial_kernel():
+    # is_mono tests containment of the preimage; the kernel route builds the
+    # kernel group and reads its canonical form
+    rng = random.Random(43)
+    seen = set()
+    for trial in range(150):
+        a = random_group(rng, max_gens=3)
+        b = random_group(rng, max_gens=3)
+        if trial % 3 == 0:
+            a = scramble_group(rng, a)[0]
+        if trial % 3 == 1:
+            b = scramble_group(rng, b)[0]
+        h = random_hom(rng, a, b)
+        expected = kernel(h)[0].is_trivial
+        assert is_mono(h) == expected
+        seen.add(expected)
+    for h in random_mono_family(rng, 20)[2]:
+        assert is_mono(h) and kernel(h)[0].is_trivial
+    assert seen == {True, False}
 
 
 def test_are_isomorphic_with_witness():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from abcat.abgrp import cyclic
 from abcat.cli import main
 from abcat.documents import Document, serialize_document
 from abcat.fincat import chain_category, identity_functor
+from abcat.intmat import _smith_work
+from abcat.sampling import random_matrix
 from abcat.setdiag import FinSet, SetFunctor
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -68,6 +71,20 @@ def test_ab_snf(capsys):
     assert code == 0
     assert "canonical_form: Z/6" in out
     assert "diagonal: [1, 6]" in out
+
+
+def test_ab_snf_text_reads_the_diagonal_only(capsys, tmp_path):
+    # a 40 x 40 group: the text format prints no transforms, so it must not
+    # pay for them (with transforms this input takes seconds)
+    m = random_matrix(random.Random(0), 40, 40, 9)
+    path = tmp_path / "g40.json"
+    path.write_text(json.dumps({"kind": "abgroup", "generators": 40,
+                                "relations": [list(r) for r in m.data]}))
+    code, out, _ = run_cli(capsys, "ab", "snf", path)
+    assert code == 0
+    # the same elimination smith() runs, without its transforms
+    a = _smith_work(m, track=False)
+    assert out.splitlines()[0] == f"diagonal: {[a[i][i] for i in range(40)]}"
 
 
 def test_ab_coinvariants_golden(capsys):

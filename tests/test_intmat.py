@@ -5,9 +5,10 @@ index combinations (minors) and brute-force lattice enumeration; the
 Smith routine is never used to check itself.
 """
 
+import hashlib
 import random
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -16,6 +17,7 @@ from abcat.intmat import (ColumnLattice, IntMatrix, determinant, hstack,
                           kernel_basis, lattice_invariants, preimage_basis,
                           smith, smith_diagonal, smith_normal_form,
                           solve_many, vstack, xgcd)
+from abcat.sampling import random_matrix as sample_matrix
 
 
 def minors_gcd(m: IntMatrix, k: int) -> int:
@@ -124,6 +126,65 @@ def test_smith_inverses_track():
         assert (d.u_inv @ d.u) == IntMatrix.identity(m.rows)
         assert (d.v @ d.v_inv) == IntMatrix.identity(m.cols)
         assert (d.v_inv @ d.v) == IntMatrix.identity(m.cols)
+
+
+# SHA-256 of (S, U, V, U^-1, V^-1) from smith() on the seeded (n+2) x n
+# matrices sample_matrix(Random(n), n + 2, n, 9).  U and V are not unique,
+# so these pin the exact sequence of elementary operations, and with it
+# every emitted canonical-form map.
+SMITH_FINGERPRINTS = {
+    6: "cb579a7dde98e1b6f0a2d34e69ab70ec4321d0c120432eb53bdb0e21cc4a0ff1",
+    7: "7e85e953d98bb50a4d1400f76d6dc1eb996be33c96d30db349dbb1c7d2b7afb4",
+    8: "4365cf7f8b2cd3f717156a0ecc6d8476e2200eb6347f0ae19f0602d09cf7082d",
+    9: "876fb51d207b436af4b08caa5b261390f79b51a00e36978bc6cb3c6f78f46ceb",
+    10: "7d20fe70aec521cf695e92d9b05f0a741674a0570dfde11ccaa3c266e65de8cf",
+    11: "9af857d4c0ea271bc29f30c11678d08dfd024a2cd18cdb73547e3d91e19a448b",
+    12: "ff8766076eea9f2d33a4d31936b0f988ba1878375b412a65cd0c23905f20a61b",
+    13: "cbd28ad7c41c8289af454e456dfd8f6887e15b3dbf618e189ec3515e7c1db74b",
+    14: "4234258f568d4bd2fee7ab6a2f29a71809086387af4d512cd36f227134893bf0",
+    15: "313c5a326960d6cec510af2dee1df28fdf2cadcf8f0e95e03e3fbcc1f47f1254",
+    16: "9dc446eb2f4cfa127c88786b7cf74d3821e0248fd42f7a022a07c4c6cd2fd2db",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SMITH_FINGERPRINTS))
+def test_smith_transforms_are_pinned(n):
+    d = smith(sample_matrix(random.Random(n), n + 2, n, 9))
+    digest = hashlib.sha256()
+    for mat in (d.s, d.u, d.v, d.u_inv, d.v_inv):
+        digest.update(repr(mat.shape).encode())
+        for row in mat.data:
+            digest.update(",".join(map(hex, row)).encode() + b";")
+    assert digest.hexdigest() == SMITH_FINGERPRINTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 30, 40, 60])
+def test_smith_diagonal_product_is_the_determinant(n):
+    # oracle: Bareiss elimination, which shares no code with either route
+    rng = random.Random(4000 + n)
+    m = sample_matrix(rng, n, n, 9)
+    while determinant(m) == 0:
+        m = sample_matrix(rng, n, n, 9)
+    diag = smith_diagonal(m)
+    assert len(diag) == n
+    assert prod(diag) == abs(determinant(m))
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (4, 6), (6, 4), (5, 5)])
+def test_smith_diagonal_length_on_degenerate_shapes(rows, cols):
+    rng = random.Random(31 * rows + cols)
+    # rank at most 2: every column is a combination of two random columns
+    gens = [[rng.randint(-9, 9) for _ in range(rows)] for _ in range(2)]
+    columns = []
+    for _ in range(cols):
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        columns.append([a * x + b * y for x, y in zip(*gens)])
+    m = IntMatrix.from_columns(columns, rows)
+    diag = smith_diagonal(m)
+    assert len(diag) == min(rows, cols)
+    assert diag == tuple(smith(m).s.data[i][i] for i in range(min(rows, cols)))
+    assert sum(1 for d in diag if d) <= 2
 
 
 def test_lattice_invariants_matches_smith():
