@@ -4,9 +4,9 @@ Colimits and limits glue along the base's ``generating()`` morphisms:
 its non-identity generators when it has them, else every non-identity
 morphism.  Colimits are computed by presentation (coproduct of all
 object groups, plus one relation column per source generator of each
-gluing morphism), presented on the quotient: columns that kill a
-generator or identify two up to sign are consumed, so the carrier keeps
-one generator per surviving class.  Limits are kernels inside the
+gluing morphism), presented on the quotient: a signed union-find over
+the sparse columns consumes those that kill a generator or identify two
+up to sign, so the carrier keeps one generator per surviving class.  Limits are kernels inside the
 product.  Coinvariants and invariants of a group action, family
 coproducts, induced maps on colimits, and the checks behind the
 coproduct-exactness results all live here.
@@ -22,7 +22,7 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     zero_hom)
 from .errors import InputError, PreconditionError
 from .fincat import FinCategory, ValidationReport, group_as_category, validate_group_table
-from .intmat import IntMatrix, _signed_quotient, block_diagonal, hstack, vstack
+from .intmat import IntMatrix, block_diagonal, hstack, vstack
 
 
 class AbDiagram:
@@ -185,13 +185,89 @@ class AbLimit:
         return factor_through_kernel(self._inclusion, combined)
 
 
+def _signed_quotient(n: int, columns) -> tuple[list, list, list]:
+    """Present Z^n modulo ``columns`` on fewer coordinates.
+
+    ``columns`` are sparse lists of (row, value) pairs.  A signed
+    union-find sweep, repeated to a fixed point, consumes every column
+    that kills one coordinate or identifies two up to sign (the bulk of
+    colimit presentations).  Returns ``live``, the surviving root
+    coordinates in increasing order; ``where``, holding for each
+    coordinate i either (k, sign), meaning e_i == sign * e_live[k] modulo
+    the columns, or None when e_i lies in their lattice; and the other
+    columns written densely on ``live``, zero columns and repeats dropped,
+    in first-seen order.  Z^n modulo ``columns`` is Z^len(live) modulo
+    those.
+    """
+    parent = list(range(n))
+    rel_sign = [1] * n
+    alive = [True] * n
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        run = 1
+        for j in reversed(path):
+            run *= rel_sign[j]
+            parent[j] = i
+            rel_sign[j] = run
+        return i, run
+
+    pending = [col for col in columns if col]
+    while True:
+        changed = False
+        nxt = []
+        for col in pending:
+            acc = {}
+            for i, val in col:
+                r, s = find(i)
+                if not alive[r]:
+                    continue
+                acc[r] = acc.get(r, 0) + s * val
+            entries = sorted((r, w) for r, w in acc.items() if w)
+            if not entries:
+                continue
+            if len(entries) == 1 and abs(entries[0][1]) == 1:
+                alive[entries[0][0]] = False
+                changed = True
+            elif len(entries) == 2 and abs(entries[0][1]) == 1 and abs(entries[1][1]) == 1:
+                (r1, w1), (r2, w2) = entries
+                parent[r2] = r1
+                rel_sign[r2] = -w1 * w2
+                changed = True
+            else:
+                nxt.append(entries)
+        pending = nxt
+        if not changed:
+            break
+
+    live = [i for i in range(n) if parent[i] == i and alive[i]]
+    index = {r: k for k, r in enumerate(live)}
+    where = []
+    for i in range(n):
+        r, s = find(i)
+        where.append((index[r], s) if alive[r] else None)
+    residual = {}
+    for col in pending:
+        dense = [0] * len(live)
+        for i, val in col:
+            if where[i] is not None:
+                dense[where[i][0]] += where[i][1] * val
+        if any(dense):
+            residual.setdefault(tuple(dense), None)
+    return live, where, list(residual)
+
+
+
 def ab_colimit(d: AbDiagram) -> AbColimit:
     """Colimit by presentation, on the quotient of the sum's generators.
 
     The relations are every object's, plus one column per (glued morphism,
     source generator) gluing image to source.  The glued morphisms are the
     base's ``generating()`` morphisms, since the gluing of a composite g∘f
-    follows from those of g and f.  ``intmat._signed_quotient`` consumes the
+    follows from those of g and f.  ``_signed_quotient`` consumes the
     sparse columns that kill a generator or identify two up to sign: the
     carrier has one generator per surviving class and the columns left
     over, and each leg sends a generator to its class with a sign, or to 0.

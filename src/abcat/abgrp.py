@@ -2,9 +2,10 @@
 
 A group is Z^g modulo the column lattice of its relation matrix; a
 homomorphism is an integer matrix on generators, considered modulo the
-codomain's relations.  Kernels, membership and factorizations read
-Hermite column lattices; invariant factors come from the Smith diagonal,
-and the isomorphisms with canonical forms from Smith's transforms.
+codomain's relations.  Each group builds one Hermite column lattice of
+its relations, and kernels, membership, factorizations and invariant
+factors (the Smith diagonal of its basis) all read it; the isomorphisms
+with canonical forms come from Smith's transforms of that basis.
 
 >>> g = group_from_presentation(IntMatrix([[2, 0], [0, 3]]))
 >>> g.canonical_form
@@ -73,7 +74,7 @@ class FGAbGroup:
     def canonical_form(self) -> tuple[int, tuple]:
         """(free rank, invariant factors >= 2 in divisibility order)."""
         if self._canon is None:
-            self._canon = lattice_invariants(self.relations)
+            self._canon = lattice_invariants(self.reduced_relations)
         return self._canon
 
     @property

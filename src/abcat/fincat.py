@@ -664,6 +664,33 @@ def validate_functor(f: FinFunctor) -> ValidationReport:
 # structural checks
 
 
+class UnionFind:
+    """Union-find with path compression over indices 0..n-1."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def classes(self) -> list:
+        """The classes as sorted lists, ordered by their smallest member."""
+        buckets = {}
+        for i in range(len(self.parent)):
+            buckets.setdefault(self.find(i), []).append(i)
+        return sorted(buckets.values())
+
+
 @dataclass(frozen=True)
 class ConnectivityReport:
     connected: bool
@@ -758,25 +785,13 @@ def _slice_components(cat: FinCategory, arrows, push) -> tuple:
     their smallest member.
     """
     index = {ob: i for i, ob in enumerate(arrows)}
-    parent = list(range(len(arrows)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(len(arrows))
     for i, (x, a) in enumerate(arrows):
         for k in cat.morphisms_from(x):
             j = index.get((cat.cod[k], push(k, a)))
             if j is not None:
-                parent[find(i)] = find(j)
-    # i runs upwards, so members arrive sorted and components arrive
-    # ordered by their smallest member
-    components = {}
-    for i in range(len(arrows)):
-        components.setdefault(find(i), []).append(i)
-    return tuple(tuple(c) for c in components.values())
+                uf.union(i, j)
+    return tuple(map(tuple, uf.classes()))
 
 
 def is_final(f: FinFunctor) -> FinalityReport:

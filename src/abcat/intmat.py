@@ -7,7 +7,8 @@ row's pivot, and the basis does not depend on the generators' order.
 Kernels, preimages and solves all read one such lattice: the columns
 (M_j; e_j) of the graph of M, with (L_k; 0) for a target lattice L.
 The Smith diagonal is eliminated from the Hermite basis, whose entries
-stay below their pivots.  Smith form with transforms serves only the
+stay below their pivots; ``lattice_invariants`` takes a basis its caller
+already keeps.  Smith form with transforms serves only the
 canonical-form maps, on the matrix it is given.  Its pivoting always
 picks a nonzero entry of smallest absolute value (ties broken by
 position), which makes every transform deterministic but does not bound
@@ -558,96 +559,15 @@ def solve_many(m: IntMatrix, columns) -> IntMatrix | None:
     return IntMatrix.from_columns(sols, n)
 
 
-def _signed_quotient(n: int, columns) -> tuple[list, list, list]:
-    """Present Z^n modulo ``columns`` on fewer coordinates.
-
-    ``columns`` are sparse lists of (row, value) pairs.  A signed
-    union-find sweep, repeated to a fixed point, consumes every column
-    that kills one coordinate or identifies two up to sign (the bulk of
-    colimit presentations).  Returns ``live``, the surviving root
-    coordinates in increasing order; ``where``, holding for each
-    coordinate i either (k, sign), meaning e_i == sign * e_live[k] modulo
-    the columns, or None when e_i lies in their lattice; and the other
-    columns written densely on ``live``, zero columns and repeats dropped,
-    in first-seen order.  Z^n modulo ``columns`` is Z^len(live) modulo
-    those.
-    """
-    parent = list(range(n))
-    rel_sign = [1] * n
-    alive = [True] * n
-
-    def find(i):
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        run = 1
-        for j in reversed(path):
-            run *= rel_sign[j]
-            parent[j] = i
-            rel_sign[j] = run
-        return i, run
-
-    pending = [col for col in columns if col]
-    while True:
-        changed = False
-        nxt = []
-        for col in pending:
-            acc = {}
-            for i, val in col:
-                r, s = find(i)
-                if not alive[r]:
-                    continue
-                acc[r] = acc.get(r, 0) + s * val
-            entries = sorted((r, w) for r, w in acc.items() if w)
-            if not entries:
-                continue
-            if len(entries) == 1 and abs(entries[0][1]) == 1:
-                alive[entries[0][0]] = False
-                changed = True
-            elif len(entries) == 2 and abs(entries[0][1]) == 1 and abs(entries[1][1]) == 1:
-                (r1, w1), (r2, w2) = entries
-                parent[r2] = r1
-                rel_sign[r2] = -w1 * w2
-                changed = True
-            else:
-                nxt.append(entries)
-        pending = nxt
-        if not changed:
-            break
-
-    live = [i for i in range(n) if parent[i] == i and alive[i]]
-    index = {r: k for k, r in enumerate(live)}
-    where = []
-    for i in range(n):
-        r, s = find(i)
-        where.append((index[r], s) if alive[r] else None)
-    residual = {}
-    for col in pending:
-        dense = [0] * len(live)
-        for i, val in col:
-            if where[i] is not None:
-                dense[where[i][0]] += where[i][1] * val
-        if any(dense):
-            residual.setdefault(tuple(dense), None)
-    return live, where, list(residual)
-
-
 def lattice_invariants(relations: IntMatrix) -> tuple[int, tuple]:
     """Canonical form (free rank, invariant factors >= 2) of Z^n / columns.
 
-    Equivalent to reading the Smith diagonal of `relations`, but the
-    columns that ``_signed_quotient`` consumes never reach the dense
-    elimination.
+    Counts the diagonal of a Smith elimination, without transforms, of
+    ``relations`` as given.  Pass a Hermite basis (``ColumnLattice.
+    basis_matrix``): its entries stay below their pivots, so the
+    elimination does not grow them.
     """
-    columns = list(zip(*relations.data))
-    n, dense = relations.rows, relations
-    # the quotient needs a column that kills a coordinate or identifies two
-    if any(len(c) - c.count(0) <= 2 and all(-1 <= x <= 1 for x in c) for c in columns):
-        cols = [[(i, x) for i, x in enumerate(c) if x] for c in columns]
-        live, _, residual = _signed_quotient(n, cols)
-        n, dense = len(live), IntMatrix.from_columns(residual, len(live))
-    diag = smith_diagonal(dense)
+    a = _smith_work(relations, track=False)
+    diag = [a[i][i] for i in range(min(relations.shape))]
     rank = sum(1 for d in diag if d != 0)
-    factors = tuple(d for d in diag if d >= 2)
-    return n - rank, factors
+    return relations.rows - rank, tuple(d for d in diag if d >= 2)

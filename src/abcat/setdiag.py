@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import InputError, PreconditionError
-from .fincat import (FinCategory, FinFunctor, ProductCategory, ValidationReport,
-                     is_filtered)
+from .fincat import (FinCategory, FinFunctor, ProductCategory, UnionFind,
+                     ValidationReport, is_filtered)
 
 
 @dataclass(frozen=True)
@@ -36,32 +36,6 @@ class FinSet:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
-
-
-class UnionFind:
-    """Union-find with path compression over indices 0..n-1."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self) -> list:
-        buckets = {}
-        for i in range(len(self.parent)):
-            buckets.setdefault(self.find(i), []).append(i)
-        return sorted(buckets.values())
 
 
 class SetFunctor:
@@ -86,12 +60,6 @@ class SetFunctor:
                 if not 0 <= y < limit:
                     raise InputError(f"table for morphism {m} sends {x} to {y}, "
                                      f"outside codomain of size {limit}")
-
-    def carrier(self, c: int) -> FinSet:
-        return self.sets[c]
-
-    def table(self, m: int) -> tuple:
-        return self.tables[m]
 
     def __eq__(self, other):
         if not isinstance(other, SetFunctor):

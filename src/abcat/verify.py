@@ -250,31 +250,38 @@ def verify_fixpoints(table, f_cat: FinCategory, bg: FinCategory,
     return VerifyReport("fixed points commute with filtered colimit", ok, details)
 
 
+def _canonical_map(pairs, size: int, target_size: int) -> tuple[bool, bool]:
+    """Read the canonical map out of a colimit of ``size`` classes from
+    (class, image) pairs.  Returns whether no class is sent two ways, and
+    whether the map is a bijection onto ``target_size`` classes."""
+    mapping = [None] * size
+    consistent = True
+    for k, v in pairs:
+        if mapping[k] is not None and mapping[k] != v:
+            consistent = False
+        mapping[k] = v
+    bij = None not in mapping and len(set(mapping)) == size and size == target_size
+    return consistent, bij
+
+
 def verify_final_restriction(f: FinFunctor, d: SetFunctor) -> VerifyReport:
     """Restriction along a final functor leaves the colimit unchanged."""
     fin = is_final(f)
     restricted = restrict_along(f, d)
     colim_full, cocone_full = set_colimit(d)
     colim_res, cocone_res = set_colimit(restricted)
-    mapping = [None] * colim_res.size
-    ok = fin.final
-    for c in range(f.source.n_objects):
-        img_obj = f.on_objects[c]
-        for e in range(restricted.sets[c].size):
-            k = cocone_res.components[c][e]
-            v = cocone_full.components[img_obj][e]
-            if mapping[k] is not None and mapping[k] != v:
-                ok = False
-            mapping[k] = v
-    bij = (None not in mapping and len(set(mapping)) == colim_res.size
-           and colim_res.size == colim_full.size)
+    consistent, bij = _canonical_map(
+        ((cocone_res.components[c][e], cocone_full.components[f.on_objects[c]][e])
+         for c in range(f.source.n_objects) for e in range(restricted.sets[c].size)),
+        colim_res.size, colim_full.size)
     details = {
         "final": fin.final,
         "colimit before": colim_full.size,
         "colimit after restriction": colim_res.size,
         "canonical bijection": bij,
     }
-    return VerifyReport("final restriction preserves colimits", ok and bij, details)
+    return VerifyReport("final restriction preserves colimits",
+                        fin.final and consistent and bij, details)
 
 
 def verify_sifted_products(g: SetFunctor, h: SetFunctor) -> VerifyReport:
@@ -285,25 +292,20 @@ def verify_sifted_products(g: SetFunctor, h: SetFunctor) -> VerifyReport:
     colim_prod, cocone_prod = set_colimit(prod_diag)
     colim_g, cocone_g = set_colimit(g)
     colim_h, cocone_h = set_colimit(h)
-    mapping = [None] * colim_prod.size
-    ok = sift.sifted
-    for c in range(base.n_objects):
-        for i in range(g.sets[c].size):
-            for j in range(h.sets[c].size):
-                k = cocone_prod.components[c][pair(c, i, j)]
-                v = (cocone_g.components[c][i], cocone_h.components[c][j])
-                if mapping[k] is not None and mapping[k] != v:
-                    ok = False
-                mapping[k] = v
-    bij = (None not in mapping and len(set(mapping)) == colim_prod.size
-           and colim_prod.size == colim_g.size * colim_h.size)
+    consistent, bij = _canonical_map(
+        ((cocone_prod.components[c][pair(c, i, j)],
+          (cocone_g.components[c][i], cocone_h.components[c][j]))
+         for c in range(base.n_objects)
+         for i in range(g.sets[c].size) for j in range(h.sets[c].size)),
+        colim_prod.size, colim_g.size * colim_h.size)
     details = {
         "sifted base": sift.sifted,
         "colim of product": colim_prod.size,
         "product of colims": colim_g.size * colim_h.size,
         "canonical bijection": bij,
     }
-    return VerifyReport("sifted colimits commute with products", ok and bij, details)
+    return VerifyReport("sifted colimits commute with products",
+                        sift.sifted and consistent and bij, details)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from abcat.abgrp import (are_isomorphic, biproduct, canonicalize,
                          hom_validate, identity_hom, is_epi, is_mono, is_zero_hom,
                          kernel, zero_group, zero_hom)
 from abcat.errors import InputError
-from abcat.intmat import IntMatrix, determinant, hstack
+from abcat.intmat import ColumnLattice, IntMatrix, determinant, hstack
 from abcat.sampling import (random_group, random_hom, random_matrix, random_mono_family,
                             scramble_group)
 
@@ -27,6 +27,23 @@ def test_presentation_basics():
     assert group_from_presentation(IntMatrix([[2]])).canonical_form == (0, (2,))
     assert free_abelian(2).canonical_form == (2, ())
     assert zero_group().is_trivial
+
+
+def test_one_lattice_per_presented_group(monkeypatch):
+    built = []
+    init = ColumnLattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnLattice, "__init__", counting_init)
+    g = group_from_presentation(IntMatrix([[2, 4, 1, 0], [6, 8, 0, 0], [0, 0, 0, 6]]))
+    assert g.canonical_form == (0, (2, 6))
+    assert g.reduced_relations.cols == 3
+    assert g.contains_relation((4, 12, 0)) and not g.contains_relation((0, 0, 3))
+    assert canonicalize(g).canonical == from_canonical_form(0, (2, 6))
+    assert len(built) == 1
 
 
 def test_presentation_diag_2_3_is_z6():

@@ -187,21 +187,38 @@ def test_smith_diagonal_length_on_degenerate_shapes(rows, cols):
     assert sum(1 for d in diag if d) <= 2
 
 
+def random_unimodular(rng, n, ops=6):
+    """The identity changed by row additions with coefficient +-1 and swaps."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(ops if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.randrange(2):
+            q = rng.choice((-1, 1))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return IntMatrix(rows)
+
+
 def test_lattice_invariants_matches_smith():
     rng = random.Random(2027)
     for _ in range(80):
         rows = rng.randint(1, 6)
         cols = rng.randint(0, 7)
         m = random_matrix(rng, rows, cols, 6)
-        free, factors = lattice_invariants(m)
-        diag = smith_diagonal(m)
-        rank = sum(1 for x in diag if x)
-        assert free == rows - rank
-        assert factors == tuple(x for x in diag if x >= 2)
+        p = random_unimodular(rng, rows)
+        # a cokernel's relations: M beside a unimodular map, or part of one
+        part = IntMatrix.from_columns(list(p.columns())[1:], rows)
+        for rel in (m, hstack(m, p), hstack(m, part)):
+            free, factors = lattice_invariants(rel)
+            diag = smith_diagonal(rel)
+            rank = sum(1 for x in diag if x)
+            assert free == rows - rank
+            assert factors == tuple(x for x in diag if x >= 2)
+        assert lattice_invariants(hstack(m, p)) == (0, ())
 
 
 def test_lattice_invariants_unit_pair_heavy():
-    # columns of the e_a - e_b shape take the union-find fast path
     cols = [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, 1), (2, 0, 0, 0)]
     m = IntMatrix.from_columns(cols, 4)
     diag = smith_diagonal(m)
