@@ -17,7 +17,7 @@ import json
 import sys
 
 from .abdiag import ab_colimit, ab_limit, coinvariants, invariants, validate_diagram
-from .abgrp import describe_form, direct_sum, smith_diagonal, smith_normal_form
+from .abgrp import describe_form, direct_sum, smith_normal_form
 from .documents import AbNaturalMap, Document, EquivariantMap, FamilyMap, load_document
 from .errors import (BudgetError, DocumentError, InputError, PreconditionError,
                      TruncationError)
@@ -49,9 +49,7 @@ def _load(path, expected_kinds) -> Document:
 
 
 def _checked_category(cat):
-    report = validate_category(cat)
-    if not report.ok:
-        raise InputError("invalid category: " + "; ".join(report.problems[:3]))
+    validate_category(cat).require("invalid category")
     return cat
 
 
@@ -65,9 +63,7 @@ def _cmd_check(args) -> int:
         functor = doc.value
         _checked_category(functor.source)
         _checked_category(functor.target)
-        rep = validate_functor(functor)
-        if not rep.ok:
-            raise InputError("invalid functor: " + "; ".join(rep.problems[:3]))
+        validate_functor(functor).require("invalid functor")
         result = is_final(functor)
         payload = {"check": "final", "holds": result.final}
         if not result.final:
@@ -104,9 +100,7 @@ def _cmd_limit(args, colimit: bool) -> int:
     doc = _load(args.file, ("setdiagram",))
     diagram = doc.value
     _checked_category(diagram.base)
-    rep = validate_set_functor(diagram)
-    if not rep.ok:
-        raise InputError("invalid diagram: " + "; ".join(rep.problems[:3]))
+    validate_set_functor(diagram).require("invalid diagram")
     if colimit:
         carrier, cocone = set_colimit(diagram)
         payload = {"colimit_size": carrier.size,
@@ -146,8 +140,12 @@ def _cmd_ab(args) -> int:
     if op == "snf":
         doc = _load(args.file, ("abgroup",))
         group = doc.value
+        # the Smith diagonal, read off the group's own invariant factors
+        free, factors = group.canonical_form
+        rank = group.gens - free
         payload = {
-            "diagonal": list(smith_diagonal(group.relations)),
+            "diagonal": [1] * (rank - len(factors)) + list(factors)
+            + [0] * (min(group.relations.shape) - rank),
             "canonical_form": describe_form(group.canonical_form),
         }
         if args.format == "machine":
@@ -178,9 +176,7 @@ def _cmd_ab(args) -> int:
     if isinstance(diagram, AbNaturalMap):
         diagram = diagram.source
     _checked_category(diagram.base)
-    rep = validate_diagram(diagram)
-    if not rep.ok:
-        raise InputError("invalid diagram: " + "; ".join(rep.problems[:3]))
+    validate_diagram(diagram).require("invalid diagram")
     if op == "colimit":
         result = ab_colimit(diagram)
         _emit({"colimit": describe_form(result.carrier.canonical_form)}, args.format)

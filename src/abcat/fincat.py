@@ -26,6 +26,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.problems
 
+    def require(self, what: str) -> None:
+        """Raise InputError naming ``what`` and the first three problems."""
+        if self.problems:
+            raise InputError(f"{what}: " + "; ".join(self.problems[:3]))
+
 
 class FinCategory:
     """Fully enumerated finite category.
@@ -407,7 +412,14 @@ class ProductCategory(FinCategory):
         return p * self.right.n_morphisms + q
 
 def product_category(c: FinCategory, d: FinCategory, *, max_pairs: int = 2_000_000) -> ProductCategory:
-    """Componentwise product; objects and morphisms are index pairs."""
+    """Componentwise product, tabulated; objects and morphisms are index
+    pairs.  BudgetError when a table exceeds ``max_pairs`` composable pairs."""
+    c = c.with_composition_table(max_pairs)
+    d = d.with_composition_table(max_pairs)
+    pairs_c = list(c.composable_pairs())
+    pairs_d = list(d.composable_pairs())
+    if len(pairs_c) * len(pairs_d) > max_pairs:
+        raise BudgetError(f"product composition table exceeds {max_pairs} pairs")
     no, nm = d.n_objects, d.n_morphisms
     dom = []
     cod = []
@@ -419,24 +431,13 @@ def product_category(c: FinCategory, d: FinCategory, *, max_pairs: int = 2_000_0
              for a in range(c.n_objects) for b in range(no)]
     olabels = [f"({c.object_label(a)},{d.object_label(b)})"
                for a in range(c.n_objects) for b in range(no)]
-    table = None
-    rule = None
-    if c.has_table and d.has_table:
-        pairs_c = list(c.composable_pairs())
-        pairs_d = list(d.composable_pairs())
-        if len(pairs_c) * len(pairs_d) <= max_pairs:
-            table = {}
-            for (g1, f1) in pairs_c:
-                gf1 = c.compose(g1, f1)
-                for (g2, f2) in pairs_d:
-                    table[(g1 * nm + g2, f1 * nm + f2)] = gf1 * nm + d.compose(g2, f2)
-    if table is None:
-        def rule(g, f, _c=c, _d=d, _nm=nm):
-            g1, g2 = divmod(g, _nm)
-            f1, f2 = divmod(f, _nm)
-            return _c.compose(g1, f1) * _nm + _d.compose(g2, f2)
+    table = {}
+    for (g1, f1) in pairs_c:
+        gf1 = c.compose(g1, f1)
+        for (g2, f2) in pairs_d:
+            table[(g1 * nm + g2, f1 * nm + f2)] = gf1 * nm + d.compose(g2, f2)
     return ProductCategory(c, d, c.n_objects * no, dom, cod, ident, table,
-                           compose_rule=rule, object_labels=olabels)
+                           object_labels=olabels)
 
 
 def diagonal_functor(c: FinCategory) -> tuple[FinFunctor, ProductCategory]:
@@ -447,21 +448,9 @@ def diagonal_functor(c: FinCategory) -> tuple[FinFunctor, ProductCategory]:
     return FinFunctor(c, p, on_obj, on_mor), p
 
 
-class CommaCategory(FinCategory):
-    """Slice c / F; objects are morphisms c -> F(x), kept in object_data."""
-
-    __slots__ = ("anchor", "functor", "object_data", "morphism_data")
-
-    def __init__(self, anchor, functor, object_data, morphism_data, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.anchor = anchor
-        self.functor = functor
-        self.object_data = object_data
-        self.morphism_data = morphism_data
-
-
-def comma_category(c: int, f: FinFunctor) -> CommaCategory:
-    """The slice category c / F for an object c of F's target."""
+def comma_category(c: int, f: FinFunctor) -> FinCategory:
+    """The slice category c / F for an object c of F's target; its objects
+    are the pairs (x, c -> F(x)), labelled ``x|arrow``."""
     target = f.target
     source = f.source
     if not 0 <= c < target.n_objects:
@@ -490,8 +479,7 @@ def comma_category(c: int, f: FinFunctor) -> CommaCategory:
             if t1 == s2:
                 comp[(j2, j1)] = mor_index[(s1, t2, source.compose(k2, k1))]
     olabels = [f"{source.object_label(x)}|{target.morphism_label(a)}" for x, a in objs]
-    return CommaCategory(c, f, tuple(objs), tuple(mors),
-                         len(objs), dom, cod, ident, comp, object_labels=olabels)
+    return FinCategory(len(objs), dom, cod, ident, comp, object_labels=olabels)
 
 
 def full_subcategory(cat: FinCategory, objects) -> tuple[FinCategory, FinFunctor]:
@@ -521,7 +509,7 @@ def full_subcategory(cat: FinCategory, objects) -> tuple[FinCategory, FinFunctor
 # validation
 
 
-def validate_category(cat: FinCategory, *, check_generators: bool = True) -> ValidationReport:
+def validate_category(cat: FinCategory) -> ValidationReport:
     """Exhaustively check all category laws; index range errors raise.
 
     The report lists every violation found: dom/cod mismatches of
@@ -597,7 +585,7 @@ def validate_category(cat: FinCategory, *, check_generators: bool = True) -> Val
             if hg_f is not None and hg_f != h_gf:
                 problems.append(f"associativity fails on triple ({h},{g},{f})")
 
-    if check_generators and cat.generators is not None:
+    if cat.generators is not None:
         reachable = generator_closure(cat, composites)
         for f in range(m):
             if f not in reachable:

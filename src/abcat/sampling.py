@@ -32,20 +32,19 @@ _FACTOR_CHAINS = [(), (2,), (3,), (4,), (5,), (6,),
                   (2, 2), (2, 4), (2, 6), (3, 3), (3, 6), (4, 4), (5, 5), (6, 6)]
 
 
-def random_group(rng: Random, max_gens: int = 2, max_factor: int = 6) -> FGAbGroup:
+def random_group(rng: Random, max_gens: int = 2) -> FGAbGroup:
     """A canonical-form group with at most ``max_gens`` generators."""
-    chains = [c for c in _FACTOR_CHAINS
-              if len(c) <= max_gens and all(d <= max_factor for d in c)]
+    chains = [c for c in _FACTOR_CHAINS if len(c) <= max_gens]
     factors = rng.choice(chains)
     free = rng.randint(0, max_gens - len(factors))
     return from_canonical_form(free, factors)
 
 
-def _random_unimodular(rng: Random, n: int, ops: int = 4):
-    """A small unimodular matrix together with its inverse."""
+def _random_unimodular(rng: Random, n: int):
+    """Four random elementary operations as a unimodular matrix, with its inverse."""
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ui = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(ops if n > 1 else 0):
+    for _ in range(4 if n > 1 else 0):
         kind = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
         if kind == 0:
@@ -106,8 +105,8 @@ def random_mono_family(rng: Random, size: int):
     return source, target, monos
 
 
-def random_hom(rng: Random, a: FGAbGroup, b: FGAbGroup, bound: int = 3) -> AbHom:
-    """A uniformly messy but well-defined homomorphism."""
+def random_hom(rng: Random, a: FGAbGroup, b: FGAbGroup) -> AbHom:
+    """A messy but well-defined homomorphism; multipliers lie in [-3, 3]."""
     ca = canonicalize(a)
     cb = canonicalize(b)
     src, tgt = ca.canonical, cb.canonical
@@ -117,12 +116,12 @@ def random_hom(rng: Random, a: FGAbGroup, b: FGAbGroup, bound: int = 3) -> AbHom
     for j, dj in enumerate(src_orders):
         for i, ei in enumerate(tgt_orders):
             if dj == 0:
-                rows[i][j] = rng.randint(-bound, bound)
+                rows[i][j] = rng.randint(-3, 3)
             elif ei == 0:
                 rows[i][j] = 0
             else:
                 step = ei // gcd(ei, dj)
-                k = rng.randint(-bound, bound)
+                k = rng.randint(-3, 3)
                 rows[i][j] = k * step
     middle = AbHom(src, tgt, IntMatrix(rows, shape=(tgt.gens, src.gens)))
     return hom_compose(cb.from_canonical, hom_compose(middle, ca.to_canonical))
@@ -133,12 +132,12 @@ def _canonical_orders(group: FGAbGroup):
     return list(factors) + [0] * free
 
 
-def random_mono_chain(rng: Random, length: int, max_extra: int = 1) -> AbDiagram:
+def random_mono_chain(rng: Random, length: int) -> AbDiagram:
     """Chain diagram with monic transitions (iterated scrambled inclusions)."""
     base = chain_category(length)
     plain = [random_group(rng, max_gens=1)]
     for _ in range(length - 1):
-        extra = random_group(rng, max_gens=max_extra)
+        extra = random_group(rng, max_gens=1)
         summed = direct_sum([plain[-1], extra])
         plain.append(summed)
     scrambles = [scramble_group(rng, g) for g in plain]
@@ -216,11 +215,10 @@ def random_involution(rng: Random, size: int):
     return tuple(table)
 
 
-def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor,
-                  max_size: int, attempts: int = 200):
+def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor, max_size: int):
     """A random diagram h2 on the same shape plus a natural map h => h2."""
     glued = shape.generating()
-    for _ in range(attempts):
+    for _ in range(200):
         h2 = random_shape_functor(rng, shape, max_size)
         tau = [None] * shape.n_objects
         ok = True
@@ -356,13 +354,12 @@ def random_gset_chain(rng: Random, chain_len: int, max_size: int = 5):
 
 
 def random_poset_functor(rng: Random, poset: FinCategory, covers,
-                         max_size: int = 3, top_max: int = 2,
-                         top_objects=(), attempts: int = 5000) -> SetFunctor:
-    """Random diagram on a poset, built on cover maps and retried until
-    all composites agree."""
+                         max_size: int = 3, top_objects=()) -> SetFunctor:
+    """Random diagram on a poset, built on cover maps and retried until all
+    composites agree; sets at ``top_objects`` have at most two elements."""
     cover_set = {tuple(c) for c in covers}
-    for _ in range(attempts):
-        sizes = [rng.randint(1, top_max if c in top_objects else max_size)
+    for _ in range(5000):
+        sizes = [rng.randint(1, 2 if c in top_objects else max_size)
                  for c in range(poset.n_objects)]
         sets = [FinSet(s) for s in sizes]
         cover_tables = {}

@@ -22,8 +22,8 @@ from .errors import InputError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
                      is_final, is_sifted, parallel_pair_category, span_category,
                      validate_category)
-from .intmat import IntMatrix, block_diagonal
-from .harting import HXCategory, harting_compare, harting_expand, hx_category
+from .intmat import block_diagonal
+from .harting import harting_compare, harting_expand, hx_category
 from .setdiag import (SetFunctor, commute_check, fixed_point_indices, restrict_along,
                       set_colimit, pointwise_product, FinSet)
 from .setdiag import validate_functor as validate_set_functor
@@ -84,13 +84,11 @@ def verify_notlex(source: GModule, target: GModule, component: AbHom) -> VerifyR
     return VerifyReport("left-exactness counterexample", ok, details)
 
 
-def verify_harting(family, cap: int = 2, stability_cap: int | None = None,
-                   hx: HXCategory | None = None) -> VerifyReport:
+def verify_harting(family, cap: int = 2, stability_cap: int | None = None) -> VerifyReport:
     """Expansion colimit equals the coproduct, with an explicit isomorphism."""
     family = list(family)
     alphabet = FinSet(len(family))
-    if hx is None:
-        hx = hx_category(alphabet, cap)
+    hx = hx_category(alphabet, cap)
     comparison = harting_compare(family, hx)
     details = {
         "canonical form": describe_form(comparison.canonical_form),
@@ -111,9 +109,9 @@ def verify_harting(family, cap: int = 2, stability_cap: int | None = None,
     return VerifyReport("coproduct expansion comparison", ok, details)
 
 
-def verify_ab4(source_family, target_family, monos, *, cross_cap: int | None = 2) -> VerifyReport:
-    """Coproducts of monos are mono, optionally cross-checked through the
-    word-category expansion route."""
+def verify_ab4(source_family, target_family, monos, *, cross_cap: int = 2) -> VerifyReport:
+    """Coproducts of monos are mono, cross-checked through the word-category
+    expansion route with words of length at most ``cross_cap``."""
     report = ab4_check(source_family, target_family, monos)
     details = {
         "direct sum source": describe_form(report.source_sum.canonical_form),
@@ -122,7 +120,7 @@ def verify_ab4(source_family, target_family, monos, *, cross_cap: int | None = 2
         "induced mono": report.ok,
     }
     ok = report.ok
-    if cross_cap is not None and source_family:
+    if source_family:
         hx = hx_category(FinSet(len(list(source_family))), cross_cap)
         src = list(source_family)
         tgt = list(target_family)
@@ -133,9 +131,7 @@ def verify_ab4(source_family, target_family, monos, *, cross_cap: int | None = 2
         d_tgt = cmp_tgt.colimit.diagram
         components = []
         for oi, obj in enumerate(hx.objects):
-            blocks = [monos[v] for v in obj.word]
-            mat = block_diagonal([b.matrix for b in blocks]) if blocks \
-                else IntMatrix.zeros(0, 0)
+            mat = block_diagonal([monos[v].matrix for v in obj.word])
             components.append(AbHom(d_src.groups[oi], d_tgt.groups[oi], mat))
         induced_hx, _, _ = induced_map_on_colimits(d_src, d_tgt, components,
                                                    cmp_src.colimit, cmp_tgt.colimit)
@@ -187,10 +183,7 @@ def verify_ab5(d: AbDiagram, e: AbDiagram, components) -> VerifyReport:
 
 def verify_commute(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> VerifyReport:
     """Colimit-limit interchange for a diagram on a product base."""
-    functor_report = validate_set_functor(x)
-    if not functor_report.ok:
-        raise InputError("diagram breaks functor laws: "
-                         + "; ".join(functor_report.problems[:3]))
+    validate_set_functor(x).require("diagram breaks functor laws")
     rep = commute_check(f_cat, d_cat, x)
     details = {
         "colim of limits": rep.lhs.size,
@@ -209,10 +202,7 @@ def verify_fixpoints(table, f_cat: FinCategory, bg: FinCategory,
 
     ``table`` is ignored; the group is read off ``bg``.
     """
-    functor_report = validate_set_functor(x)
-    if not functor_report.ok:
-        raise InputError("diagram breaks functor laws: "
-                         + "; ".join(functor_report.problems[:3]))
+    validate_set_functor(x).require("diagram breaks functor laws")
     rep = commute_check(f_cat, bg, x)
     base = x.base
     fixed_sets = []
@@ -350,12 +340,9 @@ def _ab5(value, **_):
     if not isinstance(value, AbNaturalMap):
         raise InputError("ab5 expects an abdiagram document with target and maps")
     # naturality is checked at generators only, which presumes functors
-    for what, validate, item in (("category", validate_category, value.source.base),
-                                 ("diagram", validate_diagram, value.source),
-                                 ("target diagram", validate_diagram, value.target)):
-        report = validate(item)
-        if not report.ok:
-            raise InputError(f"invalid {what}: " + "; ".join(report.problems[:3]))
+    validate_category(value.source.base).require("invalid category")
+    validate_diagram(value.source).require("invalid diagram")
+    validate_diagram(value.target).require("invalid target diagram")
     return verify_ab5(value.source, value.target, list(value.components))
 
 

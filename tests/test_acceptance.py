@@ -109,7 +109,7 @@ def test_criterion_04_word_category_bounded_structure():
     with Budget(4, "bounded filteredness and siftedness of word categories", 60.0):
         for letters in (1, 2, 3):
             hx = hx_category(FinSet(letters), 4)
-            filtered = hx_filtered_bounded_report(hx, parallel_arity_cap=2)
+            filtered = hx_filtered_bounded_report(hx)
             assert filtered.ok, (letters, filtered.failures[:3])
             # upper bounds exist for every pair with combined arity <= 4
             pairs = sum(1 for ui in range(len(hx.objects))
@@ -195,9 +195,9 @@ def test_criterion_08_final_restriction_and_sifted_products():
         diamond = diamond_category()
         for trial in range(10):
             g = random_poset_functor(rng, diamond, DIAMOND_COVERS, max_size=3,
-                                     top_max=2, top_objects=(3,))
+                                     top_objects=(3,))
             h = random_poset_functor(rng, diamond, DIAMOND_COVERS, max_size=3,
-                                     top_max=2, top_objects=(3,))
+                                     top_objects=(3,))
             report = verify_sifted_products(g, h)
             assert report.ok, (trial, report.details)
 

@@ -11,8 +11,8 @@ from abcat.abdiag import constant_diagram
 from abcat.abgrp import cyclic
 from abcat.cli import main
 from abcat.documents import Document, serialize_document
-from abcat.fincat import chain_category, identity_functor
-from abcat.intmat import _smith_work
+from abcat.fincat import FinFunctor, chain_category, group_as_category, identity_functor
+from abcat.intmat import ColumnLattice, _smith_work
 from abcat.sampling import random_matrix
 from abcat.setdiag import FinSet, SetFunctor
 
@@ -71,6 +71,20 @@ def test_ab_snf(capsys):
     assert code == 0
     assert "canonical_form: Z/6" in out
     assert "diagonal: [1, 6]" in out
+
+
+def test_ab_snf_builds_one_relation_lattice(monkeypatch, capsys):
+    built = []
+    init = ColumnLattice.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnLattice, "__init__", counting)
+    code, out, _ = run_cli(capsys, "ab", "snf", FIXTURES / "z6_presentation.json")
+    assert code == 0 and "diagonal: [1, 6]" in out
+    assert len(built) == 1
 
 
 def test_ab_snf_text_reads_the_diagonal_only(capsys, tmp_path):
@@ -223,6 +237,14 @@ def test_ill_defined_hom_is_rejected(capsys, tmp_path):
         assert err.startswith("error: invalid diagram:") and err.count("\n") == 1
         assert "does not respect the relations" in err
 
+    def edit_target(doc):
+        # the target's identity at object 0 becomes negation
+        doc["target"]["homs"]["0<=0"] = [[-1]]
+    bad = _broken_ab5_chain(tmp_path, "bad_target.json", edit_target)
+    assert run_cli(capsys, "verify", "ab5", bad) == (
+        2, "", "error: invalid target diagram: hom of identity morphism at object 0 "
+        "is not the identity; homs break composite (0,0); homs break composite (1,0)\n")
+
 
 def test_verify_commute_and_fixpoints_file(capsys):
     code, out, _ = run_cli(capsys, "verify", "commute", FIXTURES / "gset_chain.json")
@@ -330,6 +352,21 @@ def test_verify_rejects_lawless_diagram(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "commute", broken)
     assert code == 2
     assert "functor laws" in err
+    doc = json.loads((FIXTURES / "gset_chain.json").read_text())
+    doc["maps"]["m1"] = [1, 1, 2]   # g acts on (0,*) with g∘g != e
+    broken.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", "commute", broken) == (
+        2, "", "error: diagram breaks functor laws: tables break composite (1,1)\n")
+
+
+def test_check_final_rejects_a_functor_that_breaks_a_composite(tmp_path, capsys):
+    z3 = group_as_category([[(i + j) % 3 for j in range(3)] for i in range(3)])
+    # g -> g and g^2 -> g, so F(g∘g) != F(g)∘F(g)
+    path = tmp_path / "functor.json"
+    path.write_text(serialize_document(Document("functor", FinFunctor(z3, z3, [0], [0, 1, 1]))))
+    assert run_cli(capsys, "check", "final", path) == (
+        2, "", "error: invalid functor: functor breaks composite (1,1); "
+        "functor breaks composite (1,2); functor breaks composite (2,1)\n")
 
 
 def test_module_entry_point_subprocess():

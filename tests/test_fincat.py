@@ -3,7 +3,7 @@ decidable checks, cross-checked against independent enumeration."""
 
 import pytest
 
-from abcat.errors import InputError, PreconditionError
+from abcat.errors import BudgetError, InputError, PreconditionError
 from abcat.fincat import (FinCategory, FinFunctor, chain_category, comma_category,
                           cone_search, cospan_category, diamond_category,
                           diagonal_functor, discrete_category, find_zigzag,
@@ -91,6 +91,21 @@ def test_product_chain2_squared():
     p = product_category(c, c)
     assert p.n_objects == c.n_objects ** 2 == 4
     assert p.n_morphisms == c.n_morphisms ** 2 == 9
+    assert validate_category(p).ok
+
+
+def test_product_tabulates_within_its_budget():
+    # discrete(3) has 3 composable pairs, so the product needs 9
+    with pytest.raises(BudgetError):
+        product_category(discrete_category(3), discrete_category(3), max_pairs=5)
+    assert product_category(discrete_category(3), discrete_category(3), max_pairs=9).has_table
+    from abcat.harting import hx_category
+    from abcat.setdiag import FinSet
+    words = hx_category(FinSet(1), 2).category
+    assert not words.has_table
+    p = product_category(words, discrete_category(2))
+    assert p.has_table
+    assert p.n_morphisms == 2 * words.n_morphisms
     assert validate_category(p).ok
 
 
