@@ -123,12 +123,11 @@ class AbColimit:
         self.diagram = diagram
         self.representatives = representatives
 
-    def factor(self, components, *, vertex: FGAbGroup | None = None,
-               check: bool = True) -> AbHom:
+    def factor(self, components, *, check: bool = True) -> AbHom:
         """The unique map out of the colimit matching a cocone, read at the
         ``representatives``.  ``check`` tests the cocone condition at the
-        base's generators.  ``vertex`` is only needed for the empty base,
-        where it cannot be read off the components.
+        base's generators.  Over the empty base the vertex is the zero
+        group.
         """
         components = list(components)
         if len(components) != self.diagram.base.n_objects:
@@ -140,10 +139,7 @@ class AbColimit:
                 if not hom_equal(hom_compose(components[b], self.diagram.hom(m)),
                                  components[a]):
                     raise InputError(f"components do not form a cocone at morphism {m}")
-        if components:
-            vertex = components[0].target
-        elif vertex is None:
-            vertex = zero_group()
+        vertex = components[0].target if components else zero_group()
         matrix = IntMatrix.from_columns(
             [components[c].matrix.column(i) for c, i in self.representatives], vertex.gens)
         return AbHom(self.carrier, vertex, matrix)
@@ -160,25 +156,22 @@ class AbLimit:
         self.diagram = diagram
         self._inclusion = inclusion
 
-    def factor(self, components, *, vertex: FGAbGroup | None = None,
-               check: bool = True) -> AbHom:
-        """The unique map into the limit matching a cone.  ``check``
-        tests the cone condition at the base's generators.  ``vertex`` is
-        only needed for the empty base.
+    def factor(self, components) -> AbHom:
+        """The unique map into the limit matching a cone, after testing
+        the cone condition at the base's generators.  Over the empty base
+        the vertex is the zero group.
         """
         components = list(components)
         base = self.diagram.base
         if len(components) != base.n_objects:
             raise InputError("one cone component per object required")
-        if check:
-            for m in base.generating():
-                a, b = base.dom[m], base.cod[m]
-                if not hom_equal(hom_compose(self.diagram.hom(m), components[a]),
-                                 components[b]):
-                    raise InputError(f"components do not form a cone at morphism {m}")
+        for m in base.generating():
+            a, b = base.dom[m], base.cod[m]
+            if not hom_equal(hom_compose(self.diagram.hom(m), components[a]),
+                             components[b]):
+                raise InputError(f"components do not form a cone at morphism {m}")
         if not components:
-            source = vertex if vertex is not None else zero_group()
-            return zero_hom(source, self.carrier)
+            return zero_hom(zero_group(), self.carrier)
         source = components[0].source
         combined = AbHom(source, self._inclusion.target,
                          vstack(*[c.matrix for c in components]))

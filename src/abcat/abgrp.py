@@ -22,8 +22,8 @@ from itertools import accumulate
 from .errors import InputError
 from .fincat import ValidationReport
 from .intmat import (ColumnLattice, IntMatrix, block_diagonal, hstack,
-                     lattice_invariants, preimage_basis, smith, smith_diagonal,
-                     smith_normal_form, solve_many)
+                     lattice_invariants, preimage_basis, smith, smith_normal_form,
+                     solve_many)
 
 __all__ = [
     "FGAbGroup", "AbHom", "Canonicalization",
@@ -34,7 +34,7 @@ __all__ = [
     "kernel", "cokernel", "direct_sum", "biproduct", "is_mono", "is_epi",
     "canonicalize", "are_isomorphic",
     "factor_through_kernel", "factor_through_cokernel",
-    "smith", "smith_normal_form", "smith_diagonal", "IntMatrix",
+    "smith", "smith_normal_form", "IntMatrix",
 ]
 
 

@@ -47,7 +47,8 @@ class FinCategory:
 
     __slots__ = ("n_objects", "dom", "cod", "identity", "_table", "_rule",
                  "object_labels", "morphism_labels", "generators",
-                 "_hom_cache", "_out_cache", "_in_cache", "_generating")
+                 "_hom_cache", "_out_cache", "_in_cache", "_generating",
+                 "_generating_from")
 
     def __init__(self, n_objects, dom, cod, identity, composition=None, *,
                  compose_rule=None, object_labels=None, morphism_labels=None,
@@ -76,6 +77,7 @@ class FinCategory:
         self._out_cache = None
         self._in_cache = None
         self._generating = None
+        self._generating_from = None
 
     @property
     def n_morphisms(self) -> int:
@@ -94,6 +96,15 @@ class FinCategory:
                 else range(self.n_morphisms)
             self._generating = tuple(m for m in pool if self.identity[self.dom[m]] != m)
         return self._generating
+
+    def generating_from(self, x: int) -> tuple:
+        """The ``generating()`` morphisms with domain x, in index order."""
+        if self._generating_from is None:
+            out = [[] for _ in range(self.n_objects)]
+            for m in self.generating():
+                out[self.dom[m]].append(m)
+            self._generating_from = tuple(map(tuple, out))
+        return self._generating_from[x]
 
     def composable(self, g: int, f: int) -> bool:
         return self.cod[f] == self.dom[g]
@@ -652,63 +663,54 @@ def validate_functor(f: FinFunctor) -> ValidationReport:
 # structural checks
 
 
-class UnionFind:
-    """Union-find with path compression over indices 0..n-1."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self) -> list:
-        """The classes as sorted lists, ordered by their smallest member."""
-        buckets = {}
-        for i in range(len(self.parent)):
-            buckets.setdefault(self.find(i), []).append(i)
-        return sorted(buckets.values())
-
-
 @dataclass(frozen=True)
 class ConnectivityReport:
     connected: bool
     components: tuple
 
 
-def _undirected_components(cat: FinCategory):
-    seen = [False] * cat.n_objects
-    components = []
-    for start in range(cat.n_objects):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        comp = []
-        while queue:
-            u = queue.pop(0)
-            comp.append(u)
-            for v in sorted({cat.cod[m] for m in cat.morphisms_from(u)}
-                            | {cat.dom[m] for m in cat.morphisms_to(u)}):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        components.append(tuple(sorted(comp)))
-    return tuple(components)
+def element_classes(cat: FinCategory, elements, push) -> tuple:
+    """Components of a category of elements, by union-find.
+
+    ``elements`` lists pairs (x, e), x an object of ``cat``; a generating
+    morphism k: x -> y joins (x, e) to (y, push(k, e)), and is skipped
+    when that pair is not listed.  For a functor the generating morphisms
+    join what all morphisms join.  Classes are sorted tuples of indices
+    into ``elements``, ordered by their smallest member.
+    """
+    index = {el: i for i, el in enumerate(elements)}
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    cod = cat.cod
+    for i, (x, e) in enumerate(elements):
+        ri = find(i)
+        for k in cat.generating_from(x):
+            j = index.get((cod[k], push(k, e)))
+            if j is not None:
+                rj = find(j)
+                if rj < ri:
+                    parent[ri] = rj
+                    ri = rj
+                elif rj > ri:
+                    parent[rj] = ri
+    # roots are least members, so one pass in index order resolves them
+    classes = {}
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+        classes.setdefault(parent[i], []).append(i)
+    return tuple(map(tuple, classes.values()))
 
 
 def is_connected(cat: FinCategory) -> ConnectivityReport:
     """Nonempty, and every pair of objects joined by a zig-zag."""
-    comps = _undirected_components(cat)
+    comps = element_classes(cat, [(x, None) for x in range(cat.n_objects)],
+                            lambda k, e: None)
     return ConnectivityReport(len(comps) == 1, comps)
 
 
@@ -763,32 +765,13 @@ class FinalityReport:
     slice_components: tuple
 
 
-def _slice_components(cat: FinCategory, arrows, push) -> tuple:
-    """Components of a slice, found by union-find over its objects and edges.
-
-    ``arrows`` lists the slice objects as pairs (x, arrow), x an object of
-    ``cat``, in index order; a morphism k: x -> y of ``cat`` joins (x, a)
-    to (y, push(k, a)) when that pair is a slice object.  Components come
-    in the order of ``_undirected_components``: each sorted, ordered by
-    their smallest member.
-    """
-    index = {ob: i for i, ob in enumerate(arrows)}
-    uf = UnionFind(len(arrows))
-    for i, (x, a) in enumerate(arrows):
-        for k in cat.morphisms_from(x):
-            j = index.get((cat.cod[k], push(k, a)))
-            if j is not None:
-                uf.union(i, j)
-    return tuple(map(tuple, uf.classes()))
-
-
 def is_final(f: FinFunctor) -> FinalityReport:
     """True iff every slice c / F is connected, for c in the target.
 
-    Each slice is decided by union-find over its objects (x, c -> F x) and
-    the edges that morphisms of the source induce; no comma category is
-    built.  ``slice_components`` equals ``is_connected(comma_category(c,
-    f)).components`` for each c.
+    Each slice's objects (x, c -> F x) are glued by ``element_classes``
+    along the source's generating morphisms; no comma category is built.
+    When ``f`` is a functor, ``slice_components`` equals
+    ``is_connected(comma_category(c, f)).components`` for each c.
     """
     source, target = f.source, f.target
     failing = []
@@ -796,7 +779,7 @@ def is_final(f: FinFunctor) -> FinalityReport:
     for c in range(target.n_objects):
         arrows = [(x, a) for x in range(source.n_objects)
                   for a in target.hom(c, f.on_objects[x])]
-        comps = _slice_components(
+        comps = element_classes(
             source, arrows, lambda k, a: target.compose(f.on_morphisms[k], a))
         slice_components.append(comps)
         if len(comps) != 1:
@@ -861,11 +844,11 @@ def is_sifted(cat: FinCategory) -> SiftedReport:
     """Nonempty with a final diagonal into the square of the category.
 
     The slice (a, b) / Δ has objects (x, (p, q)) with p: a -> x and
-    q: b -> x, and k: x -> y sends (p, q) to (k∘p, k∘q).  Each slice is
-    decided by union-find over these objects and edges, so neither the
-    product category, the diagonal functor nor any comma category is
-    built.  ``failing_pairs`` lists the pairs (a, b) with a disconnected
-    slice, in the order of ``diagonal_functor``'s product objects.
+    q: b -> x, and k: x -> y sends (p, q) to (k∘p, k∘q).  Slices are
+    decided by ``element_classes``, building no product, diagonal or comma
+    category; when Δ is a functor their components are ``comma_category``'s.
+    ``failing_pairs`` lists the pairs (a, b) with a disconnected slice, in
+    the order of ``diagonal_functor``'s product objects.
     """
     if cat.n_objects == 0:
         return SiftedReport(False, "category is empty", ())
@@ -879,7 +862,7 @@ def is_sifted(cat: FinCategory) -> SiftedReport:
         for b in range(n):
             arrows = [(x, (p, q)) for x in range(n)
                       for p in cat.hom(a, x) for q in cat.hom(b, x)]
-            if len(_slice_components(cat, arrows, push)) != 1:
+            if len(element_classes(cat, arrows, push)) != 1:
                 failing.append((a, b))
     reason = "disconnected diagonal slice" if failing else None
     return SiftedReport(not failing, reason, tuple(failing))

@@ -85,8 +85,8 @@ def scramble_group(rng: Random, group: FGAbGroup):
             AbHom(scrambled, group, p_inv))
 
 
-def random_family(rng: Random, size: int, max_gens: int = 2) -> list:
-    return [random_group(rng, max_gens=max_gens) for _ in range(size)]
+def random_family(rng: Random, size: int) -> list:
+    return [random_group(rng) for _ in range(size)]
 
 
 def random_mono_family(rng: Random, size: int):

@@ -1,20 +1,20 @@
 """Diagrams of finite sets on finite categories: limits, colimits, and
 the commutation harness for filtered colimits against finite limits.
 
-Limits are cut out of products by exhaustive tuple filtering; colimits
-are quotients of tagged disjoint unions computed by union-find.  Both
-come with their (co)cones, and both pick canonical representatives so
-golden tests stay byte-stable.
+Limits are cut out of products by exhaustive tuple filtering; a colimit
+is the set of components of the diagram's category of elements, from
+``fincat.element_classes``.  Both come with their (co)cones, and both
+pick canonical representatives so golden tests stay byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 from .errors import InputError, PreconditionError
-from .fincat import (FinCategory, FinFunctor, ProductCategory, UnionFind,
-                     ValidationReport, is_filtered)
+from .fincat import (FinCategory, FinFunctor, ProductCategory, ValidationReport,
+                     element_classes, is_filtered)
 
 
 @dataclass(frozen=True)
@@ -139,41 +139,24 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
     """Colimit carrier and insertion cocone.
 
     Classes of the tagged disjoint union under the closure of
-    (c, x) ~ (c', table(x)); representatives are the least pair in
-    (object index, element index) order.  The glued morphisms are the
-    base's ``generating()`` morphisms, whose closure is the same.
+    (c, x) ~ (c', table(x)): the components of the diagram's category of
+    elements, from ``element_classes`` (which glues along the base's
+    ``generating()`` morphisms).  Representatives are the least pair in
+    (object index, element index) order.
     """
     base = d.base
-    offsets = []
-    total = 0
-    for s in d.sets:
-        offsets.append(total)
-        total += s.size
-    uf = UnionFind(total)
-    for m in base.generating():
-        a, b = base.dom[m], base.cod[m]
-        t = d.tables[m]
-        for x in range(d.sets[a].size):
-            uf.union(offsets[a] + x, offsets[b] + t[x])
-    classes = uf.classes()
-
-    def decode(i):
-        for c in range(base.n_objects - 1, -1, -1):
-            if offsets[c] <= i:
-                return c, i - offsets[c]
-        raise InputError("empty diagram has no elements")
-
-    class_of = [0] * total
+    elements = [(c, x) for c in range(base.n_objects) for x in range(d.sets[c].size)]
+    classes = element_classes(base, elements, lambda m, x: d.tables[m][x])
+    class_of = [0] * len(elements)
     labels = []
     for k, members in enumerate(classes):
         for i in members:
             class_of[i] = k
-        c, x = decode(members[0])
+        c, x = elements[members[0]]
         labels.append(f"{base.object_label(c)}.{d.sets[c].label(x)}")
     carrier = FinSet(len(classes), tuple(labels))
-    components = tuple(
-        tuple(class_of[offsets[c] + x] for x in range(d.sets[c].size))
-        for c in range(base.n_objects))
+    flat = iter(class_of)
+    components = tuple(tuple(islice(flat, s.size)) for s in d.sets)
     return carrier, Cocone(carrier, components)
 
 
@@ -217,7 +200,7 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
 
     # limits along the finite factor, one per object of the filtered factor
     lim_carriers = []
-    lim_cones = []
+    lim_points = []
     lim_index = []
     for a in range(f_cat.n_objects):
         inj = FinFunctor(d_cat, base,
@@ -227,13 +210,13 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
         carrier, cone = set_limit(restrict_along(inj, x))
         pts = limit_points(cone)
         lim_carriers.append(carrier)
-        lim_cones.append(cone)
+        lim_points.append(pts)
         lim_index.append({p: i for i, p in enumerate(pts)})
     lim_tables = []
     for u in range(f_cat.n_morphisms):
         a, a2 = f_cat.dom[u], f_cat.cod[u]
         table = []
-        for p in limit_points(lim_cones[a]):
+        for p in lim_points[a]:
             q = tuple(x.tables[base.pair_morphism(u, d_cat.identity[c])][p[c]]
                       for c in range(d_cat.n_objects))
             if q not in lim_index[a2]:
@@ -284,7 +267,7 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
     mapping = []
     for k in range(lhs.size):
         a, i = reps[k]
-        point = limit_points(lim_cones[a])[i]
+        point = lim_points[a][i]
         image = tuple(colim_cocones[c].components[a][point[c]]
                       for c in range(d_cat.n_objects))
         j = rhs_index.get(image)

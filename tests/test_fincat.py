@@ -300,6 +300,24 @@ def test_sifted_and_final_never_build_the_square(monkeypatch):
     assert rep.final and len(rep.slice_components) == grid.n_objects
 
 
+def test_slices_glue_along_generators_only():
+    class Recording(FinCategory):
+        def compose(self, g, f):
+            pushed.append(g)
+            return super().compose(g, f)
+
+    chain = chain_category(5)
+    covers = [m for m in range(chain.n_morphisms) if chain.cod[m] == chain.dom[m] + 1]
+    table = {pair: chain.compose(*pair) for pair in chain.composable_pairs()}
+    cat = Recording(5, chain.dom, chain.cod, chain.identity, table, generators=covers)
+    pushed = []
+    assert validate_category(cat).ok
+    pushed.clear()
+    assert is_sifted(cat).sifted
+    assert is_final(identity_functor(cat)).final
+    assert set(pushed) == set(covers)
+
+
 def test_cone_search_chain_top():
     cat = chain_category(3)
     shape = discrete_category(2)

@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private helper of the library is used somewhere in it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "abcat"
@@ -42,3 +44,57 @@ def test_library_modules_use_every_import():
     leftovers = {path.name: unused_imports(path.read_text())
                  for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: found for name, found in leftovers.items() if found} == {}
+
+
+def _references(node) -> Counter:
+    """Names read, attributes accessed and names imported under ``node``."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level function or class, and
+    each method of a module-level class, whose name starts with ``_``
+    (dunders aside) and that nothing in ``sources`` refers to outside its
+    own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    functions = ast.FunctionDef, ast.AsyncFunctionDef
+    found = []
+    for module, tree in trees.items():
+        candidates = [node for node in tree.body
+                      if isinstance(node, functions + (ast.ClassDef,))]
+        candidates += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                       for item in node.body if isinstance(item, functions)]
+        for node in candidates:
+            name = node.name
+            if (name.startswith("_") and not name.endswith("__")
+                    and everywhere[name] == _references(node)[name]):
+                found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_checker_flags_an_unreferenced_private_helper():
+    sources = {"a.py": ("def _used():\n    return _recursive()\n"
+                        "def _recursive():\n    return _recursive()\n"
+                        "class _Box:\n"
+                        "    def __init__(self):\n        self._fill()\n"
+                        "    def _fill(self):\n        pass\n"
+                        "    def _spare(self):\n        pass\n"),
+               "b.py": "from .a import _Box, _used\n"}
+    assert unreferenced_private_names(sources) == [("a.py", 10, "_spare")]
+    sources["a.py"] = sources["a.py"].replace("return _recursive()\n", "return 0\n", 1)
+    assert unreferenced_private_names(sources) == [("a.py", 3, "_recursive"),
+                                                  ("a.py", 10, "_spare")]
+
+
+def test_library_uses_every_private_helper():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
