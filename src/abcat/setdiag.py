@@ -171,22 +171,25 @@ def restrict_along(f: FinFunctor, d: SetFunctor) -> SetFunctor:
 
 @dataclass(frozen=True)
 class CommuteReport:
-    """Result of comparing colim-of-limits against limit-of-colimits."""
+    """Result of comparing colim-of-limits against limit-of-colimits;
+    ``limits[a]`` lists the points of lim_D X(a, -) in element order."""
 
     bijective: bool
     mapping: tuple
     lhs: FinSet
     rhs: FinSet
     failure: str | None
+    limits: tuple
 
 
 def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> CommuteReport:
     """Compare colim_F lim_D X with lim_D colim_F X via the canonical map.
 
-    ``x`` must live on product_category(f_cat, d_cat); the first factor
-    must be filtered (checked, PreconditionError otherwise).  The
-    comparison map is assembled explicitly from the cone and cocone
-    components and tested for bijectivity.
+    ``x`` must live on product_category(f_cat, d_cat) and obey the functor
+    laws (InputError otherwise); the first factor must be filtered
+    (PreconditionError otherwise).  The comparison map is assembled
+    explicitly from the cone and cocone components and tested for
+    bijectivity.
     """
     base = x.base
     if not isinstance(base, ProductCategory):
@@ -194,40 +197,35 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
     if ((base.left is not f_cat and base.left != f_cat)
             or (base.right is not d_cat and base.right != d_cat)):
         raise InputError("diagram base is not the product of the given factors")
+    validate_functor(x).require("diagram breaks functor laws")
     rep = is_filtered(f_cat)
     if not rep.filtered:
         raise PreconditionError(f"first factor is not filtered: {rep.reason}")
 
-    # limits along the finite factor, one per object of the filtered factor
+    # limits along the finite factor, one per object of the filtered factor;
+    # a functor carries compatible tuples to compatible tuples
     lim_carriers = []
     lim_points = []
-    lim_index = []
     for a in range(f_cat.n_objects):
         inj = FinFunctor(d_cat, base,
                          [base.pair_object(a, c) for c in range(d_cat.n_objects)],
                          [base.pair_morphism(f_cat.identity[a], m)
                           for m in range(d_cat.n_morphisms)])
         carrier, cone = set_limit(restrict_along(inj, x))
-        pts = limit_points(cone)
         lim_carriers.append(carrier)
-        lim_points.append(pts)
-        lim_index.append({p: i for i, p in enumerate(pts)})
+        lim_points.append(tuple(limit_points(cone)))
+    lim_index = [{p: i for i, p in enumerate(pts)} for pts in lim_points]
     lim_tables = []
     for u in range(f_cat.n_morphisms):
-        a, a2 = f_cat.dom[u], f_cat.cod[u]
-        table = []
-        for p in lim_points[a]:
-            q = tuple(x.tables[base.pair_morphism(u, d_cat.identity[c])][p[c]]
-                      for c in range(d_cat.n_objects))
-            if q not in lim_index[a2]:
-                return CommuteReport(False, (), lim_carriers[a], lim_carriers[a],
-                                     f"limit transition along morphism {u} leaves the limit")
-            table.append(lim_index[a2][q])
-        lim_tables.append(tuple(table))
-    lim_diagram = SetFunctor(f_cat, lim_carriers, lim_tables)
-    lhs, lhs_cocone = set_colimit(lim_diagram)
+        moves = [x.tables[base.pair_morphism(u, d_cat.identity[c])]
+                 for c in range(d_cat.n_objects)]
+        index = lim_index[f_cat.cod[u]]
+        lim_tables.append(tuple(index[tuple(t[e] for t, e in zip(moves, p))]
+                                for p in lim_points[f_cat.dom[u]]))
+    lhs, lhs_cocone = set_colimit(SetFunctor(f_cat, lim_carriers, lim_tables))
 
-    # colimits along the filtered factor, one per object of the finite factor
+    # colimits along the filtered factor, one per object of the finite factor;
+    # a functor makes each transition well defined on classes
     colim_carriers = []
     colim_cocones = []
     for c in range(d_cat.n_objects):
@@ -240,44 +238,27 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
         colim_cocones.append(cocone)
     colim_tables = []
     for v in range(d_cat.n_morphisms):
-        c, c2 = d_cat.dom[v], d_cat.cod[v]
-        table = [None] * colim_carriers[c].size
+        into, into2 = colim_cocones[d_cat.dom[v]], colim_cocones[d_cat.cod[v]]
+        table = [0] * colim_carriers[d_cat.dom[v]].size
         for a in range(f_cat.n_objects):
             tv = x.tables[base.pair_morphism(f_cat.identity[a], v)]
-            for e in range(x.sets[base.pair_object(a, c)].size):
-                k = colim_cocones[c].components[a][e]
-                img = colim_cocones[c2].components[a][tv[e]]
-                if table[k] is not None and table[k] != img:
-                    return CommuteReport(False, (), lhs, lhs,
-                                         f"colimit transition along morphism {v} ill-defined")
-                table[k] = img
+            for e, k in enumerate(into.components[a]):
+                table[k] = into2.components[a][tv[e]]
         colim_tables.append(tuple(table))
-    colim_diagram = SetFunctor(d_cat, colim_carriers, colim_tables)
-    rhs, rhs_cone = set_limit(colim_diagram)
+    rhs, rhs_cone = set_limit(SetFunctor(d_cat, colim_carriers, colim_tables))
     rhs_index = {p: i for i, p in enumerate(limit_points(rhs_cone))}
 
     # canonical comparison: a class of (a, limit point) maps to the tuple
-    # of classes of its coordinates
-    reps = {}
-    for a in range(f_cat.n_objects):
-        for i in range(lim_carriers[a].size):
-            k = lhs_cocone.components[a][i]
-            if k not in reps:
-                reps[k] = (a, i)
-    mapping = []
-    for k in range(lhs.size):
-        a, i = reps[k]
-        point = lim_points[a][i]
-        image = tuple(colim_cocones[c].components[a][point[c]]
-                      for c in range(d_cat.n_objects))
-        j = rhs_index.get(image)
-        if j is None:
-            return CommuteReport(False, (), lhs, rhs,
-                                 "comparison image is not a compatible tuple")
-        mapping.append(j)
-    bij = len(set(mapping)) == lhs.size and lhs.size == rhs.size
+    # of classes of its coordinates, the same for every member of the class
+    mapping = [0] * lhs.size
+    for a, points in enumerate(lim_points):
+        for i, point in enumerate(points):
+            mapping[lhs_cocone.components[a][i]] = rhs_index[tuple(
+                cocone.components[a][e] for cocone, e in zip(colim_cocones, point))]
+    bij = len(set(mapping)) == lhs.size == rhs.size
     return CommuteReport(bij, tuple(mapping), lhs, rhs,
-                         None if bij else "comparison map is not a bijection")
+                         None if bij else "comparison map is not a bijection",
+                         tuple(lim_points))
 
 
 def fixed_points(table, x: SetFunctor) -> FinSet:

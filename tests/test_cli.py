@@ -1,5 +1,6 @@
 """Command line: exit codes, output stability, golden lines."""
 
+import dataclasses
 import json
 import os
 import random
@@ -10,11 +11,13 @@ from pathlib import Path
 from abcat.abdiag import constant_diagram
 from abcat.abgrp import cyclic
 from abcat.cli import main
-from abcat.documents import Document, serialize_document
-from abcat.fincat import FinFunctor, chain_category, group_as_category, identity_functor
+from abcat.documents import Document, parse_category_body, serialize_document
+from abcat.fincat import (FinFunctor, chain_category, group_as_category, identity_functor,
+                          validate_category)
 from abcat.intmat import ColumnLattice, _smith_work
 from abcat.sampling import random_matrix
 from abcat.setdiag import FinSet, SetFunctor
+from test_golden_cli import PER_FIXTURE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -171,6 +174,60 @@ def test_ab_colimit_limit_reject_an_invalid_base(tmp_path, capsys):
             assert "wrong endpoints" in err
 
 
+def _category_bodies(doc):
+    """The category bodies of a fixture document."""
+    kind = doc["kind"]
+    if kind == "category":
+        return [doc]
+    if kind == "functor":
+        return [doc["source"], doc["target"]]
+    if kind == "setdiagram" and "factors" in doc:
+        return doc["factors"]
+    if kind in ("setdiagram", "abdiagram"):
+        return [doc["base"]]
+    return []
+
+
+def _break_one_composite(body):
+    """Set the first composite that is not the identity of its source to
+    that identity; False when every listed composite is one."""
+    source = {m["name"]: m["dom"] for m in body["morphisms"]}
+    for triple in body["composition"]:
+        identity = body["identities"][source[triple[1]]]
+        if triple[2] != identity:
+            triple[2] = identity
+            return True
+    return False
+
+
+def test_every_command_rejects_an_invalid_category_in_any_body(tmp_path, capsys):
+    # each category body of each fixture, broken in one composite, is
+    # rejected by every command that accepts the fixture itself
+    probed = set()
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        accepting = [words for words in PER_FIXTURE
+                     if run_cli(capsys, *words, fixture)[0] != 2]
+        text = fixture.read_text()
+        for i in range(len(_category_bodies(json.loads(text)))):
+            doc = json.loads(text)
+            body = _category_bodies(doc)[i]
+            if not _break_one_composite(body):
+                continue
+            assert not validate_category(parse_category_body(body)).ok
+            bad = tmp_path / f"{fixture.stem}_{i}.json"
+            bad.write_text(json.dumps(doc))
+            for words in accepting:
+                code, out, err = run_cli(capsys, *words, bad)
+                assert (code, out) == (2, ""), (fixture.name, i, words)
+                assert err.startswith("error: invalid category:"), (fixture.name, i, words)
+                assert err.count("\n") == 1
+                probed.add((fixture.name, words))
+    assert {("gset_chain.json", ("verify", "commute")),
+            ("gset_chain.json", ("verify", "fixpoints")),
+            ("top_inclusion.json", ("check", "final")),
+            ("ab5_chain.json", ("verify", "ab5"))} <= probed
+
+
 def test_verify_notlex_exits_zero_with_certificate(capsys):
     code, out, _ = run_cli(capsys, "verify", "notlex", FIXTURES / "notlex.json")
     assert code == 0
@@ -251,6 +308,40 @@ def test_verify_commute_and_fixpoints_file(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "fixpoints", FIXTURES / "gset_chain.json")
     assert code == 0
+
+
+def test_verify_fixpoints_reads_both_sides_off_the_interchange(monkeypatch, capsys):
+    from abcat import verify
+    interchange = verify.commute_check
+
+    def lopsided(f_cat, bg, x):
+        rep = interchange(f_cat, bg, x)
+        return dataclasses.replace(rep, bijective=False, rhs=FinSet(rep.rhs.size + 1))
+
+    monkeypatch.setattr(verify, "commute_check", lopsided)
+    code, out, err = run_cli(capsys, "verify", "fixpoints", FIXTURES / "gset_chain.json",
+                             "--format", "machine")
+    payload = json.loads(out)
+    assert (code, err, payload["ok"]) == (1, "", False)
+    assert payload["colim of fixed points"] == 1
+    assert payload["fixed points of colim"] == 2
+
+    def misplaced(f_cat, bg, x):
+        # a bijective report whose stage limits are not the fixed points
+        rep = interchange(f_cat, bg, x)
+        return dataclasses.replace(rep, limits=rep.limits[::-1])
+
+    monkeypatch.setattr(verify, "commute_check", misplaced)
+    code, out, _ = run_cli(capsys, "verify", "fixpoints", FIXTURES / "gset_chain.json",
+                           "--format", "machine")
+    assert code == 1
+    assert json.loads(out)["interchange bijective"] is True
+
+
+def test_verify_suite_needs_a_trial(capsys):
+    for trials in ("0", "-3"):
+        assert run_cli(capsys, "verify", "ab4", "--trials", trials) == (
+            2, "", "error: trials must be at least 1\n")
 
 
 def test_verify_randomized_suites(capsys):

@@ -348,6 +348,16 @@ def test_commute_requires_product_base():
         commute_check(chain_category(2), discrete_category(1), d)
 
 
+def test_commute_rejects_a_non_functor():
+    # chain(2) x 1 whose identity at the bottom object swaps two points
+    f_cat, d_cat = chain_category(2), discrete_category(1)
+    prod = product_category(f_cat, d_cat)
+    tables = [(1, 0) if m == prod.identity[0] else (0, 1) for m in range(prod.n_morphisms)]
+    x = SetFunctor(prod, [FinSet(2)] * 2, tables)
+    with pytest.raises(InputError, match="diagram breaks functor laws"):
+        commute_check(f_cat, d_cat, x)
+
+
 def test_commute_with_order_three_group_factor():
     # the finite factor has non-trivial composition (g o g = g^2 != id):
     # three stages of Z/3-sets, each a 3-cycle plus a fixed point, linked
