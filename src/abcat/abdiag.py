@@ -197,6 +197,9 @@ def _signed_quotient(n: int, columns) -> tuple[list, list, list]:
     alive = [True] * n
 
     def find(i):
+        p = parent[i]
+        if parent[p] == p:      # i is a root, whose rel_sign stays 1, or a root's child
+            return p, rel_sign[i]
         path = []
         while parent[i] != i:
             path.append(i)
@@ -213,13 +216,21 @@ def _signed_quotient(n: int, columns) -> tuple[list, list, list]:
         changed = False
         nxt = []
         for col in pending:
-            acc = {}
-            for i, val in col:
-                r, s = find(i)
-                if not alive[r]:
-                    continue
-                acc[r] = acc.get(r, 0) + s * val
-            entries = sorted((r, w) for r, w in acc.items() if w)
+            if len(col) == 2:   # most gluing columns: two finds, no dict or sort
+                (r1, s1), (r2, s2) = find(col[0][0]), find(col[1][0])
+                w1, w2 = s1 * col[0][1], s2 * col[1][1]
+                if r1 == r2:
+                    pairs = ((r1, w1 + w2),)
+                else:
+                    pairs = ((r1, w1), (r2, w2)) if r1 < r2 else ((r2, w2), (r1, w1))
+                entries = [(r, w) for r, w in pairs if w and alive[r]]
+            else:
+                acc = {}
+                for i, val in col:
+                    r, s = find(i)
+                    if alive[r]:
+                        acc[r] = acc.get(r, 0) + s * val
+                entries = sorted((r, w) for r, w in acc.items() if w)
             if not entries:
                 continue
             if len(entries) == 1 and abs(entries[0][1]) == 1:

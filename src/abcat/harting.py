@@ -18,12 +18,14 @@ All identifications needed for the coproduct are witnessed by arity <= 2
 objects; cap stability is covered by the property suites.  A truncation
 holds its words and hom-set sizes and ranks index maps in closed form,
 and an expansion values its routing homs only at the morphisms read, so
-colimits cost per generator, not per index map.
+colimits cost per generator, not per index map.  Equal (alphabet, cap)
+requests share one truncation; each request checks the morphism budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
@@ -176,17 +178,38 @@ class HXCategory:
         return "(" + ",".join(self.alphabet.label(v) for v in obj.word) + ")"
 
 
+MAX_TRUNCATIONS = 8     # a seeded suite asks for 6 at most: 1-3 letters x 2 caps
+_truncations = OrderedDict()    # least recently requested first
+
+
 def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> HXCategory:
     """All words of arity <= cap, with the index maps between them in
     closed form.
 
     Only the objects and the size of each hom-set are computed; the
     category's generators are the elementary index maps, so colimits over
-    it glue along those alone.  Raises BudgetError when the truncation
-    holds more than ``max_morphisms`` index maps.
+    it glue along those alone.  Equal ``(alphabet, cap)``, labels included,
+    share one truncation.  Raises BudgetError, on every request and before
+    a build, when it holds more than ``max_morphisms`` index maps.
     """
     if cap < 1:
         raise InputError("cap must be at least 1")
+    key = (alphabet, cap)
+    h = _truncations.pop(key, None) or _build_truncation(alphabet, cap, max_morphisms)
+    _truncations[key] = h
+    if len(_truncations) > MAX_TRUNCATIONS:
+        _truncations.popitem(last=False)
+    _check_budget(len(h.morphisms), max_morphisms)
+    return h
+
+
+def _check_budget(morphisms: int, max_morphisms: int):
+    if morphisms > max_morphisms:
+        raise BudgetError(f"HX truncation holds {morphisms} morphisms, "
+                          f"budget is {max_morphisms}")
+
+
+def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int) -> HXCategory:
     objects = [HXObject(n, word) for n in range(cap + 1)
                for word in iproduct(range(alphabet.size), repeat=n)]
     # positions of each letter inside each word; a morphism out of a word
@@ -197,9 +220,7 @@ def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> 
     for src in objects:
         for target in spots:
             starts.append(starts[-1] + prod(len(target.get(v, ())) for v in src.word))
-    if starts[-1] > max_morphisms:
-        raise BudgetError(f"HX truncation holds {starts[-1]} morphisms, "
-                          f"budget is {max_morphisms}")
+    _check_budget(starts[-1], max_morphisms)
     return HXCategory(alphabet, cap, objects, spots, starts)
 
 

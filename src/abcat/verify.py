@@ -111,6 +111,7 @@ def verify_harting(family, cap: int = 2, stability_cap: int | None = None) -> Ve
 def verify_ab4(source_family, target_family, monos, *, cross_cap: int = 2) -> VerifyReport:
     """Coproducts of monos are mono, cross-checked through the word-category
     expansion route with words of length at most ``cross_cap``."""
+    source_family, target_family, monos = list(source_family), list(target_family), list(monos)
     report = ab4_check(source_family, target_family, monos)
     details = {
         "direct sum source": describe_form(report.source_sum.canonical_form),
@@ -120,12 +121,9 @@ def verify_ab4(source_family, target_family, monos, *, cross_cap: int = 2) -> Ve
     }
     ok = report.ok
     if source_family:
-        hx = hx_category(FinSet(len(list(source_family))), cross_cap)
-        src = list(source_family)
-        tgt = list(target_family)
-        monos = list(monos)
-        cmp_src = harting_compare(src, hx)
-        cmp_tgt = harting_compare(tgt, hx)
+        hx = hx_category(FinSet(len(source_family)), cross_cap)
+        cmp_src = harting_compare(source_family, hx)
+        cmp_tgt = harting_compare(target_family, hx)
         d_src = cmp_src.colimit.diagram
         d_tgt = cmp_tgt.colimit.diagram
         components = []
@@ -344,7 +342,11 @@ def _commute(value, **_):
 def _fixpoints(value, **_):
     base = _checked_factors(value, "fixpoints")
     right = base.right
-    if right.n_objects != 1:
+    morphisms = range(right.n_morphisms)
+    # with one object every pair composes; a group inverts each morphism on both sides
+    if right.n_objects != 1 or not all(any(
+            right.compose(g, m) == right.identity[0] == right.compose(m, g) for g in morphisms)
+            for m in morphisms):
         raise InputError("the second factor must be a one-object group category")
     return verify_fixpoints(None, base.left, right, value)
 

@@ -9,22 +9,22 @@ import random
 
 import pytest
 
-from abcat.abdiag import (AbDiagram, GModule, ab4_check, ab_colimit, ab_limit,
-                          coinvariants, constant_diagram, generator_check,
+from abcat.abdiag import (AbDiagram, GModule, _signed_quotient, ab4_check, ab_colimit,
+                          ab_limit, coinvariants, constant_diagram, generator_check,
                           gmodule_diagram, induced_map_on_colimits, invariants,
                           validate_diagram)
-from abcat.abgrp import (are_isomorphic, biproduct, cyclic, free_abelian,
+from abcat.abgrp import (FGAbGroup, are_isomorphic, biproduct, cyclic, free_abelian,
                          hom, hom_compose, hom_equal, hom_validate,
                          identity_hom, is_epi, is_mono, is_zero_hom, zero_hom)
 from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (chain_category, discrete_category,
                           parallel_pair_category, span_category)
 from abcat.harting import harting_expand, hx_category
-from abcat.intmat import IntMatrix, smith_diagonal
+from abcat.intmat import ColumnLattice, IntMatrix, smith_diagonal
 from abcat.sampling import (random_ab5_instance, random_family, random_group,
                             random_hom, random_mono_chain, random_mono_family)
 from abcat.setdiag import FinSet
-from abcat.verify import verify_ab5
+from abcat.verify import verify_ab4, verify_ab5
 from cat_corpus import Z2_TABLE
 
 Z = free_abelian(1)
@@ -275,6 +275,55 @@ def test_ab4_random_monos():
         rep = ab4_check(src, tgt, monos)
         assert rep.ok
         assert rep.kernel_group.is_trivial
+
+
+def test_verify_ab4_reads_each_input_once():
+    src, tgt, monos = random_mono_family(random.Random(1), 2)
+    listed = verify_ab4(src, tgt, monos)
+    assert listed.ok
+    assert verify_ab4(iter(src), iter(tgt), iter(monos)).details == listed.details
+
+
+def test_signed_quotient_certificate():
+    """``where`` and ``residual`` against the lattice of the input columns:
+    each dropped coordinate lies in it, each kept one differs from its
+    class representative by a lattice vector, and the quotient keeps its
+    canonical form.  Columns repeat rows, kill coordinates (dead roots),
+    carry +-2 entries and link coordinates into chains of merges."""
+    rng = random.Random(18)
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        cols = [[(rng.randrange(n), rng.choice((-2, -1, 1, 2, 3)))
+                 for _ in range(rng.choice((1, 2, 2, 2, 3)))]
+                for _ in range(rng.randint(0, 10))]
+        chain = rng.sample(range(n), rng.randint(1, n))
+        cols += [[(a, rng.choice((-1, 1))), (b, rng.choice((-1, 1)))]
+                 for a, b in zip(chain, chain[1:])]
+        if rng.random() < 0.5:
+            cols.append([(rng.choice(chain), rng.choice((-1, 1)))])
+        rng.shuffle(cols)
+        live, where, residual = _signed_quotient(n, cols)
+
+        def unit(i):
+            return [1 if r == i else 0 for r in range(n)]
+
+        dense = []
+        for col in cols:
+            v = [0] * n
+            for i, x in col:
+                v[i] += x
+            dense.append(v)
+        lattice = ColumnLattice(n, dense)
+        for i, hit in enumerate(where):
+            if hit is None:
+                assert lattice.contains(unit(i))
+            else:
+                k, sign = hit
+                rep = unit(live[k])
+                assert lattice.contains([x - sign * y for x, y in zip(unit(i), rep)])
+        full = FGAbGroup(n, IntMatrix.from_columns(dense, n))
+        small = FGAbGroup(len(live), IntMatrix.from_columns(residual, len(live)))
+        assert full.canonical_form == small.canonical_form
 
 
 def test_generator_check_examples():

@@ -310,6 +310,19 @@ def test_verify_commute_and_fixpoints_file(capsys):
     assert code == 0
 
 
+def test_verify_fixpoints_needs_a_group(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "gset_chain.json").read_text())
+    # g∘g := g makes the one-object factor an idempotent monoid, which passes
+    # the category laws but has no inverse of g
+    factor = doc["factors"][1]
+    factor["composition"] = [row[:2] + ["g"] if row[:2] == ["g", "g"] else row
+                             for row in factor["composition"]]
+    path = tmp_path / "monoid_chain.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", "fixpoints", path) == (
+        2, "", "error: the second factor must be a one-object group category\n")
+
+
 def test_verify_fixpoints_reads_both_sides_off_the_interchange(monkeypatch, capsys):
     from abcat import verify
     interchange = verify.commute_check

@@ -1,6 +1,7 @@
 """The truncated word category and the coproduct expansion."""
 
 import random
+from collections import OrderedDict
 from itertools import product as iproduct
 
 import pytest
@@ -9,6 +10,7 @@ from abcat.abdiag import (AbDiagram, ab_colimit, ab_limit, induced_map_on_colimi
                           validate_diagram)
 from abcat.abgrp import (biproduct, cyclic, free_abelian, hom, hom_compose,
                          hom_equal, identity_hom, zero_group)
+from abcat import harting
 from abcat.errors import BudgetError, InputError, TruncationError
 from abcat.fincat import FinCategory, is_connected, validate_category, validate_functor
 from abcat.harting import (HXMorphism, HXObject, h_embedding, harting_compare,
@@ -17,6 +19,7 @@ from abcat.harting import (HXMorphism, HXObject, h_embedding, harting_compare,
 from abcat.intmat import IntMatrix
 from abcat.sampling import random_family
 from abcat.setdiag import FinSet
+from abcat.verify import run_suite
 
 AB = FinSet(2, ("a", "b"))
 
@@ -64,6 +67,49 @@ def test_generators_generate_the_truncation():
 def test_budget_error():
     with pytest.raises(BudgetError):
         hx_category(FinSet(3), 4, max_morphisms=1000)
+    # the budget holds on every request, also after a build under a larger one
+    assert len(hx_category(FinSet(2), 3, max_morphisms=10 ** 6).morphisms) == 389
+    with pytest.raises(BudgetError):
+        hx_category(FinSet(2), 3, max_morphisms=388)
+
+
+def test_equal_requests_share_one_truncation():
+    first, second = hx_category(FinSet(2), 2), hx_category(FinSet(2), 2)
+    assert first is second and first.category == second.category
+    family = random_family(random.Random(3), 2)
+    d = harting_expand(family, first)
+    e = harting_expand(family, second)
+    induced, colim_d, _ = induced_map_on_colimits(
+        d, e, [identity_hom(g) for g in d.groups])
+    assert hom_equal(induced, identity_hom(colim_d.carrier))
+    # labels are part of the key
+    labelled = hx_category(AB, 2)
+    assert labelled is not first and labelled.alphabet == AB
+    assert labelled.category.object_labels != first.category.object_labels
+
+
+def test_truncations_kept_are_bounded(monkeypatch):
+    monkeypatch.setattr(harting, "_truncations", OrderedDict())
+    first = hx_category(FinSet(1), 1)
+    for letters in range(2, harting.MAX_TRUNCATIONS + 2):
+        hx_category(FinSet(letters), 1)
+    assert len(harting._truncations) == harting.MAX_TRUNCATIONS
+    assert hx_category(FinSet(1), 1) is not first
+
+
+def test_seeded_suite_builds_each_truncation_once(monkeypatch):
+    builds = []
+    build = harting._build_truncation
+
+    def counted(alphabet, cap, max_morphisms):
+        builds.append((alphabet, cap))
+        return build(alphabet, cap, max_morphisms)
+
+    monkeypatch.setattr(harting, "_truncations", OrderedDict())
+    monkeypatch.setattr(harting, "_build_truncation", counted)
+    assert run_suite("harting", 12, 5, stability_cap=3).ok
+    # 1-3 letters, each at cap 2 and stability cap 3
+    assert len(builds) == len(set(builds)) <= 6
 
 
 def test_coproduct_examples():
