@@ -1,13 +1,13 @@
 """Group actions on abelian groups: coinvariants, invariants, and a
 counterexample.
 
-Coinvariants are the colimit over the one-object category of the group,
-invariants the limit. A mono of actions need not induce a mono on
-coinvariants; the classic instance is worked out in full below.
+An action is a diagram on the one-object category of the group, built by
+``gmodule``.  Coinvariants are its colimit, invariants its limit.  A mono
+of actions need not induce a mono on coinvariants; the classic instance
+is worked out in full below.
 """
 
-from abcat.abdiag import (GModule, coinvariants, gmodule_diagram,
-                          induced_map_on_colimits, invariants)
+from abcat.abdiag import coinvariants, gmodule, induced_map_on_colimits, invariants
 from abcat.abgrp import (describe_form, free_abelian, hom, is_mono, is_zero_hom,
                          kernel)
 
@@ -15,7 +15,7 @@ Z2 = [[0, 1], [1, 0]]
 
 print("== negation on Z ==")
 z = free_abelian(1)
-negation = GModule(Z2, z, {1: hom(z, z, [[-1]])})
+negation = gmodule(Z2, z, {1: hom(z, z, [[-1]])})
 co, _ = coinvariants(negation)
 inv, _ = invariants(negation)
 print("coinvariants:", describe_form(co.canonical_form))
@@ -24,7 +24,7 @@ print("invariants:  ", describe_form(inv.canonical_form))
 print()
 print("== swap on Z x Z ==")
 z2 = free_abelian(2)
-swap = GModule(Z2, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])})
+swap = gmodule(Z2, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])})
 co2, _ = coinvariants(swap)
 inv2, _ = invariants(swap)
 print("coinvariants:", describe_form(co2.canonical_form))
@@ -34,9 +34,7 @@ print()
 print("== the equivariant mono that dies on coinvariants ==")
 component = hom(z, z2, [[-1], [1]])
 print("1 |-> (-1, 1) is a monomorphism:", is_mono(component))
-_, d_neg = gmodule_diagram(negation)
-_, d_swap = gmodule_diagram(swap)
-induced, col_src, col_tgt = induced_map_on_colimits(d_neg, d_swap, [component])
+induced, col_src, col_tgt = induced_map_on_colimits(negation, swap, [component])
 print("induced map", describe_form(col_src.carrier.canonical_form), "->",
       describe_form(col_tgt.carrier.canonical_form))
 print("it is the zero map:", is_zero_hom(induced))

@@ -8,8 +8,9 @@ Submodules:
   the colimit-limit interchange harness, fixed points of group actions.
 - ``abgrp``: finitely generated abelian groups by presentation, Smith
   normal form, kernels, cokernels, biproducts, mono/epi/iso decisions.
-- ``abdiag``: diagrams of abelian groups, colimits and limits, group
-  actions with (co)invariants, induced maps, coproduct-mono checks.
+- ``abdiag``: diagrams of abelian groups (families and group actions
+  among them), colimits and limits, (co)invariants, induced maps,
+  coproduct-mono checks.
 - ``harting``: the truncated category of finite words over a set and the
   coproduct expansion with its colimit comparison.
 - ``verify``: harnesses that check the structural theorems on instances.
@@ -29,8 +30,8 @@ from .setdiag import (FinSet, SetFunctor, commute_check, fixed_points,
 from .abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cokernel,
                     cyclic, describe_form, direct_sum, free_abelian, group_from_presentation,
                     hom, hom_equal, is_epi, is_mono, kernel)
-from .abdiag import (AbDiagram, GModule, ab4_check, ab_colimit, ab_limit,
-                     coinvariants, generator_check, induced_map_on_colimits,
+from .abdiag import (AbDiagram, ab4_check, ab_colimit, ab_limit,
+                     coinvariants, generator_check, gmodule, induced_map_on_colimits,
                      invariants)
 from .harting import (HXCategory, HXMorphism, HXObject, h_embedding,
                       harting_compare, harting_expand, hx_category, hx_coproduct)

@@ -6,10 +6,15 @@ morphism.  Colimits are computed by presentation (coproduct of all
 object groups, plus one relation column per source generator of each
 gluing morphism), presented on the quotient: a signed union-find over
 the sparse columns consumes those that kill a generator or identify two
-up to sign, so the carrier keeps one generator per surviving class.  Limits are kernels inside the
-product.  Coinvariants and invariants of a group action, family
-coproducts, induced maps on colimits, and the checks behind the
-coproduct-exactness results all live here.
+up to sign, so the carrier keeps one generator per surviving class.
+Limits are kernels inside the product.
+
+A module over a finite groupoid X is a diagram on X.  A family of groups
+is a diagram on a discrete base, whose colimit is the direct sum; an
+action is the diagram ``gmodule`` builds on the one-object category of
+the group, whose colimit is the coinvariants and whose limit is the
+invariants.  Those two, induced maps on colimits, and the checks behind
+the coproduct-exactness results all live here.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     identity_hom, is_mono, kernel, summand_offsets, zero_group,
                     zero_hom)
 from .errors import InputError, PreconditionError
-from .fincat import FinCategory, ValidationReport, group_as_category, validate_group_table
+from .fincat import FinCategory, ValidationReport, group_as_category
 from .intmat import IntMatrix, block_diagonal, hstack, vstack
 
 
@@ -72,6 +77,9 @@ class AbDiagram:
             return NotImplemented
         return (self.base == other.base and self.groups == other.groups
                 and self.homs == other.homs)
+
+    def __hash__(self):
+        return hash((self.base, self.groups))
 
 
 def validate_diagram(d: AbDiagram) -> ValidationReport:
@@ -338,87 +346,69 @@ def ab_limit(d: AbDiagram) -> AbLimit:
 # group actions
 
 
-class GModule:
-    """Group action on an f.g. abelian group, given on a generating set.
+def gmodule(table, carrier: FGAbGroup, generator_action) -> AbDiagram:
+    """The one-object diagram of a group action, over ``group_as_category(table)``.
 
-    The action is extended to every group element by closure; any
-    inconsistency with the multiplication table raises InputError.
+    The action is given on a generating set and extended to every group
+    element by closure; any inconsistency with the multiplication table
+    raises InputError.  The diagram holds the full action, so two
+    presentations of one action give equal diagrams.
     """
-
-    __slots__ = ("table", "unit", "carrier", "generator_action", "full_action")
-
-    def __init__(self, table, carrier: FGAbGroup, generator_action):
-        self.table, self.unit = validate_group_table(table)
-        self.carrier = carrier
-        self.generator_action = dict(generator_action)
-        for g, h in self.generator_action.items():
-            if not 0 <= g < len(self.table):
-                raise InputError(f"action generator {g} out of range")
-            if h.source != carrier or h.target != carrier:
-                raise InputError(f"action of {g} is not an endomorphism of the carrier")
-            if hom_validate(h).problems:
-                raise InputError(f"action of {g} is not well defined on the carrier")
-        self.full_action = self._close()
-
-    def _close(self):
-        n = len(self.table)
-        known = {self.unit: identity_hom(self.carrier)}
-        for g, h in self.generator_action.items():
-            if g in known:
-                if not hom_equal(known[g], h):
-                    raise InputError(f"action of {g} conflicts with the identity")
-            else:
-                known[g] = h
-        frontier = list(known)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in list(known):
-                    for prod, ha, hb in ((self.table[a][b], known[a], known[b]),
-                                         (self.table[b][a], known[b], known[a])):
-                        composite = hom_compose(ha, hb)
-                        if prod in known:
-                            if not hom_equal(known[prod], composite):
-                                raise InputError(
-                                    f"action is inconsistent at product {prod}")
-                        else:
-                            known[prod] = composite
-                            fresh.append(prod)
-            frontier = fresh
-        if len(known) != n:
-            missing = sorted(set(range(n)) - set(known))
-            raise InputError(f"action generators do not generate: missing {missing}")
-        return tuple(known[g] for g in range(n))
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(sorted(self.generator_action))
-
-    def __eq__(self, other):
-        if not isinstance(other, GModule):
-            return NotImplemented
-        return (self.table == other.table and self.carrier == other.carrier
-                and self.generator_action == other.generator_action)
+    base = group_as_category(table)
+    n = base.n_morphisms
+    generator_action = dict(generator_action)
+    for g, h in generator_action.items():
+        if not 0 <= g < n:
+            raise InputError(f"action generator {g} out of range")
+        if h.source != carrier or h.target != carrier:
+            raise InputError(f"action of {g} is not an endomorphism of the carrier")
+        if hom_validate(h).problems:
+            raise InputError(f"action of {g} is not well defined on the carrier")
+    known = {base.identity[0]: identity_hom(carrier)}
+    for g, h in generator_action.items():
+        if g in known:
+            if not hom_equal(known[g], h):
+                raise InputError(f"action of {g} conflicts with the identity")
+        else:
+            known[g] = h
+    frontier = list(known)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(known):
+                for prod, ha, hb in ((base.compose(a, b), known[a], known[b]),
+                                     (base.compose(b, a), known[b], known[a])):
+                    composite = hom_compose(ha, hb)
+                    if prod in known:
+                        if not hom_equal(known[prod], composite):
+                            raise InputError(f"action is inconsistent at product {prod}")
+                    else:
+                        known[prod] = composite
+                        fresh.append(prod)
+        frontier = fresh
+    if len(known) != n:
+        missing = sorted(set(range(n)) - set(known))
+        raise InputError(f"action generators do not generate: missing {missing}")
+    return AbDiagram(base, (carrier,), tuple(known[g] for g in range(n)))
 
 
-def gmodule_diagram(m: GModule) -> tuple[FinCategory, AbDiagram]:
-    """The one-object diagram of the action, over the group-as-category."""
-    cat = group_as_category(m.table)
-    return cat, AbDiagram(cat, (m.carrier,), m.full_action)
+def coinvariants(d: AbDiagram) -> tuple[FGAbGroup, AbHom]:
+    """Quotient of the carrier of a one-object diagram by all differences
+    g.a - a, g over ``generating()`` (every non-identity element of a
+    group), with projection."""
+    carrier = d.groups[0]
+    blocks = [(d.hom(g) - identity_hom(carrier)).matrix for g in d.base.generating()]
+    stacked = direct_sum([carrier] * len(blocks))
+    return cokernel(AbHom(stacked, carrier, hstack(IntMatrix.zeros(carrier.gens, 0), *blocks)))
 
 
-def coinvariants(m: GModule) -> tuple[FGAbGroup, AbHom]:
-    """Quotient of the carrier by all differences g.a - a, with projection."""
-    blocks = [(m.full_action[g] - identity_hom(m.carrier)).matrix for g in m.generators]
-    stacked = direct_sum([m.carrier] * len(blocks))
-    return cokernel(AbHom(stacked, m.carrier, hstack(IntMatrix.zeros(m.carrier.gens, 0), *blocks)))
-
-
-def invariants(m: GModule) -> tuple[FGAbGroup, AbHom]:
-    """Subgroup of elements fixed by the action, with inclusion."""
-    blocks = [(m.full_action[g] - identity_hom(m.carrier)).matrix for g in m.generators]
-    stacked = direct_sum([m.carrier] * len(blocks))
-    return kernel(AbHom(m.carrier, stacked, vstack(IntMatrix.zeros(0, m.carrier.gens), *blocks)))
+def invariants(d: AbDiagram) -> tuple[FGAbGroup, AbHom]:
+    """Subgroup of the carrier of a one-object diagram fixed by every
+    ``generating()`` morphism, with inclusion."""
+    carrier = d.groups[0]
+    blocks = [(d.hom(g) - identity_hom(carrier)).matrix for g in d.base.generating()]
+    stacked = direct_sum([carrier] * len(blocks))
+    return kernel(AbHom(carrier, stacked, vstack(IntMatrix.zeros(0, carrier.gens), *blocks)))
 
 
 # ---------------------------------------------------------------------------

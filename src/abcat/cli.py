@@ -18,7 +18,7 @@ import sys
 
 from .abdiag import ab_colimit, ab_limit, coinvariants, invariants, validate_diagram
 from .abgrp import describe_form, direct_sum, smith_normal_form
-from .documents import AbNaturalMap, Document, EquivariantMap, FamilyMap, load_document
+from .documents import AbNaturalMap, Document, load_document
 from .errors import (BudgetError, DocumentError, InputError, PreconditionError,
                      TruncationError)
 from .fincat import (is_connected, is_filtered, is_final, is_sifted, validate_category,
@@ -158,7 +158,7 @@ def _cmd_ab(args) -> int:
     if op == "sum":
         doc = _load(args.file, ("family",))
         family = doc.value
-        if isinstance(family, FamilyMap):
+        if isinstance(family, AbNaturalMap):
             raise InputError("sum expects a plain family without maps")
         total = direct_sum(family.groups)
         _emit({"sum": describe_form(total.canonical_form)}, args.format)
@@ -166,7 +166,7 @@ def _cmd_ab(args) -> int:
     if op in ("coinvariants", "invariants"):
         doc = _load(args.file, ("gmodule",))
         module = doc.value
-        if isinstance(module, EquivariantMap):
+        if isinstance(module, AbNaturalMap):
             module = module.source
         group, _ = coinvariants(module) if op == "coinvariants" else invariants(module)
         _emit({op: describe_form(group.canonical_form)}, args.format)

@@ -22,6 +22,14 @@ Kinds and their bodies:
 - gmodule: elements, table, carrier, action (matrix per generator
   element); optional target (gmodule body) and map (matrix).
 - family: index, groups; optional target_groups and maps.
+
+The last three kinds are syntaxes for one type.  An abdiagram parses to
+an ``AbDiagram``; a gmodule to ``abdiag.gmodule(table, carrier,
+action)``, the diagram on ``group_as_category(table)``; a family to the
+diagram on ``discrete_category`` labelled by its index, with identity
+homs.  With a target and maps, each parses to an ``AbNaturalMap``
+between two such diagrams on one base.  A gmodule serializes its action
+at every non-identity element, named ``g<i>`` (the unit is ``e``).
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .abdiag import AbDiagram, GModule
-from .abgrp import AbHom, FGAbGroup
+from .abdiag import AbDiagram, gmodule
+from .abgrp import AbHom, FGAbGroup, identity_hom
 from .errors import DocumentError, InputError
-from .fincat import (FinCategory, FinFunctor, ProductCategory, generator_closure,
-                     product_category)
+from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
+                     generator_closure, product_category)
 from .intmat import IntMatrix
 from .setdiag import FinSet, SetFunctor
 
@@ -53,33 +61,6 @@ class AbNaturalMap:
 
     source: AbDiagram
     target: AbDiagram
-    components: tuple
-
-
-@dataclass(frozen=True)
-class EquivariantMap:
-    """A hom of modules over the same group."""
-
-    source: GModule
-    target: GModule
-    component: AbHom
-
-
-@dataclass(frozen=True)
-class GroupFamily:
-    """A family of groups indexed by a labelled finite set."""
-
-    index: tuple
-    groups: tuple
-
-
-@dataclass(frozen=True)
-class FamilyMap:
-    """Two families over the same index with componentwise homs."""
-
-    index: tuple
-    source: tuple
-    target: tuple
     components: tuple
 
 
@@ -407,7 +388,7 @@ def _parse_gmodule_body(payload, path="gmodule"):
                           _int_matrix_rows(v, (carrier.gens, carrier.gens),
                                            f"{path}.action.{k}"))
     try:
-        module = GModule(table, carrier, action)
+        module = gmodule(table, carrier, action)
     except Exception as exc:
         raise DocumentError(str(exc), path=path) from None
     return module, elements
@@ -419,28 +400,32 @@ def _parse_gmodule(payload, path="gmodule"):
         return module
     tpayload = dict(_need(payload, "target", dict, path))
     tpayload.setdefault("elements", list(elements))
-    tpayload.setdefault("table", [[elements[v] for v in row] for row in module.table])
+    tpayload.setdefault("table", _table_names(module.base, elements))
     target, _ = _parse_gmodule_body(tpayload, f"{path}.target")
-    if target.table != module.table:
+    if target.base != module.base:
         raise DocumentError("modules are over different groups", path=f"{path}.target")
-    matrix = _int_matrix_rows(_need(payload, "map", list, path),
-                              (target.carrier.gens, module.carrier.gens),
-                              f"{path}.map")
-    return EquivariantMap(module, target, AbHom(module.carrier, target.carrier, matrix))
+    component = _homs_between(module.groups, target.groups)(
+        0, _need(payload, "map", list, path), f"{path}.map")
+    return AbNaturalMap(module, target, (component,))
 
 
 def _parse_family(payload, path="family"):
     index = _name_list(_need(payload, "index", list, path), f"{path}.index")
     if len(set(index)) != len(index):
         raise DocumentError("index labels are not distinct", path=f"{path}.index")
-    groups = tuple(_section(payload, "groups", index, "index", "group", _read_group, path))
+    base = discrete_category(len(index), labels=index)
+
+    def family(key):
+        groups = _section(payload, key, index, "index", "group", _read_group, path)
+        return AbDiagram(base, groups, [identity_hom(g) for g in groups])
+
+    source = family("groups")
     if "target_groups" not in payload:
-        return GroupFamily(tuple(index), groups)
-    targets = tuple(_section(payload, "target_groups", index, "index", "group",
-                             _read_group, path))
+        return source
+    target = family("target_groups")
     maps = _section(payload, "maps", index, "index", "map",
-                    _homs_between(groups, targets), path)
-    return FamilyMap(tuple(index), groups, targets, tuple(maps))
+                    _homs_between(source.groups, target.groups), path)
+    return AbNaturalMap(source, target, tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +486,19 @@ def _diagram_body(d: AbDiagram) -> dict:
             "homs": {name: _rows(d.hom(m)) for m, name in enumerate(morphisms)}}
 
 
-def _module_body(module: GModule, names) -> dict:
+def _table_names(group: FinCategory, names) -> list:
+    """The multiplication table of a one-object group category, by name."""
+    n = group.n_morphisms
+    return [[names[group.compose(a, b)] for b in range(n)] for a in range(n)]
+
+
+def _module_body(module: AbDiagram, names) -> dict:
+    """A gmodule body, the action written at every non-identity element."""
     return {
         "elements": list(names),
-        "table": [[names[v] for v in row] for row in module.table],
-        "carrier": abgroup_body(module.carrier),
-        "action": {names[g]: _rows(h) for g, h in sorted(module.generator_action.items())},
+        "table": _table_names(module.base, names),
+        "carrier": abgroup_body(module.groups[0]),
+        "action": {names[g]: _rows(module.hom(g)) for g in module.base.generating()},
     }
 
 
@@ -539,33 +531,29 @@ def _serialize_value(doc: Document) -> dict:
         body = {"source": abgroup_body(value.source),
                 "target": abgroup_body(value.target),
                 "matrix": _rows(value)}
-    elif kind == "abdiagram":
+    else:
         natural = isinstance(value, AbNaturalMap)
         source = value.source if natural else value
-        body = {"base": category_body(source.base), **_diagram_body(source)}
-        if natural:
-            body["target"] = _diagram_body(value.target)
-            body["maps"] = {name: _rows(h) for name, h
-                            in zip(_labels(source.base)[0], value.components)}
-    elif kind == "gmodule":
-        equivariant = isinstance(value, EquivariantMap)
-        source = value.source if equivariant else value
-        names = [f"g{i}" for i in range(len(source.table))]
-        names[source.unit] = "e"
-        body = _module_body(source, names)
-        if equivariant:
-            target = _module_body(value.target, names)
-            del target["elements"], target["table"]
-            body["target"] = target
-            body["map"] = _rows(value.component)
-    else:
-        family_map = isinstance(value, FamilyMap)
-        body = {"index": list(value.index),
-                "groups": _groups_body(value.index,
-                                       value.source if family_map else value.groups)}
-        if family_map:
-            body["target_groups"] = _groups_body(value.index, value.target)
-            body["maps"] = {name: _rows(h) for name, h in zip(value.index, value.components)}
+        objects = _labels(source.base)[0]
+        if kind == "abdiagram":
+            body = {"base": category_body(source.base), **_diagram_body(source)}
+            if natural:
+                body["target"] = _diagram_body(value.target)
+                body["maps"] = {name: _rows(h) for name, h in zip(objects, value.components)}
+        elif kind == "gmodule":
+            names = [f"g{i}" for i in range(source.base.n_morphisms)]
+            names[source.base.identity[0]] = "e"
+            body = _module_body(source, names)
+            if natural:
+                target = _module_body(value.target, names)
+                del target["elements"], target["table"]
+                body["target"] = target
+                body["map"] = _rows(value.components[0])
+        else:
+            body = {"index": objects, "groups": _groups_body(objects, source.groups)}
+            if natural:
+                body["target_groups"] = _groups_body(objects, value.target.groups)
+                body["maps"] = {name: _rows(h) for name, h in zip(objects, value.components)}
     return {"kind": kind, **body}
 
 

@@ -262,6 +262,26 @@ def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor, max_size: int)
     raise InputError("failed to sample a natural transformation")
 
 
+def _chain_diagram(f_cat: FinCategory, shape: FinCategory, stages, steps) -> SetFunctor:
+    """The diagram on f_cat x shape (f_cat a chain) whose stage a is the
+    diagram ``stages[a]`` on shape, moved along ``steps[k][c]``, the
+    table at object c of a natural map from stage k to stage k + 1."""
+    def transport(i, j, c):
+        # composite step_{j-1} o ... o step_i at object c
+        table = range(stages[i].sets[c].size)
+        for k in range(i, j):
+            table = [steps[k][c][v] for v in table]
+        return table
+
+    tables = []
+    for p in range(f_cat.n_morphisms):
+        i, j = f_cat.dom[p], f_cat.cod[p]
+        for q in range(shape.n_morphisms):
+            tables.append(tuple(stages[j].tables[q][x] for x in transport(i, j, shape.dom[q])))
+    return SetFunctor(product_category(f_cat, shape),
+                      [s for stage in stages for s in stage.sets], tables)
+
+
 def random_commute_instance(rng: Random, chain_len: int, shape: FinCategory,
                             max_size: int = 4):
     """A diagram on chain x shape assembled from a chain of natural maps."""
@@ -272,28 +292,8 @@ def random_commute_instance(rng: Random, chain_len: int, shape: FinCategory,
         nxt, tau = _natural_step(rng, shape, stages[-1], max_size)
         stages.append(nxt)
         taus.append(tau)
-
-    def transport(i, j, c):
-        # composite tau_{j-1} o ... o tau_i at object c
-        table = list(range(stages[i].sets[c].size))
-        for k in range(i, j):
-            table = [taus[k][c][v] for v in table]
-        return table
-
-    prod = product_category(f_cat, shape)
-    sets = []
-    for a in range(chain_len):
-        for c in range(shape.n_objects):
-            sets.append(stages[a].sets[c])
-    tables = []
-    for p in range(f_cat.n_morphisms):
-        i, j = f_cat.dom[p], f_cat.cod[p]
-        for q in range(shape.n_morphisms):
-            c, c2 = shape.dom[q], shape.cod[q]
-            move = transport(i, j, c)
-            tables.append(tuple(stages[j].tables[q][move[x]]
-                                for x in range(stages[i].sets[c].size)))
-    return f_cat, prod, SetFunctor(prod, sets, tables)
+    x = _chain_diagram(f_cat, shape, stages, taus)
+    return f_cat, x.base, x
 
 
 def random_gset_chain(rng: Random, chain_len: int, max_size: int = 5):
@@ -301,56 +301,34 @@ def random_gset_chain(rng: Random, chain_len: int, max_size: int = 5):
     table = ((0, 1), (1, 0))
     bg = group_as_category(table, labels=["e", "g"])
     f_cat = chain_category(chain_len)
-    carriers = []
-    involutions = []
+    stages = []
     for k in range(chain_len):
         size = rng.randint(1, max_size)
         inv = random_involution(rng, size)
         # equivariant maps send fixed points to fixed points, so once a
         # stage has one every later stage needs one too
-        if k and any(involutions[-1][x] == x for x in range(carriers[-1].size)) \
+        if k and any(x == y for x, y in enumerate(stages[-1].tables[1])) \
                 and all(inv[x] != x for x in range(size)):
             size += 1
             inv = inv + (size - 1,)
-        carriers.append(FinSet(size))
-        involutions.append(inv)
+        stages.append(SetFunctor(bg, [FinSet(size)], [tuple(range(size)), inv]))
     steps = []
     for i in range(chain_len - 1):
-        src_size = carriers[i].size
-        sigma, sigma2 = involutions[i], involutions[i + 1]
-        fixed_targets = [y for y in range(carriers[i + 1].size) if sigma2[y] == y]
-        t = [None] * src_size
-        for x in range(src_size):
+        sigma, sigma2 = stages[i].tables[1], stages[i + 1].tables[1]
+        fixed_targets = [y for y in range(len(sigma2)) if sigma2[y] == y]
+        t = [None] * len(sigma)
+        for x in range(len(sigma)):
             if t[x] is not None:
                 continue
             if sigma[x] == x:
                 t[x] = rng.choice(fixed_targets)
             else:
-                y = rng.randrange(carriers[i + 1].size)
+                y = rng.randrange(len(sigma2))
                 t[x] = y
                 t[sigma[x]] = sigma2[y]
-        steps.append(tuple(t))
-
-    def transition(i, j):
-        table_ = list(range(carriers[i].size))
-        for k in range(i, j):
-            table_ = [steps[k][v] for v in table_]
-        return tuple(table_)
-
-    prod = product_category(f_cat, bg)
-    sets = list(carriers)
-    tables = []
-    for p in range(f_cat.n_morphisms):
-        i, j = f_cat.dom[p], f_cat.cod[p]
-        for q in range(bg.n_morphisms):
-            move = transition(i, j)
-            if q == bg.identity[0]:
-                tables.append(move)
-            else:
-                tables.append(tuple(involutions[j][move[x]]
-                                    for x in range(carriers[i].size)))
-    x = SetFunctor(prod, sets, tables)
-    return table, f_cat, bg, prod, x
+        steps.append((tuple(t),))
+    x = _chain_diagram(f_cat, bg, stages, steps)
+    return table, f_cat, bg, x.base, x
 
 
 def random_poset_functor(rng: Random, poset: FinCategory, covers,

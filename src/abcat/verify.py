@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable
 
-from .abdiag import (AbDiagram, GModule, ab_colimit, coinvariants, gmodule_diagram,
-                     induced_map_on_colimits, invariants, ab4_check, validate_diagram)
+from .abdiag import (AbDiagram, ab_colimit, coinvariants, gmodule, induced_map_on_colimits,
+                     invariants, ab4_check, validate_diagram)
 from .abgrp import (AbHom, describe_form, factor_through_kernel, free_abelian, hom,
                     hom_compose, hom_equal, is_epi, is_mono, is_zero_hom, kernel)
-from .documents import AbNaturalMap, EquivariantMap, FamilyMap
+from .documents import AbNaturalMap
 from .errors import InputError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
                      is_final, is_sifted, parallel_pair_category, span_category,
@@ -41,20 +41,22 @@ class VerifyReport:
             yield f"  {key}: {self.details[key]}"
 
 
-def verify_notlex(source: GModule, target: GModule, component: AbHom) -> VerifyReport:
+def verify_notlex(source: AbDiagram, target: AbDiagram, component: AbHom) -> VerifyReport:
     """A mono of G-modules whose induced map on coinvariants is not mono.
 
-    Verifies equivariance and monomorphy of the component, computes both
-    coinvariant groups, and certifies that the induced map between the
-    one-object colimits is zero and fails to be injective.
+    ``source`` and ``target`` are one-object diagrams over the same group
+    (see ``gmodule``).  Verifies equivariance and monomorphy of the
+    component, computes both coinvariant groups, and certifies that the
+    induced map between the one-object colimits is zero and fails to be
+    injective.
     """
-    if component.source != source.carrier or component.target != target.carrier:
+    if component.source != source.groups[0] or component.target != target.groups[0]:
         raise InputError("component does not map the carriers")
-    if source.table != target.table:
+    if source.base != target.base:
         raise InputError("modules are over different groups")
-    for g in range(len(source.table)):
-        if not hom_equal(hom_compose(target.full_action[g], component),
-                         hom_compose(component, source.full_action[g])):
+    for g in range(source.base.n_morphisms):
+        if not hom_equal(hom_compose(target.hom(g), component),
+                         hom_compose(component, source.hom(g))):
             raise InputError(f"component is not equivariant at group element {g}")
     details = {}
     mono = is_mono(component)
@@ -67,9 +69,7 @@ def verify_notlex(source: GModule, target: GModule, component: AbHom) -> VerifyR
     details["coinvariants target"] = describe_form(co_t.canonical_form)
     details["invariants source"] = describe_form(inv_s.canonical_form)
     details["invariants target"] = describe_form(inv_t.canonical_form)
-    _, d_src = gmodule_diagram(source)
-    _, d_tgt = gmodule_diagram(target)
-    induced, col_s, col_t = induced_map_on_colimits(d_src, d_tgt, [component])
+    induced, col_s, col_t = induced_map_on_colimits(source, target, [component])
     iso_ok = col_s.carrier.canonical_form == co_s.canonical_form \
         and col_t.carrier.canonical_form == co_t.canonical_form
     details["colimits match coinvariants"] = iso_ok
@@ -285,32 +285,32 @@ COMMUTE_SHAPES = (discrete_category(2), parallel_pair_category(), span_category(
 MAX_CHAIN = 4   # longest chain a commute or fixpoints trial samples
 
 
-def _notlex_example() -> EquivariantMap:
+def _notlex_example() -> AbNaturalMap:
     """Negation on Z into the swap on Z^2, over Z/2."""
     z = free_abelian(1)
     z2 = free_abelian(2)
     table = ((0, 1), (1, 0))
-    return EquivariantMap(GModule(table, z, {1: hom(z, z, [[-1]])}),
-                          GModule(table, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])}),
-                          hom(z, z2, [[-1], [1]]))
+    return AbNaturalMap(gmodule(table, z, {1: hom(z, z, [[-1]])}),
+                        gmodule(table, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])}),
+                        (hom(z, z2, [[-1], [1]]),))
 
 
 def _notlex(value, **_):
-    if not isinstance(value, EquivariantMap):
+    if not isinstance(value, AbNaturalMap):
         raise InputError("notlex expects a gmodule document with target and map")
-    return verify_notlex(value.source, value.target, value.component)
+    return verify_notlex(value.source, value.target, value.components[0])
 
 
 def _harting(value, **options):
-    groups = value.source if isinstance(value, FamilyMap) else value.groups
-    return verify_harting(list(groups), **options)
+    family = value.source if isinstance(value, AbNaturalMap) else value
+    return verify_harting(list(family.groups), **options)
 
 
 def _ab4(value, cap, **_):
-    if not isinstance(value, FamilyMap):
+    if not isinstance(value, AbNaturalMap):
         raise InputError("ab4 expects a family document with target_groups and maps")
-    return verify_ab4(list(value.source), list(value.target), list(value.components),
-                      cross_cap=cap)
+    return verify_ab4(list(value.source.groups), list(value.target.groups),
+                      list(value.components), cross_cap=cap)
 
 
 def _ab5(value, **_):

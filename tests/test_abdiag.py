@@ -5,27 +5,31 @@ Universality is probed against the fixed bounded surface {Z, Z/2, Z/4,
 Z/6}; factorizations are compared by hom equality modulo relations.
 """
 
+import itertools
+import json
 import random
 
 import pytest
 
-from abcat.abdiag import (AbDiagram, GModule, _signed_quotient, ab4_check, ab_colimit,
+from abcat.abdiag import (AbDiagram, _signed_quotient, ab4_check, ab_colimit,
                           ab_limit, coinvariants, constant_diagram, generator_check,
-                          gmodule_diagram, induced_map_on_colimits, invariants,
+                          gmodule, induced_map_on_colimits, invariants,
                           validate_diagram)
-from abcat.abgrp import (FGAbGroup, are_isomorphic, biproduct, cyclic, free_abelian,
-                         hom, hom_compose, hom_equal, hom_validate,
+from abcat.abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cyclic, direct_sum,
+                         free_abelian, hom, hom_compose, hom_equal, hom_validate,
                          identity_hom, is_epi, is_mono, is_zero_hom, zero_hom)
+from abcat.documents import abgroup_body, parse_document
 from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (chain_category, discrete_category,
                           parallel_pair_category, span_category)
 from abcat.harting import harting_expand, hx_category
-from abcat.intmat import ColumnLattice, IntMatrix, smith_diagonal
+from abcat.intmat import ColumnLattice, IntMatrix, block_diagonal, smith_diagonal
 from abcat.sampling import (random_ab5_instance, random_family, random_group,
-                            random_hom, random_mono_chain, random_mono_family)
+                            random_hom, random_mono_chain, random_mono_family,
+                            scramble_group)
 from abcat.setdiag import FinSet
 from abcat.verify import verify_ab4, verify_ab5
-from cat_corpus import Z2_TABLE
+from cat_corpus import Z2_TABLE, Z3_TABLE
 
 Z = free_abelian(1)
 
@@ -156,12 +160,12 @@ def test_limit_universality_probes():
 
 
 def negation_module():
-    return GModule(Z2_TABLE, Z, {1: hom(Z, Z, [[-1]])})
+    return gmodule(Z2_TABLE, Z, {1: hom(Z, Z, [[-1]])})
 
 
 def swap_module():
     z2 = free_abelian(2)
-    return GModule(Z2_TABLE, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])})
+    return gmodule(Z2_TABLE, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])})
 
 
 def test_coinvariants_paper_values():
@@ -184,7 +188,7 @@ def test_invariants_paper_values():
 
 def test_trivial_action():
     a = cyclic(6)
-    m = GModule([[0]], a, {})
+    m = gmodule([[0]], a, {})
     co, _ = coinvariants(m)
     inv, _ = invariants(m)
     assert co.canonical_form == a.canonical_form
@@ -193,27 +197,85 @@ def test_trivial_action():
 
 def test_gmodule_rejects_bad_actions():
     with pytest.raises(InputError, match="generate"):
-        GModule(Z2_TABLE, Z, {})
+        gmodule(Z2_TABLE, Z, {})
     with pytest.raises(InputError, match="inconsistent|identity"):
-        GModule(Z2_TABLE, Z, {1: hom(Z, Z, [[2]])})  # 2*2 = 4 != 1
+        gmodule(Z2_TABLE, Z, {1: hom(Z, Z, [[2]])})  # 2*2 = 4 != 1
+
+
+KLEIN_TABLE = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+
+
+def random_action(seed, table, given):
+    """A seeded module over the group of ``table``, given at the elements
+    ``given``: the regular permutation module, a sign character on Z and a
+    group with trivial action, summed and scrambled."""
+    rng = random.Random(seed)
+    n = len(table)
+    characters = [chi for chi in itertools.product((1, -1), repeat=n)
+                  if all(chi[table[a][b]] == chi[a] * chi[b] for a in range(n) for b in range(n))]
+    chi = rng.choice(characters)
+    still = random_group(rng)
+    summed = direct_sum([free_abelian(n), Z, still])
+    scrambled, to_scrambled, from_scrambled = scramble_group(rng, summed)
+
+    def action(g):
+        regular = IntMatrix([[int(table[g][x] == y) for x in range(n)] for y in range(n)])
+        block = block_diagonal([regular, IntMatrix([[chi[g]]]), IntMatrix.identity(still.gens)])
+        return to_scrambled @ AbHom(summed, summed, block) @ from_scrambled
+
+    return gmodule(table, scrambled, {g: action(g) for g in given})
+
+
+def actions():
+    """The two Z/2 actions of the paper, and seeded actions over Z/3 and
+    the Klein four-group given at redundant generating sets."""
+    yield "negation", negation_module()
+    yield "swap", swap_module()
+    for seed in range(3):
+        for table, given in ((Z3_TABLE, (1, 2)), (Z3_TABLE, (0, 1, 2)),
+                             (KLEIN_TABLE, (1, 2, 3)), (KLEIN_TABLE, (0, 1, 2, 3))):
+            yield f"seed {seed}, order {len(table)}, at {given}", \
+                random_action(seed, table, given)
 
 
 def test_coinvariants_match_colimit_over_group_category():
-    for module in (negation_module(), swap_module()):
+    for action, module in actions():
         co, proj = coinvariants(module)
-        cat, diagram = gmodule_diagram(module)
-        col = ab_colimit(diagram)
-        assert col.carrier.canonical_form == co.canonical_form
+        col = ab_colimit(module)
+        assert col.carrier.canonical_form == co.canonical_form, action
         # the comparison map built from the universal properties is iso
         comparison = col.factor([proj])
-        assert is_mono(comparison) and is_epi(comparison)
+        assert is_mono(comparison) and is_epi(comparison), action
         # dually for invariants: the inclusion is a cone, and its
         # factorization through the limit is an isomorphism
-        lim = ab_limit(diagram)
+        lim = ab_limit(module)
         inv, incl = invariants(module)
-        assert lim.carrier.canonical_form == inv.canonical_form
+        assert lim.carrier.canonical_form == inv.canonical_form, action
         lifted = lim.factor([incl])
-        assert is_mono(lifted) and is_epi(lifted)
+        assert is_mono(lifted) and is_epi(lifted), action
+
+
+def test_gmodule_is_its_full_action():
+    module = random_action(5, Z3_TABLE, (1,))
+    a, h = module.groups[0], module.hom(1)
+    again = gmodule(Z3_TABLE, a, {1: h, 2: h @ h})
+    assert gmodule(Z3_TABLE, a, {1: h}) == again
+    assert hash(module) == hash(again)
+
+
+def test_family_colimit_is_the_direct_sum():
+    # a family document is a diagram on a discrete base, and its colimit
+    # over that base is the coproduct
+    rng = random.Random(83)
+    for _ in range(10):
+        groups = [scramble_group(rng, g)[0] for g in random_family(rng, rng.randint(0, 4))]
+        names = [f"x{i}" for i in range(len(groups))]
+        text = json.dumps({"kind": "family", "index": names,
+                           "groups": {x: abgroup_body(g) for x, g in zip(names, groups)}})
+        family = parse_document(text).value
+        assert family.base == discrete_category(len(names), labels=names)
+        assert ab_colimit(family).carrier.canonical_form == \
+            direct_sum(family.groups).canonical_form
 
 
 # --- induced maps and the exactness checks ----------------------------------
@@ -229,11 +291,9 @@ def test_induced_not_mono_counterexample():
     # the equivariant mono 1 -> (-1, 1) between negation and swap kills
     # the coinvariants map
     neg, swp = negation_module(), swap_module()
-    eta = hom(Z, swp.carrier, [[-1], [1]])
+    eta = hom(Z, swp.groups[0], [[-1], [1]])
     assert is_mono(eta)
-    _, d1 = gmodule_diagram(neg)
-    _, d2 = gmodule_diagram(swp)
-    ind, c1, c2 = induced_map_on_colimits(d1, d2, [eta])
+    ind, c1, c2 = induced_map_on_colimits(neg, swp, [eta])
     assert c1.carrier.canonical_form == (0, (2,))
     assert c2.carrier.canonical_form == (1, ())
     assert is_zero_hom(ind)
@@ -251,11 +311,9 @@ def test_induced_componentwise_doubling():
 
 def test_induced_rejects_non_natural():
     neg, swp = negation_module(), swap_module()
-    _, d1 = gmodule_diagram(neg)
-    _, d2 = gmodule_diagram(swp)
-    bad = hom(Z, swp.carrier, [[1], [0]])
+    bad = hom(Z, swp.groups[0], [[1], [0]])
     with pytest.raises(InputError, match="natural"):
-        induced_map_on_colimits(d1, d2, [bad])
+        induced_map_on_colimits(neg, swp, [bad])
 
 
 def test_ab4_check_examples():

@@ -10,7 +10,7 @@ import time
 from itertools import combinations
 from math import gcd
 
-from abcat.abdiag import (GModule, ab_colimit, coinvariants, generator_check,
+from abcat.abdiag import (ab_colimit, coinvariants, generator_check, gmodule,
                           invariants)
 from abcat.abgrp import (biproduct, cyclic, free_abelian, hom, hom_compose,
                          hom_equal, identity_hom, is_mono, is_zero_hom,
@@ -57,7 +57,7 @@ class Budget:
 def test_criterion_01_coinvariants_of_negation():
     with Budget(1, "coinvariants and invariants of the negation action", 1.0):
         z = free_abelian(1)
-        module = GModule([[0, 1], [1, 0]], z, {1: hom(z, z, [[-1]])})
+        module = gmodule([[0, 1], [1, 0]], z, {1: hom(z, z, [[-1]])})
         co, _ = coinvariants(module)
         inv, _ = invariants(module)
         assert co.canonical_form == (0, (2,))
@@ -69,8 +69,8 @@ def test_criterion_02_left_exactness_counterexample(capsys):
         z = free_abelian(1)
         z2 = free_abelian(2)
         table = [[0, 1], [1, 0]]
-        negation = GModule(table, z, {1: hom(z, z, [[-1]])})
-        swap = GModule(table, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])})
+        negation = gmodule(table, z, {1: hom(z, z, [[-1]])})
+        swap = gmodule(table, z2, {1: hom(z2, z2, [[0, 1], [1, 0]])})
         component = hom(z, z2, [[-1], [1]])
         assert is_mono(component)
         report = verify_notlex(negation, swap, component)
