@@ -224,21 +224,23 @@ def _signed_quotient(n: int, columns) -> tuple[list, list, list]:
         changed = False
         nxt = []
         for col in pending:
-            if len(col) == 2:   # most gluing columns: two finds, no dict or sort
+            if len(col) == 1:   # a relation on one coordinate: one find, no dict or sort
+                r1, s1 = find(col[0][0])
+                pairs = ((r1, s1 * col[0][1]),)
+            elif len(col) == 2:   # most gluing columns: two finds, no dict or sort
                 (r1, s1), (r2, s2) = find(col[0][0]), find(col[1][0])
                 w1, w2 = s1 * col[0][1], s2 * col[1][1]
                 if r1 == r2:
                     pairs = ((r1, w1 + w2),)
                 else:
                     pairs = ((r1, w1), (r2, w2)) if r1 < r2 else ((r2, w2), (r1, w1))
-                entries = [(r, w) for r, w in pairs if w and alive[r]]
             else:
                 acc = {}
                 for i, val in col:
                     r, s = find(i)
-                    if alive[r]:
-                        acc[r] = acc.get(r, 0) + s * val
-                entries = sorted((r, w) for r, w in acc.items() if w)
+                    acc[r] = acc.get(r, 0) + s * val
+                pairs = sorted(acc.items())
+            entries = [(r, w) for r, w in pairs if w and alive[r]]
             if not entries:
                 continue
             if len(entries) == 1 and abs(entries[0][1]) == 1:
@@ -289,14 +291,12 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
     cols = []   # sparse (row, value) lists
     for g, off in zip(d.groups, offsets):
         cols.extend([(off + i, x) for i, x in enumerate(c) if x]
-                    for c in zip(*g.relations.data))
+                    for c in g.relations.columns())
     for m in base.generating():
-        a, b = base.dom[m], base.cod[m]
-        mat = d.hom(m).matrix.data
-        for j in range(d.groups[a].gens):
-            col = [(offsets[b] + i, mat[i][j])
-                   for i in range(d.groups[b].gens) if mat[i][j]]
-            col.append((offsets[a] + j, -1))
+        source, target = offsets[base.dom[m]], offsets[base.cod[m]]
+        for j, c in enumerate(d.hom(m).matrix.columns()):
+            col = [(target + i, x) for i, x in enumerate(c) if x]
+            col.append((source + j, -1))
             cols.append(col)
     live, where, residual = _signed_quotient(offsets[-1], cols)
     carrier = FGAbGroup(len(live), IntMatrix.from_columns(residual, len(live)))

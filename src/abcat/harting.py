@@ -16,10 +16,12 @@ machinery here produces the isomorphism explicitly.
 The full HX is infinite, so instances are truncated at an arity cap.
 All identifications needed for the coproduct are witnessed by arity <= 2
 objects; cap stability is covered by the property suites.  A truncation
-holds its words and hom-set sizes and ranks index maps in closed form,
-and an expansion values its routing homs only at the morphisms read, so
-colimits cost per generator, not per index map.  Equal (alphabet, cap)
-requests share one truncation; each request checks the morphism budget.
+holds its words and hom-set sizes and ranks index maps in closed form.
+It is generated by the adjacent transpositions, the merge of the last two
+positions and the appending of one letter, and an expansion values its
+routing homs only at the morphisms read, so colimits cost per generator,
+not per index map.  Equal (alphabet, cap) requests share one truncation;
+each request checks the morphism budget.
 """
 
 from __future__ import annotations
@@ -187,8 +189,9 @@ def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> 
     closed form.
 
     Only the objects and the size of each hom-set are computed; the
-    category's generators are the elementary index maps, so colimits over
-    it glue along those alone.  Equal ``(alphabet, cap)``, labels included,
+    category's generators are the adjacent transpositions, the last-pair
+    merges and the appends of one letter, so colimits over it glue along
+    those alone.  Equal ``(alphabet, cap)``, labels included,
     share one truncation.  Raises BudgetError, on every request and before
     a build, when it holds more than ``max_morphisms`` index maps.
     """
@@ -225,32 +228,28 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int) -> HXCateg
 
 
 def _elementary_maps(h: HXCategory) -> list:
-    """Sorted indices of the adjacent transpositions, the order-preserving
-    insertions of one position and the order-preserving merges of two
-    adjacent equal letters.
+    """Sorted indices of the adjacent transpositions, the merge of the
+    last two positions when they carry the same letter, and the appending
+    of one letter at the end.
 
     They generate the truncation: an index map is a permutation (a product
     of adjacent transpositions) onto a word where it is monotone, then
-    merges of the positions it identifies, then insertions of the positions
-    it misses, and every word in between has arity at most that of the
-    source or the target.
+    merges of the adjacent positions it identifies, then insertions of the
+    positions it misses.  A merge of positions k, k+1 is the last-pair
+    merge conjugated by a permutation, and an insertion at position k is
+    an append followed by adjacent transpositions, so every word in
+    between has arity at most that of the source or the target.
     """
     found = []
     for si, obj in enumerate(h.objects):
         n, word = obj.arity, obj.word
         ident = tuple(range(n))
-        steps = []
-        for k in range(n - 1):
-            swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2:]
-            steps.append((swapped, ident[:k] + (k + 1, k) + ident[k + 2:]))
-            if word[k] == word[k + 1]:
-                steps.append((word[:k + 1] + word[k + 2:],
-                              ident[:k + 1] + tuple(i - 1 for i in ident[k + 1:])))
+        steps = [(word[:k] + (word[k + 1], word[k]) + word[k + 2:],
+                  ident[:k] + (k + 1, k) + ident[k + 2:]) for k in range(n - 1)]
+        if n >= 2 and word[-2] == word[-1]:
+            steps.append((word[:-1], ident[:-1] + (n - 2,)))
         if n < h.cap:
-            for k in range(n + 1):
-                shifted = ident[:k] + tuple(i + 1 for i in ident[k:])
-                for v in range(h.alphabet.size):
-                    steps.append((word[:k] + (v,) + word[k:], shifted))
+            steps.extend((word + (v,), ident) for v in range(h.alphabet.size))
         for target, mapping in steps:
             found.append(h._index(si, h._object_index[HXObject(len(target), target)],
                                   mapping))

@@ -17,7 +17,7 @@ from abcat.abdiag import (AbDiagram, _signed_quotient, ab4_check, ab_colimit,
                           validate_diagram)
 from abcat.abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cyclic, direct_sum,
                          free_abelian, hom, hom_compose, hom_equal, hom_validate,
-                         identity_hom, is_epi, is_mono, is_zero_hom, zero_hom)
+                         identity_hom, is_epi, is_mono, is_zero_hom, zero_group, zero_hom)
 from abcat.documents import abgroup_body, parse_document
 from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (chain_category, discrete_category,
@@ -64,6 +64,19 @@ def test_colimit_pushout_coprime():
                   [identity_hom(Z)] * 3 + [hom(Z, Z, [[2]]), hom(Z, Z, [[3]])])
     col = ab_colimit(d)
     assert col.carrier.canonical_form == (1, ())
+
+
+def test_colimit_gluing_into_the_zero_group():
+    # Z -> 0 over 0 <= 1: the gluing column of the one generator has no
+    # entry in the target, so it kills the generator and the colimit is 0
+    base = chain_category(2)
+    groups = [Z, zero_group()]
+    d = AbDiagram(base, groups, lambda m: identity_hom(groups[base.dom[m]])
+                  if base.dom[m] == base.cod[m] else zero_hom(Z, groups[1]))
+    col = ab_colimit(d)
+    assert col.carrier.gens == 0 and col.carrier.canonical_form == (0, ())
+    assert col.representatives == ()
+    assert col.cocone.components[0].matrix.shape == (0, 1)
 
 
 def test_colimit_cocone_commutes():

@@ -20,6 +20,7 @@ from abcat.intmat import IntMatrix
 from abcat.sampling import random_family
 from abcat.setdiag import FinSet
 from abcat.verify import run_suite
+from test_cross_oracles import pair_expansion, signed_expansion
 
 AB = FinSet(2, ("a", "b"))
 
@@ -56,12 +57,13 @@ def test_category_laws_small():
 
 
 def test_generators_generate_the_truncation():
-    for letters, cap, expected in ((1, 2, 5), (2, 3, 64), (3, 3, 186)):
+    for letters, cap, expected in ((1, 2, 4), (2, 3, 40), (3, 3, 114)):
         cat = hx_category(FinSet(letters), cap).category
         assert len(cat.generators) == expected
         assert all(cat.identity[cat.dom[g]] != g for g in cat.generators)
     # no generator gap, and the category laws hold
-    assert validate_category(hx_category(FinSet(2), 3).category).ok
+    for letters, cap in ((2, 3), (3, 2), (3, 3)):
+        assert validate_category(hx_category(FinSet(letters), cap).category).ok
 
 
 def test_budget_error():
@@ -274,6 +276,14 @@ def test_compare_zero_family():
     assert rep.canonical_form == (0, ())
 
 
+def test_compare_with_a_zero_group_letter():
+    family = [cyclic(2), zero_group(), free_abelian(1)]
+    rep = harting_compare(family, hx_category(FinSet(3), 3))
+    assert rep.ok, rep.failures
+    assert rep.canonical_form == biproduct(family)[0].canonical_form == (1, (2,))
+    assert rep.colimit.carrier.gens == 2
+
+
 def test_compare_cap_stability():
     rng = random.Random(103)
     for _ in range(4):
@@ -347,8 +357,9 @@ def test_expand_respects_word_validation():
 def _enumerated(letters, cap):
     """Reference truncation by listing every index map: objects by (arity,
     word), morphisms by (source, target, mapping), with the index of each
-    map, the hom lists, the identities, the elementary maps and
-    composition as index-map composition."""
+    map, the hom lists, the identities, the generators, composition as
+    index-map composition, and ``previous``, the larger generating set of
+    every order-preserving insertion and every adjacent merge."""
     objects = [HXObject(n, w) for n in range(cap + 1)
                for w in iproduct(range(letters), repeat=n)]
     where = {o: i for i, o in enumerate(objects)}
@@ -361,32 +372,41 @@ def _enumerated(letters, cap):
                 homs.setdefault((si, ti), []).append(len(morphisms))
                 morphisms.append((si, ti, mapping))
     identities = [index[(i, i, tuple(range(o.arity)))] for i, o in enumerate(objects)]
-    generators = set()
+
+    def arrow(si, target, mapping):
+        return index[(si, where[HXObject(len(target), target)], tuple(mapping))]
+
+    # generators: adjacent transpositions, the merge of the last two
+    # positions and appending a letter
+    generators, previous = set(), set()
     for si, src in enumerate(objects):
         n, w = src.arity, src.word
         ident = tuple(range(n))
         for k in range(n - 1):
-            generators.add(index[(si, where[HXObject(n, w[:k] + (w[k + 1], w[k]) + w[k + 2:])],
-                                  ident[:k] + (k + 1, k) + ident[k + 2:])])
+            swap = arrow(si, w[:k] + (w[k + 1], w[k]) + w[k + 2:],
+                         ident[:k] + (k + 1, k) + ident[k + 2:])
+            generators.add(swap)
+            previous.add(swap)
             if w[k] == w[k + 1]:
-                generators.add(index[(si, where[HXObject(n - 1, w[:k + 1] + w[k + 2:])],
-                                      ident[:k + 1] + tuple(i - 1 for i in ident[k + 1:]))])
-        for k in range(n + 1) if n < cap else ():
-            for v in range(letters):
-                generators.add(index[(si, where[HXObject(n + 1, w[:k] + (v,) + w[k:])],
-                                      ident[:k] + tuple(i + 1 for i in ident[k:]))])
+                previous.add(arrow(si, w[:k + 1] + w[k + 2:], (i - (i > k) for i in ident)))
+        if n >= 2 and w[-1] == w[-2]:
+            generators.add(arrow(si, w[:-1], (min(i, n - 2) for i in ident)))
+        for v in range(letters) if n < cap else ():
+            generators.add(arrow(si, w + (v,), ident))
+            for k in range(n + 1):
+                previous.add(arrow(si, w[:k] + (v,) + w[k:], (i + (i >= k) for i in ident)))
 
     def compose(g, f):
         s1, _, fmap = morphisms[f]
         _, t2, gmap = morphisms[g]
         return index[(s1, t2, tuple(gmap[j] for j in fmap))]
 
-    return objects, morphisms, homs, identities, sorted(generators), compose
+    return objects, morphisms, homs, identities, sorted(generators), compose, sorted(previous)
 
 
 @pytest.mark.parametrize("letters,cap", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
 def test_closed_form_matches_enumeration(letters, cap):
-    objects, morphisms, homs, identities, generators, compose = _enumerated(letters, cap)
+    objects, morphisms, homs, identities, generators, compose, _ = _enumerated(letters, cap)
     hx = hx_category(FinSet(letters), cap)
     cat = hx.category
     assert list(hx.objects) == objects
@@ -407,6 +427,29 @@ def test_closed_form_matches_enumeration(letters, cap):
         if following:
             g = rng.choice(following)
             assert cat.compose(g, f) == compose(g, f)
+
+
+@pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3)])
+def test_previous_generating_set_gives_the_same_colimits_and_limits(letters, cap):
+    # the same truncation, glued along every insertion and adjacent merge
+    hx = hx_category(FinSet(letters), cap)
+    cat = hx.category
+    previous = _enumerated(letters, cap)[-1]
+    assert len(previous) > len(cat.generators)
+    wider = FinCategory(cat.n_objects, cat.dom, cat.cod, cat.identity,
+                        compose_rule=hx._compose, generators=previous)
+    rng = random.Random(10 * letters + cap)
+    for build in (harting_expand, pair_expansion, signed_expansion):
+        d = build(random_family(rng, letters), hx)
+        colim, again = ab_colimit(d), ab_colimit(AbDiagram(wider, d.groups, d.hom))
+        assert colim.representatives == again.representatives, build
+        assert colim.carrier.relations == again.carrier.relations, build
+        assert [leg.matrix for leg in colim.cocone.components] == \
+            [leg.matrix for leg in again.cocone.components], build
+    d = harting_expand(random_family(rng, letters), hx)
+    lim, again = ab_limit(d), ab_limit(AbDiagram(wider, d.groups, d.hom))
+    assert lim.carrier.relations == again.carrier.relations
+    assert lim._inclusion.matrix == again._inclusion.matrix
 
 
 @pytest.mark.parametrize("letters,cap", [(2, 6), (3, 5)])
