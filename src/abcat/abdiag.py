@@ -224,10 +224,7 @@ def _signed_quotient(n: int, columns) -> tuple[list, list, list]:
         changed = False
         nxt = []
         for col in pending:
-            if len(col) == 1:   # a relation on one coordinate: one find, no dict or sort
-                r1, s1 = find(col[0][0])
-                pairs = ((r1, s1 * col[0][1]),)
-            elif len(col) == 2:   # most gluing columns: two finds, no dict or sort
+            if len(col) == 2:   # most gluing columns: two finds, no dict or sort
                 (r1, s1), (r2, s2) = find(col[0][0]), find(col[1][0])
                 w1, w2 = s1 * col[0][1], s2 * col[1][1]
                 if r1 == r2:

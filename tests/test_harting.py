@@ -274,14 +274,11 @@ def test_compare_zero_family():
     rep = harting_compare([zero_group(), zero_group()], two)
     assert rep.ok
     assert rep.canonical_form == (0, ())
-
-
-def test_compare_with_a_zero_group_letter():
-    family = [cyclic(2), zero_group(), free_abelian(1)]
-    rep = harting_compare(family, hx_category(FinSet(3), 3))
+    # a zero-group letter among nonzero ones: glued homs land in 0 rows
+    mixed = [cyclic(2), zero_group(), free_abelian(1)]
+    rep = harting_compare(mixed, hx_category(FinSet(3), 3))
     assert rep.ok, rep.failures
-    assert rep.canonical_form == biproduct(family)[0].canonical_form == (1, (2,))
-    assert rep.colimit.carrier.gens == 2
+    assert rep.canonical_form == biproduct(mixed)[0].canonical_form == (1, (2,))
 
 
 def test_compare_cap_stability():
