@@ -11,8 +11,9 @@ Submodules:
 - ``abdiag``: diagrams of abelian groups (families and group actions
   among them), colimits and limits, (co)invariants, induced maps,
   coproduct-mono checks.
-- ``harting``: the truncated category of finite words over a set and the
-  coproduct expansion with its colimit comparison.
+- ``harting``: the truncated category of finite words over a set, its
+  skeleton on sorted words, and the coproduct expansion with its colimit
+  comparison.
 - ``verify``: harnesses that check the structural theorems on instances.
 - ``documents`` and ``cli``: the JSON document format and command line.
 """
@@ -34,6 +35,7 @@ from .abdiag import (AbDiagram, ab4_check, ab_colimit, ab_limit,
                      coinvariants, generator_check, gmodule, induced_map_on_colimits,
                      invariants)
 from .harting import (HXCategory, HXMorphism, HXObject, h_embedding,
-                      harting_compare, harting_expand, hx_category, hx_coproduct)
+                      harting_compare, harting_expand, hx_category, hx_coproduct,
+                      hx_skeleton)
 
 __version__ = "0.1.0"

@@ -20,18 +20,25 @@ holds its words and hom-set sizes and ranks index maps in closed form.
 It is generated by the adjacent transpositions, the merge of the last two
 positions and the appending of one letter, and an expansion values its
 routing homs only at the morphisms read, so colimits cost per generator,
-not per index map.  Equal (alphabet, cap) requests share one truncation;
-each request checks the morphism budget.
+not per index map.
+
+A word is isomorphic to each of its permutations, so the full subcategory
+on the sorted words, one per finite sub-multiset of X, is a skeleton: its
+inclusion is an equivalence, hence final and initial, and every colimit
+and limit over a truncation is the one over its skeleton.  ``hx_skeleton``
+builds it by the same closed form, generated inside each letter's block
+of positions.  Equal requests share one truncation; each request checks
+the morphism budget.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 from math import prod
 
 from .abdiag import AbDiagram, ab_colimit, AbColimit
@@ -97,7 +104,8 @@ class _Lazy(Sequence):
 
 
 class HXCategory:
-    """Truncation of HX at a given arity cap, realized as a FinCategory.
+    """Truncation of HX at a given arity cap, or its skeleton on the sorted
+    words, realized as a FinCategory.
 
     Objects are ordered by (arity, word) and held eagerly; morphisms are
     ordered by (source, target, mapping) and never enumerated.  The maps
@@ -113,7 +121,7 @@ class HXCategory:
     __slots__ = ("alphabet", "cap", "category", "objects", "morphisms",
                  "_object_index", "_spots", "_starts")
 
-    def __init__(self, alphabet: FinSet, cap: int, objects, spots, starts):
+    def __init__(self, alphabet: FinSet, cap: int, objects, spots, starts, steps):
         self.alphabet = alphabet
         self.cap = cap
         self.objects = tuple(objects)
@@ -127,7 +135,7 @@ class HXCategory:
             n, _Lazy(total, lambda m: (bisect_right(starts, m) - 1) // n),
             _Lazy(total, lambda m: (bisect_right(starts, m) - 1) % n), ident, None,
             compose_rule=self._compose, object_labels=map(self.word_label, self.objects),
-            generators=_elementary_maps(self))
+            generators=_generators(self, steps))
 
     def _unrank(self, m: int) -> tuple:
         p = bisect_right(self._starts, m) - 1
@@ -140,14 +148,10 @@ class HXCategory:
             mapping.append(spots[v][digit])
         return si, ti, tuple(reversed(mapping))
 
-    def _index(self, si: int, ti: int, mapping) -> int | None:
-        """Index of ``mapping``, of the source's length, from object si to
-        object ti, or None when it is not an index map between their words."""
-        word, target, spots = self.objects[si].word, self.objects[ti].word, self._spots[ti]
-        rank = 0
-        for v, j in zip(word, mapping):
-            if not 0 <= j < len(target) or target[j] != v:
-                return None
+    def _index(self, si: int, ti: int, mapping) -> int:
+        """Index of the index map ``mapping`` from object si to object ti."""
+        spots, rank = self._spots[ti], 0
+        for v, j in zip(self.objects[si].word, mapping):
             rank = rank * len(spots[v]) + spots[v].index(j)
         return self._starts[si * len(self.objects) + ti] + rank
 
@@ -194,11 +198,34 @@ def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> 
     those alone.  Equal ``(alphabet, cap)``, labels included,
     share one truncation.  Raises BudgetError, on every request and before
     a build, when it holds more than ``max_morphisms`` index maps.
+
+    Its skeleton, ``hx_skeleton``, keeps the sorted words, one per letter
+    content, generated inside each letter's block of positions.  A word is
+    isomorphic to its sorted permutation, so the inclusion is an
+    equivalence and colimits and limits over the two agree; this category
+    is the skeleton's oracle.
     """
+    return _truncation(alphabet, cap, max_morphisms, skeleton=False)
+
+
+def hx_skeleton(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> HXCategory:
+    """The full subcategory of ``hx_category(alphabet, cap)`` on its sorted
+    words, one per finite sub-multiset of the alphabet.
+
+    Colimits and limits over the truncation are computed here.  Generated,
+    inside each letter's block of positions, by the adjacent
+    transpositions, the merge of the block's last two positions and the
+    insertion of the letter at the block's end.  Shared and budgeted like
+    ``hx_category``, counting the skeleton's morphisms.
+    """
+    return _truncation(alphabet, cap, max_morphisms, skeleton=True)
+
+
+def _truncation(alphabet: FinSet, cap: int, max_morphisms: int, skeleton: bool) -> HXCategory:
     if cap < 1:
         raise InputError("cap must be at least 1")
-    key = (alphabet, cap)
-    h = _truncations.pop(key, None) or _build_truncation(alphabet, cap, max_morphisms)
+    key = (alphabet, cap, skeleton)
+    h = _truncations.pop(key, None) or _build_truncation(alphabet, cap, max_morphisms, skeleton)
     _truncations[key] = h
     if len(_truncations) > MAX_TRUNCATIONS:
         _truncations.popitem(last=False)
@@ -212,9 +239,12 @@ def _check_budget(morphisms: int, max_morphisms: int):
                           f"budget is {max_morphisms}")
 
 
-def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int) -> HXCategory:
+def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
+                      skeleton: bool) -> HXCategory:
+    letters = range(alphabet.size)
     objects = [HXObject(n, word) for n in range(cap + 1)
-               for word in iproduct(range(alphabet.size), repeat=n)]
+               for word in (combinations_with_replacement(letters, n) if skeleton
+                            else iproduct(letters, repeat=n))]
     # positions of each letter inside each word; a morphism out of a word
     # chooses, per position, one matching position of the target word
     spots = [{v: tuple(j for j, y in enumerate(o.word) if y == v) for v in o.word}
@@ -224,13 +254,21 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int) -> HXCateg
         for target in spots:
             starts.append(starts[-1] + prod(len(target.get(v, ())) for v in src.word))
     _check_budget(starts[-1], max_morphisms)
-    return HXCategory(alphabet, cap, objects, spots, starts)
+    return HXCategory(alphabet, cap, objects, spots, starts,
+                      _block_steps if skeleton else _elementary_steps)
 
 
-def _elementary_maps(h: HXCategory) -> list:
-    """Sorted indices of the adjacent transpositions, the merge of the
-    last two positions when they carry the same letter, and the appending
-    of one letter at the end.
+def _generators(h: HXCategory, steps) -> list:
+    """Sorted indices of the maps ``steps(word, h)`` lists, as (target
+    word, mapping) pairs, out of each object."""
+    return sorted(h._index(si, h._object_index[HXObject(len(target), target)], mapping)
+                  for si, obj in enumerate(h.objects) for target, mapping in steps(obj.word, h))
+
+
+def _elementary_steps(word: tuple, h: HXCategory) -> list:
+    """The adjacent transpositions, the merge of the last two positions
+    when they carry the same letter, and the appending of one letter at
+    the end.
 
     They generate the truncation: an index map is a permutation (a product
     of adjacent transpositions) onto a word where it is monotone, then
@@ -240,20 +278,38 @@ def _elementary_maps(h: HXCategory) -> list:
     an append followed by adjacent transpositions, so every word in
     between has arity at most that of the source or the target.
     """
-    found = []
-    for si, obj in enumerate(h.objects):
-        n, word = obj.arity, obj.word
-        ident = tuple(range(n))
-        steps = [(word[:k] + (word[k + 1], word[k]) + word[k + 2:],
-                  ident[:k] + (k + 1, k) + ident[k + 2:]) for k in range(n - 1)]
-        if n >= 2 and word[-2] == word[-1]:
-            steps.append((word[:-1], ident[:-1] + (n - 2,)))
+    n, ident = len(word), tuple(range(len(word)))
+    steps = [(word[:k] + (word[k + 1], word[k]) + word[k + 2:],
+              ident[:k] + (k + 1, k) + ident[k + 2:]) for k in range(n - 1)]
+    if n >= 2 and word[-2] == word[-1]:
+        steps.append((word[:-1], ident[:-1] + (n - 2,)))
+    if n < h.cap:
+        steps.extend((word + (v,), ident) for v in range(h.alphabet.size))
+    return steps
+
+
+def _block_steps(word: tuple, h: HXCategory) -> list:
+    """On a sorted word, for each letter v and the block [s, e) of its
+    positions: the adjacent transpositions inside the block, the merge of
+    its last two positions and the insertion of v at position e.
+
+    They generate the skeleton: an index map between sorted words maps
+    each letter's block into that letter's block, and a map of blocks is
+    a permutation of its source (adjacent transpositions) followed by a
+    monotone map.  That is merges of adjacent positions, each the last-pair
+    merge conjugated by a permutation, then insertions, each an insertion
+    at the block's end followed by transpositions; every word in between
+    is sorted and has arity at most that of the source or the target.
+    """
+    n, ident, steps = len(word), tuple(range(len(word))), []
+    for v in range(h.alphabet.size):
+        s, e = bisect_left(word, v), bisect_right(word, v)
+        steps.extend((word, ident[:k] + (k + 1, k) + ident[k + 2:]) for k in range(s, e - 1))
+        if e - s >= 2:
+            steps.append((word[:e - 1] + word[e:], tuple(i - (i >= e - 1) for i in ident)))
         if n < h.cap:
-            steps.extend((word + (v,), ident) for v in range(h.alphabet.size))
-        for target, mapping in steps:
-            found.append(h._index(si, h._object_index[HXObject(len(target), target)],
-                                  mapping))
-    return sorted(found)
+            steps.append((word[:e] + (v,) + word[e:], tuple(i + (i >= e) for i in ident)))
+    return steps
 
 
 def hx_coproduct(h: HXCategory, u: HXObject, v: HXObject):
@@ -430,8 +486,6 @@ def hx_filtered_bounded_report(h: HXCategory) -> BoundedReport:
     witnesses = {"bounds": {}, "coequalizers": {}}
     checked = 0
     n = len(h.objects)
-    if n == 0:
-        return BoundedReport(False, 0, (("empty",),), witnesses)
     for ui in range(n):
         u = h.objects[ui]
         for vi in range(ui, n):

@@ -6,20 +6,21 @@ from itertools import product as iproduct
 
 import pytest
 
-from abcat.abdiag import (AbDiagram, ab_colimit, ab_limit, induced_map_on_colimits,
-                          validate_diagram)
-from abcat.abgrp import (biproduct, cyclic, free_abelian, hom, hom_compose,
+from abcat.abdiag import (AbCocone, AbColimit, AbDiagram, ab_colimit, ab_limit,
+                          induced_map_on_colimits, validate_diagram)
+from abcat.abgrp import (AbHom, FGAbGroup, biproduct, cyclic, free_abelian, hom, hom_compose,
                          hom_equal, identity_hom, zero_group)
 from abcat import harting
 from abcat.errors import BudgetError, InputError, TruncationError
-from abcat.fincat import FinCategory, is_connected, validate_category, validate_functor
+from abcat.fincat import (FinCategory, FinFunctor, is_connected, is_final, validate_category,
+                          validate_functor)
 from abcat.harting import (HXMorphism, HXObject, h_embedding, harting_compare,
                            harting_expand, hx_category, hx_coproduct,
-                           hx_filtered_bounded_report, hx_sifted_bounded_report)
+                           hx_filtered_bounded_report, hx_sifted_bounded_report, hx_skeleton)
 from abcat.intmat import IntMatrix
 from abcat.sampling import random_family
 from abcat.setdiag import FinSet
-from abcat.verify import run_suite
+from abcat.verify import run_suite, verify_harting
 from test_cross_oracles import pair_expansion, signed_expansion
 
 AB = FinSet(2, ("a", "b"))
@@ -103,15 +104,16 @@ def test_seeded_suite_builds_each_truncation_once(monkeypatch):
     builds = []
     build = harting._build_truncation
 
-    def counted(alphabet, cap, max_morphisms):
-        builds.append((alphabet, cap))
-        return build(alphabet, cap, max_morphisms)
+    def counted(alphabet, cap, max_morphisms, skeleton):
+        builds.append((alphabet, cap, skeleton))
+        return build(alphabet, cap, max_morphisms, skeleton)
 
     monkeypatch.setattr(harting, "_truncations", OrderedDict())
     monkeypatch.setattr(harting, "_build_truncation", counted)
     assert run_suite("harting", 12, 5, stability_cap=3).ok
-    # 1-3 letters, each at cap 2 and stability cap 3
+    # skeletons on 1-3 letters, each at cap 2 and stability cap 3
     assert len(builds) == len(set(builds)) <= 6
+    assert builds and all(skeleton for _, _, skeleton in builds)
 
 
 def test_coproduct_examples():
@@ -486,3 +488,177 @@ def test_non_natural_component_at_one_generator_is_rejected():
     components[a] = identity_hom(d.groups[a])
     induced, _, _ = induced_map_on_colimits(d, d, components)
     assert hom_equal(induced, identity_hom(induced.source))
+
+
+# ---------------------------------------------------------------------------
+# the skeleton on sorted words, with the word category as its oracle
+
+SKELETON_SIZES = [(2, 3), (3, 3), (2, 4), (3, 4)]
+
+
+def _inclusion(letters, cap):
+    """The skeleton's inclusion into the word category, as a FinFunctor."""
+    words, skeleton = hx_category(FinSet(letters), cap), hx_skeleton(FinSet(letters), cap)
+    on_obj = [words.object_index(o) for o in skeleton.objects]
+    on_mor = [words.morphism_index(HXMorphism(skeleton.objects[si], skeleton.objects[ti], m))
+              for si, ti, m in skeleton.morphisms]
+    return FinFunctor(skeleton.category, words.category, on_obj, on_mor)
+
+
+def _generated(cat):
+    """Morphisms reached from the identities by composing generators on the left."""
+    out = {}
+    for g in cat.generators:
+        out.setdefault(cat.dom[g], []).append(g)
+    reached, frontier = set(cat.identity), list(cat.identity)
+    while frontier:
+        frontier = sorted({cat.compose(g, f) for f in frontier
+                           for g in out.get(cat.cod[f], ())} - reached)
+        reached.update(frontier)
+    return reached
+
+
+@pytest.mark.parametrize("letters,cap", SKELETON_SIZES)
+def test_skeleton_is_the_full_subcategory_on_sorted_words(letters, cap):
+    inc = _inclusion(letters, cap)
+    skeleton, words = hx_skeleton(FinSet(letters), cap), hx_category(FinSet(letters), cap)
+    assert [o.word for o in skeleton.objects] == sorted(
+        {tuple(sorted(o.word)) for o in words.objects}, key=lambda w: (len(w), w))
+    for si, ti in iproduct(range(len(skeleton.objects)), repeat=2):
+        # full: the hom-sets are the word category's, in the same order
+        assert list(map(inc.on_morphisms.__getitem__, skeleton.hom_indices(si, ti))) == \
+            list(words.hom_indices(inc.on_objects[si], inc.on_objects[ti]))
+    cat = skeleton.category
+    assert all(inc.on_morphisms[cat.identity[x]] == words.category.identity[inc.on_objects[x]]
+               for x in range(cat.n_objects))
+    rng = random.Random(10 * letters + cap)
+    for _ in range(300):
+        f = rng.randrange(cat.n_morphisms)
+        following = cat.morphisms_from(cat.cod[f])
+        g = rng.choice(following)
+        assert inc.on_morphisms[cat.compose(g, f)] == \
+            words.category.compose(inc.on_morphisms[g], inc.on_morphisms[f])
+    assert _generated(cat) == set(range(cat.n_morphisms))
+
+
+@pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3), (2, 4)])
+def test_skeleton_inclusion_is_final(letters, cap):
+    assert is_final(_inclusion(letters, cap)).final
+
+
+@pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3)])
+def test_skeleton_validates(letters, cap):
+    assert validate_category(hx_skeleton(FinSet(letters), cap).category).ok
+
+
+@pytest.mark.parametrize("letters,cap", SKELETON_SIZES)
+def test_expansion_colimits_and_limits_agree_on_both_bases(letters, cap):
+    words, skeleton = hx_category(FinSet(letters), cap), hx_skeleton(FinSet(letters), cap)
+    for seed in range(4):
+        family = random_family(random.Random(seed), letters)
+        on_words = ab_colimit(harting_expand(family, words)).carrier
+        on_skeleton = ab_colimit(harting_expand(family, skeleton)).carrier
+        assert on_skeleton.canonical_form == on_words.canonical_form
+        assert on_skeleton.relations == on_words.relations
+        # the word-category limit at (3, 4) takes seconds per seed
+        if (letters, cap) != (3, 4) or seed == 1:
+            assert ab_limit(harting_expand(family, skeleton)).carrier.canonical_form == \
+                ab_limit(harting_expand(family, words)).carrier.canonical_form
+
+
+def test_skeleton_counts_match_the_closed_form_table():
+    skeleton = hx_skeleton(FinSet(3), 4)
+    assert (len(skeleton.objects), len(skeleton.morphisms),
+            len(skeleton.category.generators)) == (35, 3_675, 135)
+    # ranked, not enumerated
+    skeleton = hx_skeleton(FinSet(4), 6, max_morphisms=2_000_000)
+    assert (len(skeleton.objects), len(skeleton.morphisms),
+            len(skeleton.category.generators)) == (210, 1_260_001, 1_288)
+    with pytest.raises(BudgetError):
+        hx_skeleton(FinSet(4), 6)
+
+
+def test_skeleton_is_cached_apart_from_the_word_category():
+    skeleton = hx_skeleton(FinSet(2), 3)
+    assert skeleton is hx_skeleton(FinSet(2), 3) and skeleton is not hx_category(FinSet(2), 3)
+    assert len(skeleton.objects) == 10 and len(hx_category(FinSet(2), 3).objects) == 15
+
+
+def test_verify_harting_counts_words_past_the_word_budget():
+    # the word category at (4, 5) holds 4,373,513 index maps, its skeleton 86,651
+    report = verify_harting(random_family(random.Random(5), 4), cap=4, stability_cap=5)
+    assert report.ok, report.details
+    assert report.details["objects"] == sum(4 ** n for n in range(5)) == 341
+
+
+# ---------------------------------------------------------------------------
+# failing checks
+
+
+def _with_carrier(colim, carrier, legs):
+    return AbColimit(carrier, AbCocone(carrier, tuple(legs)), colim.diagram,
+                     colim.representatives)
+
+
+def test_compare_names_each_failed_check(monkeypatch):
+    family = [free_abelian(1), cyclic(3)]
+    hx = hx_category(AB, 2)
+    a = hx.object_index(HXObject(1, (0,)))
+
+    def negated_leg(colim):
+        legs = list(colim.cocone.components)
+        legs[a] = -legs[a]
+        return _with_carrier(colim, colim.carrier, legs)
+
+    def extra_relation(colim):
+        carrier = colim.carrier
+        kill = IntMatrix.identity(carrier.gens).column(0)
+        bigger = FGAbGroup(carrier.gens, IntMatrix.from_columns(
+            [*carrier.relations.columns(), kill], carrier.gens))
+        return _with_carrier(colim, bigger, [AbHom(leg.source, bigger, leg.matrix)
+                                           for leg in colim.cocone.components])
+
+    texts = {}
+    for tamper in (negated_leg, extra_relation):
+        monkeypatch.setattr(harting, "ab_colimit", lambda d: tamper(ab_colimit(d)))
+        rep = harting_compare(family, hx)
+        assert not rep.ok
+        texts[tamper.__name__] = rep.failures
+    assert texts["negated_leg"] == (
+        "forward o backward is not the identity on the coproduct",
+        "backward o forward is not the identity on the colimit",
+        f"forward breaks the cocone at object {a}")
+    assert texts["extra_relation"] == ("canonical forms differ: Z x Z/3 vs Z/3",)
+
+
+class _Tampered(harting.HXCategory):
+    """A word category whose ``_maps`` edits the maps of the pairs in ``edits``."""
+
+    def __init__(self, h, edits):
+        super().__init__(h.alphabet, h.cap, h.objects, h._spots, h._starts,
+                         harting._elementary_steps)
+        self.edits = edits
+
+    def _maps(self, src, tgt):
+        maps = list(super()._maps(src, tgt))
+        return self.edits[(src, tgt)](maps) if (src, tgt) in self.edits else maps
+
+
+def test_sifted_report_names_a_reordered_pair():
+    hx = hx_category(AB, 2)
+    aa = hx.object_index(HXObject(2, (0, 0)))
+    rep = hx_sifted_bounded_report(_Tampered(hx, {(aa, aa): lambda maps: maps[::-1]}))
+    assert not rep.ok and rep.failures
+    # each failure (u, v, other, p, q) reads the maps from the concatenation of u and v
+    assert {(rep.witnesses[(u, v)][0], other) for u, v, other, _, _ in rep.failures} == \
+        {(aa, aa)}
+
+
+def test_filtered_report_names_a_parallel_pair_left_uncoequalized():
+    hx = hx_category(FinSet(1), 2)
+    a, aa = (hx.object_index(HXObject(n, (0,) * n)) for n in (1, 2))
+    # the maps out of (aa) into (a) and (aa) are the only ones that merge its positions
+    rep = hx_filtered_bounded_report(_Tampered(hx, {(aa, a): lambda maps: [],
+                                                    (aa, aa): lambda maps: []}))
+    assert not rep.ok
+    assert rep.failures == (("coequalizer", *hx.hom_indices(a, aa)),)
