@@ -40,8 +40,8 @@ class FinCategory:
     the index of g∘f.  Large generated categories may instead supply
     ``compose_rule``, and then also ``dom`` and ``cod`` as read-only
     sequences that compute their entries on demand.  Optional
-    ``generators`` must compose, together with the identities, to every
-    morphism; group colimits glue along them alone.
+    ``generators`` must reach every morphism from the identities by
+    composing on the left; group colimits glue along them alone.
     Values are immutable after construction.
     """
 
@@ -521,11 +521,16 @@ def full_subcategory(cat: FinCategory, objects) -> tuple[FinCategory, FinFunctor
 
 
 def validate_category(cat: FinCategory) -> ValidationReport:
-    """Exhaustively check all category laws; index range errors raise.
+    """Check all category laws; index range errors raise.
 
     The report lists every violation found: dom/cod mismatches of
     composites, identity failures, associativity failures, undefined or
-    spurious table entries, and generator closure gaps.
+    spurious table entries, and generator closure gaps.  Every composable
+    pair is read once, and (h∘g)∘f = h∘(g∘f) is checked for every h, or
+    for the generators h alone when there are ``generators``.  That
+    suffices when identities are units and each morphism h is g∘h' for a
+    generator g and an h' reached earlier from the identities: inductively
+    (h∘a)∘b = (g∘(h'∘a))∘b = g∘((h'∘a)∘b) = g∘(h'∘(a∘b)) = h∘(a∘b).
     """
     n, m = cat.n_objects, cat.n_morphisms
     dom, cod = tuple(cat.dom), tuple(cat.cod)
@@ -549,52 +554,51 @@ def validate_category(cat: FinCategory) -> ValidationReport:
         if dom[e] != c or cod[e] != c:
             problems.append(f"identity of object {c} has endpoints ({dom[e]},{cod[e]})")
 
-    if cat.has_table:
-        for (g, f), gf in sorted(cat._table.items()):
-            if not (0 <= f < m and 0 <= g < m):
-                raise InputError(f"composition key ({g},{f}) out of range")
-            if cod[f] != dom[g]:
-                problems.append(f"composite defined for non-composable pair ({g},{f})")
-                continue
-            if not 0 <= gf < m:
-                raise InputError(f"composition value for ({g},{f}) out of range")
-            if dom[gf] != dom[f] or cod[gf] != cod[g]:
-                problems.append(f"composite ({g},{f}) has wrong endpoints")
-        table_keys = set(cat._table)
-    else:
-        table_keys = None
+    table = cat._table
+    for (g, f), gf in sorted((table or {}).items()):
+        if not (0 <= f < m and 0 <= g < m):
+            raise InputError(f"composition key ({g},{f}) out of range")
+        if cod[f] != dom[g]:
+            problems.append(f"composite defined for non-composable pair ({g},{f})")
+            continue
+        if not 0 <= gf < m:
+            raise InputError(f"composition value for ({g},{f}) out of range")
+        if dom[gf] != dom[f] or cod[gf] != cod[g]:
+            problems.append(f"composite ({g},{f}) has wrong endpoints")
 
-    composites = {}
+    # every composable pair once; rows[f] maps g to g∘f
+    composites, rows = {}, [{} for _ in range(m)]
     for f in range(m):
         for g in cat.morphisms_from(cod[f]):
-            if table_keys is not None and (g, f) not in table_keys:
-                problems.append(f"composite ({g},{f}) undefined")
-                continue
-            gf = cat.compose(g, f)
-            composites[(g, f)] = gf
-            if not cat.has_table:
+            if table is None:
+                gf = cat._rule(g, f)
                 if not 0 <= gf < m:
                     raise InputError(f"composition value for ({g},{f}) out of range")
                 if dom[gf] != dom[f] or cod[gf] != cod[g]:
                     problems.append(f"composite ({g},{f}) has wrong endpoints")
+            elif (g, f) in table:
+                gf = table[g, f]
+            else:
+                problems.append(f"composite ({g},{f}) undefined")
+                continue
+            composites[(g, f)] = rows[f][g] = gf
 
     for f in range(m):
-        left = composites.get((cat.identity[cod[f]], f))
-        right = composites.get((f, cat.identity[dom[f]]))
+        left = rows[f].get(cat.identity[cod[f]])
+        right = rows[cat.identity[dom[f]]].get(f)
         if left is not None and left != f:
             problems.append(f"left identity fails for morphism {f}")
         if right is not None and right != f:
             problems.append(f"right identity fails for morphism {f}")
 
-    for (g, f), gf in composites.items():
-        for h in cat.morphisms_from(cod[g]):
-            hg = composites.get((h, g))
-            h_gf = composites.get((h, gf))
-            if hg is None or h_gf is None:
-                continue
-            hg_f = composites.get((hg, f))
-            if hg_f is not None and hg_f != h_gf:
-                problems.append(f"associativity fails on triple ({h},{g},{f})")
+    leads = cat.morphisms_from if cat.generators is None else cat.generating_from
+    after = [[(h, rows[g][h]) for h in leads(cod[g]) if h in rows[g]] for g in range(m)]
+    for f, row in enumerate(rows):
+        for g, gf in row.items():
+            for h, hg in after[g]:
+                hg_f, h_gf = row.get(hg), rows[gf].get(h)
+                if hg_f != h_gf and hg_f is not None and h_gf is not None:
+                    problems.append(f"associativity fails on triple ({h},{g},{f})")
 
     if cat.generators is not None:
         reachable = generator_closure(cat, composites)
@@ -606,26 +610,21 @@ def validate_category(cat: FinCategory) -> ValidationReport:
 
 
 def generator_closure(cat: FinCategory, composites: dict) -> set:
-    """Morphisms reachable from the identities and ``cat.generators``.
+    """Morphisms reached from the identities by composing ``generating()``
+    maps on the left.
 
-    ``composites`` maps pairs (g, f) to g∘f; pairs that are missing or not
-    composable are skipped, so a partial or faulty table is safe to pass.
+    ``composites`` maps pairs (g, f) to g∘f; missing pairs are skipped, so
+    a partial or faulty table is safe to pass.
     """
-    dom, cod = tuple(cat.dom), tuple(cat.cod)
-    reachable = set(cat.identity) | set(cat.generators)
-    frontier = list(reachable)
+    reached, frontier = set(cat.identity), list(cat.identity)
     while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(reachable):
-                for g, f in ((x, y), (y, x)):
-                    if cod[f] == dom[g]:
-                        gf = composites.get((g, f))
-                        if gf is not None and gf not in reachable:
-                            reachable.add(gf)
-                            fresh.append(gf)
-        frontier = fresh
-    return reachable
+        f = frontier.pop()
+        for g in cat.generating_from(cat.cod[f]):
+            gf = composites.get((g, f))
+            if gf is not None and gf not in reached:
+                reached.add(gf)
+                frontier.append(gf)
+    return reached
 
 
 def validate_functor(f: FinFunctor) -> ValidationReport:

@@ -7,8 +7,8 @@ from abcat.errors import BudgetError, InputError, PreconditionError
 from abcat.fincat import (FinCategory, FinFunctor, chain_category, comma_category,
                           cone_search, cospan_category, diamond_category,
                           diagonal_functor, discrete_category, find_zigzag,
-                          full_subcategory, group_as_category, identity_functor,
-                          is_connected, is_filtered, is_final, is_sifted,
+                          full_subcategory, generator_closure, group_as_category,
+                          identity_functor, is_connected, is_filtered, is_final, is_sifted,
                           parallel_pair_category, product_category,
                           terminal_category, validate_category, validate_functor)
 from cat_corpus import Z2_TABLE, Z3_TABLE, category_corpus, semilattice_corpus
@@ -68,6 +68,35 @@ def test_generator_closure():
                           table, generators=[covers[0]])
     report = validate_category(missing)
     assert any("not a composite of generators" in p for p in report.problems)
+
+
+def test_validate_names_each_table_and_rule_fault():
+    # chain(2): 0 = 0<=0, 1 = 0<=1, 2 = 1<=1
+    c = chain_category(2)
+    table = dict(c._table)
+    cases = [
+        (FinCategory(2, c.dom, c.cod, [0, 1], table),
+         ("identity of object 1 has endpoints (0,1)", "right identity fails for morphism 2")),
+        (FinCategory(2, c.dom, c.cod, c.identity, {**table, (1, 1): 1}),
+         ("composite defined for non-composable pair (1,1)",)),
+        (FinCategory(2, c.dom, c.cod, c.identity, {**table, (2, 1): 2}),
+         ("composite (2,1) has wrong endpoints", "left identity fails for morphism 1")),
+        (FinCategory(2, c.dom, c.cod, c.identity, {k: v for k, v in table.items() if k != (2, 1)}),
+         ("composite (2,1) undefined",)),
+        (FinCategory(2, c.dom, c.cod, c.identity,
+                     compose_rule=lambda g, f: 0 if (g, f) == (2, 1) else table[g, f]),
+         ("composite (2,1) has wrong endpoints", "left identity fails for morphism 1")),
+    ]
+    for cat, problems in cases:
+        assert validate_category(cat).problems == problems
+
+
+def test_generator_closure_skips_missing_composites():
+    cat = chain_category(3)
+    # covers 0<=1 (1) and 1<=2 (4); their composite 0<=2 (2) is left out
+    table = {k: v for k, v in cat._table.items() if k != (4, 1)}
+    partial = FinCategory(3, cat.dom, cat.cod, cat.identity, table, generators=[1, 4])
+    assert generator_closure(partial, table) == {0, 1, 3, 4, 5}
 
 
 def test_product_terminal_unit():

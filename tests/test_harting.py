@@ -546,9 +546,54 @@ def test_skeleton_inclusion_is_final(letters, cap):
     assert is_final(_inclusion(letters, cap)).final
 
 
-@pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3), (2, 4)])
 def test_skeleton_validates(letters, cap):
     assert validate_category(hx_skeleton(FinSet(letters), cap).category).ok
+
+
+def _associative(cat, table):
+    """Associativity on every composable triple, read from ``table``."""
+    cod = tuple(cat.cod)
+    return all(table[h, table[g, f]] == table[table[h, g], f]
+               for (g, f) in table for h in cat.morphisms_from(cod[g]))
+
+
+@pytest.mark.parametrize("build,letters,cap", [(hx_skeleton, 2, 3), (hx_skeleton, 3, 3),
+                                               (hx_category, 2, 2), (hx_category, 2, 3)])
+def test_validation_rejects_one_redirected_composite(build, letters, cap):
+    # validate_category checks associativity only with a generator outside;
+    # a composite g∘f of two non-identities sent to another map with the
+    # same endpoints is still caught, as the full triple loop catches it
+    h = build(FinSet(letters), cap)
+    cat = h.category
+    dom, cod = tuple(cat.dom), tuple(cat.cod)
+    table = {(g, f): cat.compose(g, f) for f in range(cat.n_morphisms)
+             for g in cat.morphisms_from(cod[f])}
+    pairs = [(g, f) for g, f in table if g not in cat.identity and f not in cat.identity
+             and len(h.hom_indices(dom[f], cod[g])) > 1]
+    rng = random.Random(10 * letters + cap)
+    for _ in range(5):
+        g, f = rng.choice(pairs)
+        other = rng.choice([m for m in h.hom_indices(dom[f], cod[g]) if m != table[g, f]])
+        bad = {**table, (g, f): other}
+        tampered = FinCategory(cat.n_objects, cat.dom, cat.cod, cat.identity,
+                               compose_rule=lambda b, a: bad[b, a], generators=cat.generators)
+        report = validate_category(tampered)
+        assert not report.ok
+        assert report.ok == _associative(tampered, bad)
+
+
+@pytest.mark.parametrize("build", [hx_category, hx_skeleton])
+def test_the_word_listing_the_alphabet_is_terminal_exactly_when_it_fits(build):
+    for letters, cap in iproduct(range(1, 5), repeat=2):
+        h = build(FinSet(letters), cap)
+        objects = range(len(h.objects))
+        if cap >= letters:
+            top = h.object_index(HXObject(letters, tuple(range(letters))))
+            assert all(len(h.hom_indices(s, top)) == 1 for s in objects)
+        else:
+            singles = [h.object_index(HXObject(1, (x,))) for x in range(letters)]
+            assert not any(all(h.hom_indices(s, t) for s in singles) for t in objects)
 
 
 @pytest.mark.parametrize("letters,cap", SKELETON_SIZES)
