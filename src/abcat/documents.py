@@ -11,7 +11,7 @@ fixed ordering so files are diff-stable.
 Kinds and their bodies:
 
 - category: objects, morphisms [{name, dom, cod}], identities,
-  composition [[g, f, gf], ...], optional generators.
+  composition [[g, f, gf], ...] with each pair once, optional generators.
 - functor: source, target (category bodies), on_objects, on_morphisms.
 - setdiagram: base (or factors [cat, cat] for a product base), sets
   (size or label list per object), maps (tables per morphism).
@@ -170,34 +170,47 @@ def _columns_matrix(columns, rows, path):
 
 def parse_category_body(payload, path="category") -> FinCategory:
     objects = _name_list(_need(payload, "objects", list, path), f"{path}.objects")
-    if len(set(objects)) != len(objects):
+    obj = {name: i for i, name in enumerate(objects)}
+    if len(obj) != len(objects):
         raise DocumentError("object names are not distinct", path=f"{path}.objects")
-    obj = _resolver(objects, "object")
-    names = []
-    dom = []
-    cod = []
+    names, dom, cod = [], [], []
+    # one lookup per name; an entry that fails is read again to raise its error
     for i, entry in enumerate(_need(payload, "morphisms", list, path)):
+        try:
+            if isinstance(entry, dict) and isinstance(entry["name"], str):
+                dom.append(obj[entry["dom"]])
+                cod.append(obj[entry["cod"]])
+                names.append(entry["name"])
+                continue
+        except (KeyError, TypeError):
+            pass
         mpath = f"{path}.morphisms[{i}]"
         if not isinstance(entry, dict):
             raise DocumentError("morphism entries must be objects", path=mpath)
-        names.append(_need(entry, "name", str, mpath))
-        d = _need(entry, "dom", str, mpath)
-        c = _need(entry, "cod", str, mpath)
-        dom.append(obj(d, f"{mpath}.dom"))
-        cod.append(obj(c, f"{mpath}.cod"))
-    if len(set(names)) != len(names):
+        _need(entry, "name", str, mpath)
+        d, c = _need(entry, "dom", str, mpath), _need(entry, "cod", str, mpath)
+        _resolver(objects, "object")(d, f"{mpath}.dom")
+        _resolver(objects, "object")(c, f"{mpath}.cod")
+    index = {name: m for m, name in enumerate(names)}
+    if len(index) != len(names):
         raise DocumentError("morphism names are not distinct", path=f"{path}.morphisms")
     mor = _resolver(names, "morphism")
     ident = _section(payload, "identities", objects, "object", "identity",
                      lambda _, name, p: mor(name, p), path)
     table = {}
     for i, triple in enumerate(_need(payload, "composition", list, path)):
-        tpath = f"{path}.composition[{i}]"
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise DocumentError("composition entries must be [g, f, gf] triples",
-                                path=tpath)
-        g, f, gf = [mor(name, f"{tpath}[{k}]") for k, name in enumerate(triple)]
-        table[(g, f)] = gf
+        try:
+            g, f, gf = map(index.__getitem__, triple) if isinstance(triple, list) else ()
+        except (KeyError, TypeError, ValueError):
+            tpath = f"{path}.composition[{i}]"
+            if not isinstance(triple, list) or len(triple) != 3:
+                raise DocumentError("composition entries must be [g, f, gf] triples",
+                                    path=tpath) from None
+            for k, name in enumerate(triple):
+                mor(name, f"{tpath}[{k}]")
+        if table.setdefault((g, f), gf) != gf:
+            raise DocumentError(f"conflicting composites for ['{names[g]}', '{names[f]}']",
+                                path=f"{path}.composition[{i}]")
     # composites with identities may be omitted; they are forced
     for f, (d, c) in enumerate(zip(dom, cod)):
         table.setdefault((ident[c], f), f)

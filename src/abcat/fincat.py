@@ -843,28 +843,30 @@ def is_sifted(cat: FinCategory) -> SiftedReport:
     """Nonempty with a final diagonal into the square of the category.
 
     The slice (a, b) / Δ has objects (x, (p, q)) with p: a -> x and
-    q: b -> x, and k: x -> y sends (p, q) to (k∘p, k∘q).  Slices are
-    decided by ``element_classes``, building no product, diagonal or comma
-    category; when Δ is a functor their components are ``comma_category``'s.
-    ``failing_pairs`` lists the pairs (a, b) with a disconnected slice, in
-    the order of ``diagonal_functor``'s product objects.
+    q: b -> x, and k: x -> y sends (p, q) to (k∘p, k∘q).  No arrow joins
+    two slices, so one ``element_classes`` call over the pairs of every
+    slice, listed by x through ``morphisms_to(x)``, decides them all: the
+    slice (a, b) is connected when exactly one class has dom p = a and
+    dom q = b.  Each k∘p, for k generating out of x and p into x, is
+    composed once.  No product, diagonal or comma category is built; when
+    Δ is a functor the slices' components are ``comma_category``'s.
+    ``failing_pairs`` lists the pairs (a, b) with a disconnected slice,
+    in the order of ``diagonal_functor``'s product objects.
     """
     if cat.n_objects == 0:
         return SiftedReport(False, "category is empty", ())
-    n = cat.n_objects
-
-    def push(k, pq):
-        return cat.compose(k, pq[0]), cat.compose(k, pq[1])
-
-    failing = []
-    for a in range(n):
-        for b in range(n):
-            arrows = [(x, (p, q)) for x in range(n)
-                      for p in cat.hom(a, x) for q in cat.hom(b, x)]
-            if len(element_classes(cat, arrows, push)) != 1:
-                failing.append((a, b))
+    n, dom = cat.n_objects, cat.dom
+    pairs = [(x, (p, q)) for x in range(n)
+             for p in cat.morphisms_to(x) for q in cat.morphisms_to(x)]
+    after = {k: {p: cat.compose(k, p) for p in cat.morphisms_to(x)}
+             for x in range(n) for k in cat.generating_from(x)}
+    count = [[0] * n for _ in range(n)]
+    for c in element_classes(cat, pairs, lambda k, pq: (after[k][pq[0]], after[k][pq[1]])):
+        _, (p, q) = pairs[c[0]]
+        count[dom[p]][dom[q]] += 1
+    failing = tuple((a, b) for a in range(n) for b in range(n) if count[a][b] != 1)
     reason = "disconnected diagonal slice" if failing else None
-    return SiftedReport(not failing, reason, tuple(failing))
+    return SiftedReport(not failing, reason, failing)
 
 
 @dataclass(frozen=True)

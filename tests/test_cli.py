@@ -407,6 +407,20 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     assert run_cli(capsys, "check", "filtered", wrong_kind)[0] == 2
 
 
+def test_conflicting_composites_exit_two(tmp_path, capsys):
+    body = {"kind": "category", "objects": ["*"],
+            "morphisms": [{"name": "1", "dom": "*", "cod": "*"},
+                          {"name": "e", "dom": "*", "cod": "*"}],
+            "identities": {"*": "1"},
+            "composition": [["e", "e", "1"], ["e", "e", "e"]]}
+    doc = tmp_path / "conflict.json"
+    doc.write_text(json.dumps(body))
+    for check in ("filtered", "sifted"):
+        code, out, err = run_cli(capsys, "check", check, doc)
+        assert (code, out) == (2, "")
+        assert "conflicting composites for ['e', 'e'] at category.composition[1]" in err
+
+
 def test_malformed_set_diagram_values_exit_two(tmp_path, capsys):
     # set labels are strings and map entries are integers, never coerced
     edits = [("sets", "0", [[1], [2]], "expected a list of names at setdiagram.sets.0"),

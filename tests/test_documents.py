@@ -248,3 +248,69 @@ def test_identity_composites_can_be_omitted():
     cat = parse_document(text).value
     from abcat.fincat import validate_category
     assert validate_category(cat).ok
+
+
+def _idempotent_body(**changes):
+    """The monoid {1, e} with e∘e = e as a category body, with changes."""
+    body = {"objects": ["*"],
+            "morphisms": [{"name": "1", "dom": "*", "cod": "*"},
+                          {"name": "e", "dom": "*", "cod": "*"}],
+            "identities": {"*": "1"},
+            "composition": [["e", "e", "e"]]}
+    return {"kind": "category", **body, **changes}
+
+
+def _document_error(payload):
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(payload))
+    return str(err.value), err.value.path
+
+
+TRIPLE_FAULTS = [
+    ("e", "composition entries must be [g, f, gf] triples", ""),
+    (["e", "e"], "composition entries must be [g, f, gf] triples", ""),
+    (["e", "e", "e", "e"], "composition entries must be [g, f, gf] triples", ""),
+    (["ghost", "e", "e"], "unresolved morphism reference 'ghost'", "[0]"),
+    (["e", "ghost", "e"], "unresolved morphism reference 'ghost'", "[1]"),
+    (["e", "e", "ghost"], "unresolved morphism reference 'ghost'", "[2]"),
+    (["ghost", 5, "e"], "unresolved morphism reference 'ghost'", "[0]"),
+    (["e", 5, "e"], "expected a name string", "[1]"),
+    (["e", "e", ["e"]], "expected a name string", "[2]"),
+]
+
+
+@pytest.mark.parametrize("triple,message,suffix", TRIPLE_FAULTS)
+def test_composition_triple_faults_name_the_entry(triple, message, suffix):
+    payload = _idempotent_body(composition=[["e", "e", "e"], triple])
+    path = "category.composition[1]" + suffix
+    assert _document_error(payload) == (f"{message} at {path}", path)
+
+
+MORPHISM_FAULTS = [
+    ("e", "morphism entries must be objects", ""),
+    ({"dom": "*", "cod": "*"}, "missing field 'name'", ""),
+    ({"name": 5, "dom": "*", "cod": "*"}, "field 'name' has the wrong type", ".name"),
+    ({"name": "f", "dom": ["*"], "cod": "*"}, "field 'dom' has the wrong type", ".dom"),
+    ({"name": "f", "dom": "?", "cod": "*"}, "unresolved object reference '?'", ".dom"),
+    ({"name": "f", "dom": "*", "cod": "?"}, "unresolved object reference '?'", ".cod"),
+    ({"name": "f", "dom": "?"}, "missing field 'cod'", ""),
+]
+
+
+@pytest.mark.parametrize("entry,message,suffix", MORPHISM_FAULTS)
+def test_morphism_entry_faults_name_the_entry(entry, message, suffix):
+    payload = _idempotent_body()
+    payload["morphisms"].append(entry)
+    path = "category.morphisms[2]" + suffix
+    assert _document_error(payload) == (f"{message} at {path}", path)
+
+
+def test_a_pair_has_one_composite():
+    # e∘e listed as both 1 and e: the second entry is the error
+    conflict = _idempotent_body(composition=[["e", "e", "1"], ["e", "e", "e"]])
+    path = "category.composition[1]"
+    assert _document_error(conflict) == (
+        f"conflicting composites for ['e', 'e'] at {path}", path)
+    # an identical repeat is the same table
+    repeat = _idempotent_body(composition=[["e", "e", "e"], ["e", "e", "e"]])
+    assert parse_document(json.dumps(repeat)) == parse_document(json.dumps(_idempotent_body()))

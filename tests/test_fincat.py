@@ -312,6 +312,38 @@ def test_sifted_via_slice_enumeration_oracle():
     assert True in finals and False in finals
 
 
+def test_one_pass_sifted_check_matches_the_comma_oracle():
+    # every slice decided in one element_classes call, each k∘p composed once
+    idem = FinCategory(1, [0, 0], [0, 0], [0],
+                       {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    assert validate_category(idem).ok
+    chain = chain_category(6)
+    covers = [m for m in range(chain.n_morphisms) if chain.cod[m] == chain.dom[m] + 1]
+    chain6 = FinCategory(6, chain.dom, chain.cod, chain.identity,
+                         {pair: chain.compose(*pair) for pair in chain.composable_pairs()},
+                         generators=covers)
+    cases = [("idempotent", idem),
+             ("chain3*idempotent", product_category(chain_category(3), idem)),
+             ("chain6 covers", chain6), ("discrete2", discrete_category(2)),
+             ("vee", dict(category_corpus())["vee"])]
+    failing = {}
+    for name, cat in cases:
+        diag, prod = diagonal_functor(cat)
+        expected = tuple(
+            (a, b) for a in range(cat.n_objects) for b in range(cat.n_objects)
+            if not is_connected(comma_category(prod.pair_object(a, b), diag)).connected)
+        rep = is_sifted(cat)
+        assert rep.failing_pairs == expected, name
+        assert rep.sifted == (not expected), name
+        failing[name] = expected
+    assert failing["discrete2"] == ((0, 1), (1, 0))
+    assert failing["vee"] == ((1, 2), (2, 1))
+    assert not failing["idempotent"] and not failing["chain3*idempotent"]
+    # e coequalizes the parallel pair (1, e), since e∘1 = e = e∘e
+    rep = is_filtered(idem)
+    assert rep.filtered and rep.coequalizers == {(0, 1): 1}
+
+
 def test_sifted_and_final_never_build_the_square(monkeypatch):
     import abcat.fincat as fincat
     grid = product_category(chain_category(3), chain_category(4))
