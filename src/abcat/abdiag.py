@@ -503,10 +503,8 @@ def generator_check(f: AbHom, f_prime: AbHom) -> GeneratorReport:
     if hom_equal(f, f_prime):
         return GeneratorReport(True, True, None, None)
     diff = f.matrix - f_prime.matrix
-    z = free_abelian(1)
-    for j in range(diff.cols):
-        if not f.target.contains_relation(diff.column(j)):
-            col = [[1 if i == j else 0] for i in range(f.source.gens)]
-            witness = AbHom(z, f.source, IntMatrix(col, shape=(f.source.gens, 1)))
-            return GeneratorReport(True, False, witness, j)
-    return GeneratorReport(False, False, None, None)
+    # unequal homs differ modulo the target's relations at some generator
+    j = next(j for j in range(diff.cols) if not f.target.contains_relation(diff.column(j)))
+    col = [[1 if i == j else 0] for i in range(f.source.gens)]
+    witness = AbHom(free_abelian(1), f.source, IntMatrix(col, shape=(f.source.gens, 1)))
+    return GeneratorReport(True, False, witness, j)

@@ -126,7 +126,7 @@ def group_from_presentation(relations: IntMatrix) -> FGAbGroup:
 
 
 def free_abelian(rank: int) -> FGAbGroup:
-    return FGAbGroup(rank, IntMatrix.zeros(rank, 0))
+    return FGAbGroup(rank)
 
 
 def cyclic(order: int) -> FGAbGroup:

@@ -258,29 +258,22 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_HANDLERS = {
+    "check": _cmd_check,
+    "limit": functools.partial(_cmd_limit, colimit=False),
+    "colimit": functools.partial(_cmd_limit, colimit=True),
+    "hx": _cmd_hx,
+    "ab": _cmd_ab,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
-    parser = _shared_parser()
-    args = parser.parse_args(argv)
+    # the required subparser admits only the commands above
+    args = _shared_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "limit":
-            return _cmd_limit(args, colimit=False)
-        if args.command == "colimit":
-            return _cmd_limit(args, colimit=True)
-        if args.command == "hx":
-            return _cmd_hx(args)
-        if args.command == "ab":
-            return _cmd_ab(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command}")
+        return _HANDLERS[args.command](args)
     except (DocumentError, InputError, PreconditionError, TruncationError,
             BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,7 +16,6 @@ Kinds and their bodies:
 - setdiagram: base (or factors [cat, cat] for a product base), sets
   (size or label list per object), maps (tables per morphism).
 - abgroup: generators (count or label list), relations (columns).
-- abhom: source, target (abgroup bodies), matrix (rows).
 - abdiagram: base, groups, homs; optional target {groups, homs} and
   maps (a natural family, one matrix per object).
 - gmodule: elements, table, carrier, action (matrix per generator
@@ -44,9 +43,6 @@ from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category
                      generator_closure, product_category)
 from .intmat import IntMatrix
 from .setdiag import FinSet, SetFunctor
-
-KINDS = ("category", "functor", "setdiagram", "abgroup", "abhom",
-         "abdiagram", "gmodule", "family")
 
 
 @dataclass(frozen=True)
@@ -339,14 +335,6 @@ def _read_group(_, value, path):
     return parse_abgroup_body(value, path)
 
 
-def _parse_abhom(payload, path="abhom") -> AbHom:
-    source = parse_abgroup_body(_need(payload, "source", dict, path), f"{path}.source")
-    target = parse_abgroup_body(_need(payload, "target", dict, path), f"{path}.target")
-    matrix = _int_matrix_rows(_need(payload, "matrix", list, path),
-                              (target.gens, source.gens), f"{path}.matrix")
-    return AbHom(source, target, matrix)
-
-
 def _parse_diagram_body(payload, base, path) -> AbDiagram:
     """The ``groups`` and ``homs`` sections of a diagram on ``base``."""
     objects, morphisms = _labels(base)
@@ -444,6 +432,11 @@ def _parse_family(payload, path="family"):
 # ---------------------------------------------------------------------------
 # entry points
 
+# the parser of each kind; the unknown-kind error lists the kinds in this order
+KINDS = {"category": parse_category_body, "functor": _parse_functor,
+         "setdiagram": _parse_setdiagram, "abgroup": parse_abgroup_body,
+         "abdiagram": _parse_abdiagram, "gmodule": _parse_gmodule, "family": _parse_family}
+
 
 def parse_document(text: str) -> Document:
     """Parse and validate a document; errors carry a position or path."""
@@ -455,26 +448,12 @@ def parse_document(text: str) -> Document:
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     kind = payload.get("kind")
-    if kind not in KINDS:
+    parse = KINDS.get(kind) if isinstance(kind, str) else None
+    if parse is None:
         raise DocumentError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}",
                             path="kind")
     try:
-        if kind == "category":
-            value = parse_category_body(payload)
-        elif kind == "functor":
-            value = _parse_functor(payload)
-        elif kind == "setdiagram":
-            value = _parse_setdiagram(payload)
-        elif kind == "abgroup":
-            value = parse_abgroup_body(payload)
-        elif kind == "abhom":
-            value = _parse_abhom(payload)
-        elif kind == "abdiagram":
-            value = _parse_abdiagram(payload)
-        elif kind == "gmodule":
-            value = _parse_gmodule(payload)
-        else:
-            value = _parse_family(payload)
+        value = parse(payload)
     except InputError as exc:
         raise DocumentError(str(exc), path=kind) from None
     return Document(kind, value)
@@ -540,10 +519,6 @@ def _serialize_value(doc: Document) -> dict:
             body["base"] = category_body(base)
     elif kind == "abgroup":
         body = abgroup_body(value)
-    elif kind == "abhom":
-        body = {"source": abgroup_body(value.source),
-                "target": abgroup_body(value.target),
-                "matrix": _rows(value)}
     else:
         natural = isinstance(value, AbNaturalMap)
         source = value.source if natural else value

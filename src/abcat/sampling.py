@@ -368,8 +368,6 @@ def random_poset_functor(rng: Random, poset: FinCategory, covers,
 
 
 def _cover_path(a, b, cover_set):
-    if a == b:
-        return []
     frontier = [(a, [])]
     seen = {a}
     while frontier:

@@ -35,11 +35,6 @@ class VerifyReport:
     ok: bool
     details: dict = field(default_factory=dict)
 
-    def lines(self):
-        yield f"{self.name}: {'ok' if self.ok else 'FAILED'}"
-        for key in self.details:
-            yield f"  {key}: {self.details[key]}"
-
 
 def verify_notlex(source: AbDiagram, target: AbDiagram, component: AbHom) -> VerifyReport:
     """A mono of G-modules whose induced map on coinvariants is not mono.

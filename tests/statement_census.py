@@ -2,7 +2,7 @@
 
 Run it by hand from the repository root::
 
-    python tests/statement_census.py [--show MODULE ...] [pytest arguments]
+    python tests/statement_census.py [--show MODULE ...] [--max-gaps N] [pytest arguments]
 
 It runs pytest in this process (on ``tests`` when no pytest arguments are
 given) under a ``sys.settrace`` line tracer that records only frames
@@ -10,6 +10,8 @@ whose code lives in ``src/abcat``.  It then prints, per module, how many
 statements it has and how many never ran, with the ``raise`` statements
 among those counted apart, and lists the lines of the unexecuted
 statements of each module named by ``--show`` (``--show harting``).
+With ``--max-gaps N`` it exits 1 when more than N statements that are
+not ``raise`` never ran; otherwise it exits with pytest's code.
 
 A statement counts as run when a line event fell on one of its own lines
 (its decorators and header, up to its first nested statement) or when a
@@ -77,9 +79,12 @@ def traced(pytest_args) -> tuple:
 
 
 def main(argv) -> int:
-    show = set()
-    while argv[:1] == ["--show"]:
-        show.add(argv[1].removesuffix(".py"))
+    show, max_gaps = set(), None
+    while argv[:1] in (["--show"], ["--max-gaps"]):
+        if argv[0] == "--show":
+            show.add(argv[1].removesuffix(".py"))
+        else:
+            max_gaps = int(argv[1])
         argv = argv[2:]
     code, ran = traced(argv)
     total = missed = raises = 0
@@ -94,6 +99,10 @@ def main(argv) -> int:
             print("  never ran: " + ", ".join(
                 f"{line}{' (raise)' if found[line][1] else ''}" for line in never))
     print(f"{'total':<16}{total:>11}{missed:>11}{raises:>7}")
+    if max_gaps is not None and missed - raises > max_gaps:
+        print(f"{missed - raises} statements that are not raise never ran; "
+              f"at most {max_gaps} may")
+        return 1
     return int(code)
 
 

@@ -20,14 +20,14 @@ from abcat.abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cyclic, di
                          identity_hom, is_epi, is_mono, is_zero_hom, zero_group, zero_hom)
 from abcat.documents import abgroup_body, parse_document
 from abcat.errors import InputError, PreconditionError
-from abcat.fincat import (chain_category, discrete_category,
+from abcat.fincat import (FinCategory, FinFunctor, chain_category, discrete_category,
                           parallel_pair_category, span_category)
 from abcat.harting import harting_expand, hx_category
 from abcat.intmat import ColumnLattice, IntMatrix, block_diagonal, smith_diagonal
 from abcat.sampling import (random_ab5_instance, random_family, random_group,
                             random_hom, random_mono_chain, random_mono_family,
                             scramble_group)
-from abcat.setdiag import FinSet
+from abcat.setdiag import FinSet, SetFunctor
 from abcat.verify import verify_ab4, verify_ab5
 from cat_corpus import Z2_TABLE, Z3_TABLE
 
@@ -111,6 +111,13 @@ def test_limit_initial_object(build):
     lim = ab_limit(d)
     ok, _ = are_isomorphic(lim.carrier, d.groups[0])
     assert ok
+
+
+def test_limit_over_the_empty_base_is_zero():
+    lim = ab_limit(AbDiagram(discrete_category(0), [], []))
+    assert lim.carrier.is_trivial
+    u = lim.factor([])
+    assert u.source.is_trivial and u.target is lim.carrier
 
 
 def test_validate_diagram():
@@ -479,3 +486,38 @@ def test_colim_preserves_pointwise_biproduct():
     expected, _, _ = biproduct([col1.carrier, col2.carrier])
     ok, _ = are_isomorphic(col_sum.carrier, expected)
     assert ok
+
+
+# --- value protocols ---------------------------------------------------------
+
+
+def _values():
+    z3, c3 = cyclic(3), chain_category(3)
+    return [
+        (AbDiagram(discrete_category(1), [Z], [identity_hom(Z)]), None),
+        (z3, "<FGAbGroup Z/3 on 1 generators>"),
+        (hom(Z, z3, [[1]]), "<AbHom Z -> Z/3>"),
+        (c3, "<FinCategory 3 objects, 6 morphisms>"),
+        (FinFunctor(discrete_category(1), c3, [2], [5]), "<FinFunctor 1->3 objects>"),
+        (IntMatrix([[1, -2]]), "IntMatrix([[1, -2]], shape=(1, 2))"),
+        (SetFunctor(discrete_category(1), [FinSet(2)], [(0, 1)]), None),
+    ]
+
+
+@pytest.mark.parametrize("value, text", _values(),
+                         ids=["AbDiagram", "FGAbGroup", "AbHom", "FinCategory", "FinFunctor",
+                              "IntMatrix", "SetFunctor"])
+def test_values_defer_foreign_comparisons_and_print_their_shape(value, text):
+    assert value.__eq__("x") is NotImplemented
+    assert value != "x" and value == value
+    if text is not None:
+        assert repr(value) == text
+
+
+def test_rule_categories_of_different_shapes_are_unequal():
+    def discrete_by_rule(n):
+        return FinCategory(n, list(range(n)), list(range(n)), range(n),
+                           compose_rule=lambda g, f: g)
+
+    one = discrete_by_rule(1)
+    assert one == one and one != discrete_by_rule(2)

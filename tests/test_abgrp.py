@@ -26,6 +26,7 @@ from abcat.sampling import (random_group, random_hom, random_matrix, random_mono
 def test_presentation_basics():
     assert group_from_presentation(IntMatrix([[2]])).canonical_form == (0, (2,))
     assert free_abelian(2).canonical_form == (2, ())
+    assert cyclic(0) == free_abelian(1) and cyclic(0).canonical_form == (1, ())
     assert zero_group().is_trivial
 
 

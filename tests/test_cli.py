@@ -12,8 +12,8 @@ from abcat.abdiag import constant_diagram
 from abcat.abgrp import cyclic
 from abcat.cli import main
 from abcat.documents import Document, parse_category_body, serialize_document
-from abcat.fincat import (FinFunctor, chain_category, group_as_category, identity_functor,
-                          validate_category)
+from abcat.fincat import (FinFunctor, chain_category, discrete_category, group_as_category,
+                          identity_functor, validate_category)
 from abcat.intmat import ColumnLattice, _smith_work
 from abcat.sampling import random_matrix
 from abcat.setdiag import FinSet, SetFunctor
@@ -51,6 +51,40 @@ def test_check_connected_and_sifted(capsys):
 def test_check_final(capsys):
     code, out, _ = run_cli(capsys, "check", "final", FIXTURES / "top_inclusion.json")
     assert code == 0
+
+
+def test_check_final_names_the_failing_objects(tmp_path, capsys):
+    # {0} into 0 -> 1: the slice under 1 is empty
+    chain = chain_category(2)
+    path = tmp_path / "bottom.json"
+    path.write_text(serialize_document(Document(
+        "functor", FinFunctor(discrete_category(1), chain, [0], [chain.identity[0]]))))
+    code, out, _ = run_cli(capsys, "check", "final", path, "--format", "machine")
+    assert (code, json.loads(out)) == (
+        1, {"check": "final", "holds": False, "failing_objects": [1]})
+
+
+def test_check_final_rejects_a_functor_that_breaks_a_domain(tmp_path, capsys):
+    # 0 -> 1 and 1 -> 2, but 0<=1 goes to 0<=2: its codomain is kept, its domain is not
+    path = tmp_path / "functor.json"
+    path.write_text(serialize_document(Document(
+        "functor", FinFunctor(chain_category(2), chain_category(3), [1, 2], [3, 2, 5]))))
+    assert run_cli(capsys, "check", "final", path) == (
+        2, "", "error: invalid functor: functor breaks dom at morphism 1; "
+        "functor images of (1,0) are not composable\n")
+
+
+def test_empty_category_is_neither_filtered_nor_sifted(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": "category", "objects": [], "morphisms": [],
+                                "identities": {}, "composition": []}))
+    code, out, _ = run_cli(capsys, "check", "filtered", path, "--format", "machine")
+    assert (code, json.loads(out)) == (1, {"check": "filtered", "holds": False,
+                                           "reason": "category is empty", "failing": None})
+    code, out, _ = run_cli(capsys, "check", "sifted", path, "--format", "machine")
+    assert (code, json.loads(out)) == (1, {"check": "sifted", "holds": False,
+                                           "reason": "category is empty",
+                                           "failing_pairs": []})
 
 
 def test_limit_colimit(capsys):
@@ -349,6 +383,24 @@ def test_verify_fixpoints_reads_both_sides_off_the_interchange(monkeypatch, caps
                            "--format", "machine")
     assert code == 1
     assert json.loads(out)["interchange bijective"] is True
+
+
+def test_verify_commute_prints_the_interchange_failure(monkeypatch, capsys):
+    from abcat import verify
+    interchange = verify.commute_check
+
+    def lopsided(f_cat, d_cat, x):
+        rep = interchange(f_cat, d_cat, x)
+        return dataclasses.replace(rep, bijective=False, rhs=FinSet(rep.rhs.size + 1),
+                                   failure="comparison map is not a bijection")
+
+    monkeypatch.setattr(verify, "commute_check", lopsided)
+    code, out, err = run_cli(capsys, "verify", "commute", FIXTURES / "gset_chain.json",
+                             "--format", "machine")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"verify": "commute", "ok": False, "seed": 0,
+                               "colim of limits": 1, "limit of colims": 2,
+                               "failure": "comparison map is not a bijection"}
 
 
 def test_verify_suite_needs_a_trial(capsys):

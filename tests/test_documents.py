@@ -65,8 +65,9 @@ def test_syntax_error_has_position():
 
 
 def test_unknown_kind():
-    with pytest.raises(DocumentError, match="kind"):
-        parse_document(json.dumps({"kind": "mystery"}))
+    for kind in ("mystery", ["category"], {"kind": "category"}, None):
+        with pytest.raises(DocumentError, match="kind"):
+            parse_document(json.dumps({"kind": kind}))
 
 
 ALL_FIXTURES = ["chain3.json", "discrete2.json", "top_inclusion.json",
@@ -83,6 +84,17 @@ def test_round_trip(name):
     assert again.kind == doc.kind
     assert again.value == doc.value
     # serialization is a fixed point after one pass
+    assert serialize_document(again) == text
+
+
+def test_round_trip_keeps_generators():
+    payload = json.loads(fixture_text("chain3.json"))
+    payload["generators"] = ["0<=1", "1<=2"]
+    doc = parse_document(json.dumps(payload))
+    text = serialize_document(doc)
+    assert json.loads(text)["generators"] == ["0<=1", "1<=2"]
+    again = parse_document(text)
+    assert again == doc and again.value.generating() == (1, 4)
     assert serialize_document(again) == text
 
 

@@ -4,8 +4,8 @@ decidable checks, cross-checked against independent enumeration."""
 import pytest
 
 from abcat.errors import BudgetError, InputError, PreconditionError
-from abcat.fincat import (FinCategory, FinFunctor, chain_category, comma_category,
-                          cone_search, cospan_category, diamond_category,
+from abcat.fincat import (CoconeWitness, FinCategory, FinFunctor, ZigZag, chain_category,
+                          comma_category, cone_search, cospan_category, diamond_category,
                           diagonal_functor, discrete_category, find_zigzag,
                           full_subcategory, generator_closure, group_as_category,
                           identity_functor, is_connected, is_filtered, is_final, is_sifted,
@@ -216,6 +216,19 @@ def test_zigzag_padding_alternates():
     cat = chain_category(4)
     z = find_zigzag(cat, 0, 3)
     assert z.check(cat)
+
+
+@pytest.mark.parametrize("zigzag", [
+    ZigZag(0, 1, ((3, True),)),                    # odd number of steps
+    ZigZag(0, 1, ((3, False), (4, True))),         # starts backward
+    ZigZag(0, 1, ((4, True), (4, False))),         # forward step from the wrong object
+    ZigZag(0, 1, ((3, True), (0, False))),         # backward step into the wrong object
+    ZigZag(0, 0, ((3, True), (4, False))),         # ends at the wrong object
+], ids=["odd", "starts_backward", "wrong_dom", "wrong_cod", "wrong_target"])
+def test_zigzag_check_rejects_a_corrupted_witness(zigzag):
+    cat = cospan_category()
+    assert ZigZag(0, 1, ((3, True), (4, False))).check(cat)
+    assert not zigzag.check(cat)
 
 
 def test_final_identity_and_inclusions():
@@ -437,6 +450,21 @@ def test_cone_search_always_succeeds_on_filtered_targets():
         witness = cone_search(diagram, require_filtered=True)
         assert witness is not None
         assert witness.check(diagram)
+
+
+def test_cocone_check_rejects_corrupted_legs():
+    cat = parallel_pair_category()
+    diagram = identity_functor(cat)
+    # a leg out of the wrong object, a leg into another vertex, legs that commute
+    # with f but not with g
+    for vertex, legs in ((1, (1, 1)), (0, (0, 1)), (1, (2, 1))):
+        assert not CoconeWitness(vertex, legs).check(diagram)
+
+
+def test_cone_search_finds_no_cocone_on_an_unequalized_pair():
+    # the parallel pair's own arrows f != g: every vertex is rejected
+    cat = parallel_pair_category()
+    assert cone_search(identity_functor(cat)) is None
 
 
 def test_cone_search_precondition():

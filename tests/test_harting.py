@@ -645,6 +645,16 @@ def _with_carrier(colim, carrier, legs):
                      colim.representatives)
 
 
+def extra_relation(colim):
+    """The colimit with its first generator killed, legs unchanged."""
+    carrier = colim.carrier
+    kill = IntMatrix.identity(carrier.gens).column(0)
+    bigger = FGAbGroup(carrier.gens, IntMatrix.from_columns(
+        [*carrier.relations.columns(), kill], carrier.gens))
+    return _with_carrier(colim, bigger, [AbHom(leg.source, bigger, leg.matrix)
+                                       for leg in colim.cocone.components])
+
+
 def test_compare_names_each_failed_check(monkeypatch):
     family = [free_abelian(1), cyclic(3)]
     hx = hx_category(AB, 2)
@@ -654,14 +664,6 @@ def test_compare_names_each_failed_check(monkeypatch):
         legs = list(colim.cocone.components)
         legs[a] = -legs[a]
         return _with_carrier(colim, colim.carrier, legs)
-
-    def extra_relation(colim):
-        carrier = colim.carrier
-        kill = IntMatrix.identity(carrier.gens).column(0)
-        bigger = FGAbGroup(carrier.gens, IntMatrix.from_columns(
-            [*carrier.relations.columns(), kill], carrier.gens))
-        return _with_carrier(colim, bigger, [AbHom(leg.source, bigger, leg.matrix)
-                                           for leg in colim.cocone.components])
 
     texts = {}
     for tamper in (negated_leg, extra_relation):
@@ -674,6 +676,13 @@ def test_compare_names_each_failed_check(monkeypatch):
         "backward o forward is not the identity on the colimit",
         f"forward breaks the cocone at object {a}")
     assert texts["extra_relation"] == ("canonical forms differ: Z x Z/3 vs Z/3",)
+
+
+def test_verify_harting_reports_the_failed_checks(monkeypatch):
+    monkeypatch.setattr(harting, "ab_colimit", lambda d: extra_relation(ab_colimit(d)))
+    rep = verify_harting([free_abelian(1), cyclic(3)])
+    assert not rep.ok
+    assert rep.details["failures"] == "canonical forms differ: Z x Z/3 vs Z/3"
 
 
 class _Tampered(harting.HXCategory):

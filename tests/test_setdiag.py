@@ -14,7 +14,7 @@ from abcat.fincat import (FinCategory, FinFunctor, chain_category, discrete_cate
                           full_subcategory, group_as_category, identity_functor,
                           parallel_pair_category, product_category, span_category)
 from abcat.harting import hx_category
-from abcat.setdiag import (FinSet, SetFunctor, commute_check, constant_functor,
+from abcat.setdiag import (Cocone, FinSet, SetFunctor, commute_check, constant_functor,
                            fixed_points, fixed_point_indices, limit_points,
                            pointwise_product, restrict_along, set_colimit,
                            set_limit, validate_functor)
@@ -471,6 +471,28 @@ def test_sifted_products_on_chain():
     assert report.ok, report.details
 
 
+def test_sifted_products_reject_a_class_sent_two_ways(monkeypatch):
+    from abcat import verify
+    base = chain_category(3)
+    g = SetFunctor(base, [FinSet(2), FinSet(2), FinSet(1)], _chain3_tables_for([2, 2, 1]))
+    h = SetFunctor(base, [FinSet(3), FinSet(2), FinSet(2)], _chain3_tables_for([3, 2, 2]))
+    colimit = verify.set_colimit
+
+    def swapped_at_bottom(d):
+        # the product's two classes swapped at object 0 only; the insertions
+        # at objects 1 and 2, read last, still give a bijection
+        carrier, cocone = colimit(d)
+        if d.base is base and d.sets[0].size == 6:
+            bottom = tuple(1 - k for k in cocone.components[0])
+            cocone = Cocone(carrier, (bottom, *cocone.components[1:]))
+        return carrier, cocone
+
+    monkeypatch.setattr(verify, "set_colimit", swapped_at_bottom)
+    report = verify.verify_sifted_products(g, h)
+    assert not report.ok
+    assert report.details["canonical bijection"] is True
+
+
 def _chain3_tables_for(sizes):
     cat = chain_category(3)
     tables = []
@@ -493,3 +515,34 @@ def test_pointwise_product_sizes():
     assert validate_functor(prod).ok
     assert prod.sets[0].size == 6 and prod.sets[1].size == 2
     assert unpair(0, pair(0, 1, 2)) == (1, 2)
+
+
+# --- samplers ----------------------------------------------------------------
+
+
+def test_natural_step_constrains_a_component_by_an_earlier_one(monkeypatch):
+    from random import Random
+    from abcat import sampling
+    # the arrow runs 1 -> 0, so tau at 1 must meet tau at 0, drawn first
+    arrow = 2
+    shape = FinCategory(2, [0, 1, 1], [0, 1, 0], [0, 1],
+                        {(0, 0): 0, (1, 1): 1, (arrow, 1): arrow, (0, arrow): arrow})
+    draws = []
+    draw = sampling.random_shape_functor
+    monkeypatch.setattr(sampling, "random_shape_functor",
+                        lambda *args: draws.append(args) or draw(*args))
+    for seed in range(20):
+        rng = Random(seed)
+        h = draw(rng, shape, 4)
+        h2, tau = sampling._natural_step(rng, shape, h, 4)
+        assert all(tau[0][h.tables[arrow][x]] == h2.tables[arrow][tau[1][x]]
+                   for x in range(h.sets[1].size))
+    # a draw whose arrow misses tau at 0 leaves no choice at 1 and is redrawn
+    assert len(draws) > 20
+
+
+def test_poset_sampler_refuses_covers_that_do_not_generate():
+    from random import Random
+    from abcat.sampling import random_poset_functor
+    with pytest.raises(InputError, match="poset has a relation not generated by covers"):
+        random_poset_functor(Random(0), chain_category(3), [(0, 1)])
