@@ -486,25 +486,42 @@ def ab4_check(source_family, target_family, monos) -> Ab4Report:
 
 @dataclass(frozen=True)
 class GeneratorReport:
-    ok: bool
+    """Parallel homs f and f', whether they are equal, and if not a
+    Z-probe ``witness`` (the source's ``witness_generator``-th generator)."""
+
+    f: AbHom
+    f_prime: AbHom
     equal: bool
     witness: AbHom | None
     witness_generator: int | None
+
+    def check(self) -> bool:
+        """The homs are equal as claimed, or the witness w separates them:
+        f∘w != f'∘w modulo the target's relations."""
+        if self.equal:
+            return hom_equal(self.f, self.f_prime)
+        w = self.witness
+        return w is not None and not hom_equal(hom_compose(self.f, w), hom_compose(self.f_prime, w))
+
+    @property
+    def ok(self) -> bool:
+        return self.check()
 
 
 def generator_check(f: AbHom, f_prime: AbHom) -> GeneratorReport:
     """Z is a generator: distinct parallel homs differ on some Z-probe.
 
     For equal homs the check holds vacuously; otherwise a probe g with
-    f @ g != f' @ g is found among the standard generators.
+    f @ g != f' @ g is found among the standard generators.  The report's
+    ``ok`` re-checks its claim.
     """
     if f.source != f_prime.source or f.target != f_prime.target:
         raise InputError("homs with different endpoints")
     if hom_equal(f, f_prime):
-        return GeneratorReport(True, True, None, None)
+        return GeneratorReport(f, f_prime, True, None, None)
     diff = f.matrix - f_prime.matrix
     # unequal homs differ modulo the target's relations at some generator
     j = next(j for j in range(diff.cols) if not f.target.contains_relation(diff.column(j)))
     col = [[1 if i == j else 0] for i in range(f.source.gens)]
     witness = AbHom(free_abelian(1), f.source, IntMatrix(col, shape=(f.source.gens, 1)))
-    return GeneratorReport(True, False, witness, j)
+    return GeneratorReport(f, f_prime, False, witness, j)

@@ -1,11 +1,13 @@
 """Finite categories as explicit data, with decidable structural checks.
 
 A category here is fully enumerated: objects and morphisms are canonical
-index ranges, composition is a table (or a deterministic rule for large
-generated instances), and every law can be checked by exhaustive
-enumeration.  On top of that sit the decidable notions this package
-revolves around: connectedness by zig-zags, finality of a functor,
-filteredness, siftedness, and exhaustive cocone search.
+index ranges, and every law can be checked by exhaustive enumeration.
+Composition is a table only where a table is the input (documents and
+the hand-drawn shapes); every category the library builds composes by
+rule, through the data it was built from.  On top of that sit the
+decidable notions this package revolves around: connectedness by
+zig-zags, finality of a functor, filteredness, siftedness, and
+exhaustive cocone search.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ class FinCategory:
 
     Objects are indices 0..n_objects-1 and morphisms 0..n_morphisms-1.
     ``composition`` maps composable pairs (g, f) with cod(f) == dom(g) to
-    the index of g∘f.  Large generated categories may instead supply
-    ``compose_rule``, and then also ``dom`` and ``cod`` as read-only
-    sequences that compute their entries on demand.  Optional
+    the index of g∘f; it is for input.  Built categories supply
+    ``compose_rule`` instead, and may then give ``dom`` and ``cod`` as
+    read-only sequences that compute their entries on demand.  Equality
+    compares composites however they are stored.  Optional
     ``generators`` must reach every morphism from the identities by
     composing on the left; group colimits glue along them alone.
     Values are immutable after construction.
@@ -62,9 +65,7 @@ class FinCategory:
             raise InputError("dom and cod tables differ in length")
         if len(self.identity) != self.n_objects:
             raise InputError(f"identity table has {len(self.identity)} entries, expected {self.n_objects}")
-        if composition is None and compose_rule is None:
-            composition = {}
-        self._table = dict(composition) if composition is not None else None
+        self._table = dict(composition or {}) if compose_rule is None else None
         self._rule = compose_rule
         self.object_labels = tuple(object_labels) if object_labels is not None else None
         self.morphism_labels = tuple(morphism_labels) if morphism_labels is not None else None
@@ -105,9 +106,6 @@ class FinCategory:
                 out[self.dom[m]].append(m)
             self._generating_from = tuple(map(tuple, out))
         return self._generating_from[x]
-
-    def composable(self, g: int, f: int) -> bool:
-        return self.cod[f] == self.dom[g]
 
     def compose(self, g: int, f: int) -> int:
         """Index of g∘f; requires cod(f) == dom(g)."""
@@ -151,29 +149,20 @@ class FinCategory:
         return self._hom_cache.get((a, b), ())
 
     def composable_pairs(self):
-        """All (g, f) with cod(f) == dom(g), in deterministic order."""
-        if self._table is not None:
-            for key in sorted(self._table):
-                yield key
-        else:
-            for f in range(self.n_morphisms):
-                for g in self.morphisms_from(self.cod[f]):
-                    yield (g, f)
-
-    @property
-    def has_table(self) -> bool:
-        return self._table is not None
+        """All (g, f) with cod(f) == dom(g), sorted."""
+        for g in range(self.n_morphisms):
+            for f in self.morphisms_to(self.dom[g]):
+                yield (g, f)
 
     def with_composition_table(self, max_pairs: int = 2_000_000) -> "FinCategory":
         """Materialize the composition rule into an explicit table."""
         if self._table is not None:
             return self
         table = {}
-        for f in range(self.n_morphisms):
-            for g in self.morphisms_from(self.cod[f]):
-                table[(g, f)] = self._rule(g, f)
-                if len(table) > max_pairs:
-                    raise BudgetError(f"composition table exceeds {max_pairs} pairs")
+        for g, f in self.composable_pairs():
+            table[(g, f)] = self._rule(g, f)
+            if len(table) > max_pairs:
+                raise BudgetError(f"composition table exceeds {max_pairs} pairs")
         return FinCategory(self.n_objects, self.dom, self.cod, self.identity, table,
                            object_labels=self.object_labels,
                            morphism_labels=self.morphism_labels,
@@ -186,16 +175,20 @@ class FinCategory:
         return self.morphism_labels[m] if self.morphism_labels else f"m{m}"
 
     def _structure(self):
-        comp = tuple(sorted(self._table.items())) if self._table is not None else None
+        """Shape, composites, names and generators, however they are stored."""
+        comp = sorted(self._table.items()) if self._table is not None \
+            else [(p, self._rule(*p)) for p in self.composable_pairs()]
         return (self.n_objects, self.dom, self.cod, self.identity, comp,
-                self.object_labels, self.morphism_labels, self.generators)
+                [self.object_label(c) for c in range(self.n_objects)],
+                [self.morphism_label(m) for m in range(self.n_morphisms)], self.generators)
 
     def __eq__(self, other):
         if not isinstance(other, FinCategory):
             return NotImplemented
         if self is other:
             return True
-        if self._table is None or other._table is None:
+        # lazily listed categories (word truncations) have no structural key yet
+        if not isinstance(self.dom, tuple) or not isinstance(other.dom, tuple):
             return False
         return self._structure() == other._structure()
 
@@ -313,14 +306,9 @@ def poset_category(n: int, relation, labels=None) -> FinCategory:
     dom = [a for a, _ in pairs]
     cod = [b for _, b in pairs]
     ident = [index[(i, i)] for i in range(n)]
-    comp = {}
-    for (b1, c) in pairs:
-        for (a, b2) in pairs:
-            if b2 == b1:
-                comp[(index[(b1, c)], index[(a, b2)])] = index[(a, c)]
     mlabels = [f"{a}<={b}" for a, b in pairs]
-    return FinCategory(n, dom, cod, ident, comp, object_labels=labels,
-                       morphism_labels=mlabels)
+    return FinCategory(n, dom, cod, ident, compose_rule=lambda g, f: index[(dom[f], cod[g])],
+                       object_labels=labels, morphism_labels=mlabels)
 
 
 def chain_category(n: int) -> FinCategory:
@@ -401,8 +389,7 @@ def group_as_category(table, labels=None) -> FinCategory:
     """One-object category whose endomorphisms multiply by the group table."""
     table, unit = validate_group_table(table)
     n = len(table)
-    comp = {(g, f): table[g][f] for g in range(n) for f in range(n)}
-    return FinCategory(1, [0] * n, [0] * n, [unit], comp,
+    return FinCategory(1, [0] * n, [0] * n, [unit], compose_rule=lambda g, f: table[g][f],
                        object_labels=["*"], morphism_labels=labels)
 
 
@@ -422,32 +409,21 @@ class ProductCategory(FinCategory):
     def pair_morphism(self, p: int, q: int) -> int:
         return p * self.right.n_morphisms + q
 
-def product_category(c: FinCategory, d: FinCategory, *, max_pairs: int = 2_000_000) -> ProductCategory:
-    """Componentwise product, tabulated; objects and morphisms are index
-    pairs.  BudgetError when a table exceeds ``max_pairs`` composable pairs."""
-    c = c.with_composition_table(max_pairs)
-    d = d.with_composition_table(max_pairs)
-    pairs_c = list(c.composable_pairs())
-    pairs_d = list(d.composable_pairs())
-    if len(pairs_c) * len(pairs_d) > max_pairs:
-        raise BudgetError(f"product composition table exceeds {max_pairs} pairs")
+def product_category(c: FinCategory, d: FinCategory) -> ProductCategory:
+    """Componentwise product, composed through its factors; objects and
+    morphisms are index pairs."""
     no, nm = d.n_objects, d.n_morphisms
-    dom = []
-    cod = []
-    for p in range(c.n_morphisms):
-        for q in range(nm):
-            dom.append(c.dom[p] * no + d.dom[q])
-            cod.append(c.cod[p] * no + d.cod[q])
+    dom = [c.dom[p] * no + d.dom[q] for p in range(c.n_morphisms) for q in range(nm)]
+    cod = [c.cod[p] * no + d.cod[q] for p in range(c.n_morphisms) for q in range(nm)]
     ident = [c.identity[a] * nm + d.identity[b]
              for a in range(c.n_objects) for b in range(no)]
     olabels = [f"({c.object_label(a)},{d.object_label(b)})"
                for a in range(c.n_objects) for b in range(no)]
-    table = {}
-    for (g1, f1) in pairs_c:
-        gf1 = c.compose(g1, f1)
-        for (g2, f2) in pairs_d:
-            table[(g1 * nm + g2, f1 * nm + f2)] = gf1 * nm + d.compose(g2, f2)
-    return ProductCategory(c, d, c.n_objects * no, dom, cod, ident, table,
+
+    def compose(g, f):
+        (g1, g2), (f1, f2) = divmod(g, nm), divmod(f, nm)
+        return c.compose(g1, f1) * nm + d.compose(g2, f2)
+    return ProductCategory(c, d, c.n_objects * no, dom, cod, ident, compose_rule=compose,
                            object_labels=olabels)
 
 
@@ -484,13 +460,11 @@ def comma_category(c: int, f: FinFunctor) -> FinCategory:
     dom = [m[0] for m in mors]
     cod = [m[1] for m in mors]
     ident = [mor_index[(i, i, source.identity[x])] for i, (x, _) in enumerate(objs)]
-    comp = {}
-    for j2, (s2, t2, k2) in enumerate(mors):
-        for j1, (s1, t1, k1) in enumerate(mors):
-            if t1 == s2:
-                comp[(j2, j1)] = mor_index[(s1, t2, source.compose(k2, k1))]
+
+    def compose(g, h):
+        return mor_index[(mors[h][0], mors[g][1], source.compose(mors[g][2], mors[h][2]))]
     olabels = [f"{source.object_label(x)}|{target.morphism_label(a)}" for x, a in objs]
-    return FinCategory(len(objs), dom, cod, ident, comp, object_labels=olabels)
+    return FinCategory(len(objs), dom, cod, ident, compose_rule=compose, object_labels=olabels)
 
 
 def full_subcategory(cat: FinCategory, objects) -> tuple[FinCategory, FinFunctor]:
@@ -504,12 +478,8 @@ def full_subcategory(cat: FinCategory, objects) -> tuple[FinCategory, FinFunctor
     dom = [obj_index[cat.dom[m]] for m in keep]
     cod = [obj_index[cat.cod[m]] for m in keep]
     ident = [mor_index[cat.identity[o]] for o in objects]
-    comp = {}
-    for f in keep:
-        for g in keep:
-            if cat.composable(g, f):
-                comp[(mor_index[g], mor_index[f])] = mor_index[cat.compose(g, f)]
-    sub = FinCategory(len(objects), dom, cod, ident, comp,
+    sub = FinCategory(len(objects), dom, cod, ident,
+                      compose_rule=lambda g, f: mor_index[cat.compose(keep[g], keep[f])],
                       object_labels=[cat.object_label(o) for o in objects],
                       morphism_labels=[cat.morphism_label(m) for m in keep])
     incl = FinFunctor(sub, cat, objects, keep)

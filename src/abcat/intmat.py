@@ -8,12 +8,12 @@ Kernels, preimages and solves all read one such lattice: the columns
 (M_j; e_j) of the graph of M, with (L_k; 0) for a target lattice L.
 The Smith diagonal is eliminated from the Hermite basis, whose entries
 stay below their pivots; ``lattice_invariants`` takes a basis its caller
-already keeps.  Smith form with transforms serves only the
-canonical-form maps, on the matrix it is given.  Its pivoting always
-picks a nonzero entry of smallest absolute value (ties broken by
-position), which makes every transform deterministic but does not bound
-their growth: those of an 18 x 16 matrix with entries of absolute value
-at most 9 still reach about 9,600 bits.
+already keeps, and ``smith_normal_form`` runs Smith with transforms on
+the Hermite basis too.  ``smith`` eliminates the matrix it is given.
+Its pivoting always picks a nonzero entry of smallest absolute value
+(ties broken by position), which makes every transform deterministic
+but does not bound their growth: on a raw 18 x 16 matrix with entries
+of absolute value at most 9 they reach about 9,600 bits.
 """
 
 from __future__ import annotations
@@ -370,14 +370,24 @@ def smith(m: IntMatrix) -> SmithNormalForm:
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (S, U, V) with U @ M @ V == S.
 
+    The Hermite basis of the graph lattice of M has columns (H_j; W_j)
+    pivoting in the top rows, so M W = H, and kernel columns (0; K_j).
+    Smith with transforms runs on H alone, whose entries stay below their
+    pivots: U H V_H = S_H, and V = (W V_H | K).
+
     >>> s, u, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> s.data
     ((2, 0), (0, 4))
     >>> (u @ IntMatrix([[2, 4], [6, 8]]) @ v) == s
     True
     """
-    d = smith(m)
-    return d.s, d.u, d.v
+    r, n = m.shape
+    cols = _graph_lattice(m)._hermite_columns()
+    top = [c for c in cols if any(c[:r])]
+    d = smith(_trusted_columns([c[:r] for c in top], r))
+    v = _trusted_columns([c[r:] for c in top], n) @ d.v
+    v = hstack(v, _trusted_columns([c[r:] for c in cols[len(top):]], n))
+    return hstack(d.s, IntMatrix.zeros(r, n - len(top))), d.u, v
 
 
 def smith_diagonal(m: IntMatrix) -> tuple:

@@ -4,9 +4,10 @@ Run it by hand from the repository root::
 
     python tests/statement_census.py [--show MODULE ...] [--max-gaps N] [pytest arguments]
 
-It runs pytest in this process (on ``tests`` when no pytest arguments are
-given) under a ``sys.settrace`` line tracer that records only frames
-whose code lives in ``src/abcat``.  It then prints, per module, how many
+It runs pytest in this process (on the ``testpaths`` of pyproject.toml,
+as tier-1 does, when no pytest arguments are given) under a
+``sys.settrace`` line tracer that records only frames whose code lives
+in ``src/abcat``.  It then prints, per module, how many
 statements it has and how many never ran, with the ``raise`` statements
 among those counted apart, and lists the lines of the unexecuted
 statements of each module named by ``--show`` (``--show harting``).
@@ -72,7 +73,7 @@ def traced(pytest_args) -> tuple:
     sys.settrace(on_call)
     try:
         import pytest
-        code = pytest.main(list(pytest_args) or ["tests", "-q", "-p", "no:cacheprovider"])
+        code = pytest.main(list(pytest_args) or ["-q", "-p", "no:cacheprovider"])
     finally:
         sys.settrace(None)
     return code, ran

@@ -6,7 +6,10 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from abcat.abdiag import constant_diagram
 from abcat.abgrp import cyclic
@@ -14,7 +17,7 @@ from abcat.cli import main
 from abcat.documents import Document, parse_category_body, serialize_document
 from abcat.fincat import (FinFunctor, chain_category, discrete_category, group_as_category,
                           identity_functor, validate_category)
-from abcat.intmat import ColumnLattice, _smith_work
+from abcat.intmat import ColumnLattice, IntMatrix, _smith_work, determinant, smith_diagonal
 from abcat.sampling import random_matrix
 from abcat.setdiag import FinSet, SetFunctor
 from test_golden_cli import PER_FIXTURE
@@ -136,6 +139,26 @@ def test_ab_snf_text_reads_the_diagonal_only(capsys, tmp_path):
     # the same elimination smith() runs, without its transforms
     a = _smith_work(m, track=False)
     assert out.splitlines()[0] == f"diagonal: {[a[i][i] for i in range(40)]}"
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_ab_snf_machine_prints_unimodular_transforms(tmp_path, n):
+    # Smith with transforms on the raw matrix ran past the int-to-str limit
+    m = random_matrix(random.Random(0), n, n, 9)
+    path = tmp_path / f"g{n}.json"
+    path.write_text(json.dumps({"kind": "abgroup", "generators": n,
+                                "relations": [list(c) for c in m.columns()]}))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "abcat", "ab", "snf", str(path),
+                           "--format", "machine"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and elapsed < 1.0
+    out = json.loads(proc.stdout)
+    s, u, v = (IntMatrix(out[k]) for k in "suv")
+    assert u @ m @ v == s
+    assert [s.data[i][i] for i in range(n)] == list(smith_diagonal(m))
+    assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
 
 
 def test_ab_coinvariants_golden(capsys):

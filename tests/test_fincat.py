@@ -1,16 +1,22 @@
 """Finite category structure: validation, constructions, and the
 decidable checks, cross-checked against independent enumeration."""
 
+import random
+from itertools import permutations
+
 import pytest
 
-from abcat.errors import BudgetError, InputError, PreconditionError
+from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (CoconeWitness, FinCategory, FinFunctor, ZigZag, chain_category,
                           comma_category, cone_search, cospan_category, diamond_category,
                           diagonal_functor, discrete_category, find_zigzag,
                           full_subcategory, generator_closure, group_as_category,
                           identity_functor, is_connected, is_filtered, is_final, is_sifted,
-                          parallel_pair_category, product_category,
+                          parallel_pair_category, poset_category, product_category,
                           terminal_category, validate_category, validate_functor)
+from abcat.documents import Document, parse_document, serialize_document
+from abcat.harting import hx_category
+from abcat.setdiag import FinSet
 from cat_corpus import Z2_TABLE, Z3_TABLE, category_corpus, semilattice_corpus
 
 
@@ -73,7 +79,7 @@ def test_generator_closure():
 def test_validate_names_each_table_and_rule_fault():
     # chain(2): 0 = 0<=0, 1 = 0<=1, 2 = 1<=1
     c = chain_category(2)
-    table = dict(c._table)
+    table = dict(c.with_composition_table()._table)
     cases = [
         (FinCategory(2, c.dom, c.cod, [0, 1], table),
          ("identity of object 1 has endpoints (0,1)", "right identity fails for morphism 2")),
@@ -94,7 +100,7 @@ def test_validate_names_each_table_and_rule_fault():
 def test_generator_closure_skips_missing_composites():
     cat = chain_category(3)
     # covers 0<=1 (1) and 1<=2 (4); their composite 0<=2 (2) is left out
-    table = {k: v for k, v in cat._table.items() if k != (4, 1)}
+    table = {k: v for k, v in cat.with_composition_table()._table.items() if k != (4, 1)}
     partial = FinCategory(3, cat.dom, cat.cod, cat.identity, table, generators=[1, 4])
     assert generator_closure(partial, table) == {0, 1, 3, 4, 5}
 
@@ -123,19 +129,22 @@ def test_product_chain2_squared():
     assert validate_category(p).ok
 
 
-def test_product_tabulates_within_its_budget():
-    # discrete(3) has 3 composable pairs, so the product needs 9
-    with pytest.raises(BudgetError):
-        product_category(discrete_category(3), discrete_category(3), max_pairs=5)
-    assert product_category(discrete_category(3), discrete_category(3), max_pairs=9).has_table
-    from abcat.harting import hx_category
-    from abcat.setdiag import FinSet
+def test_product_of_chain20_squared_composes_componentwise():
+    # 44,100 morphisms and over 2,000,000 composable pairs: no table is built
+    c = chain_category(20)
+    p = product_category(c, c)
+    assert p.n_morphisms == c.n_morphisms ** 2
+    rng = random.Random(20)
+    for _ in range(200):
+        f1, f2 = rng.randrange(c.n_morphisms), rng.randrange(c.n_morphisms)
+        g1 = rng.choice(c.morphisms_from(c.cod[f1]))
+        g2 = rng.choice(c.morphisms_from(c.cod[f2]))
+        gf = p.compose(p.pair_morphism(g1, g2), p.pair_morphism(f1, f2))
+        assert gf == p.pair_morphism(c.compose(g1, f1), c.compose(g2, f2))
     words = hx_category(FinSet(1), 2).category
-    assert not words.has_table
-    p = product_category(words, discrete_category(2))
-    assert p.has_table
-    assert p.n_morphisms == 2 * words.n_morphisms
-    assert validate_category(p).ok
+    q = product_category(words, discrete_category(2))
+    assert q.n_morphisms == 2 * words.n_morphisms
+    assert validate_category(q).ok
 
 
 def test_group_as_category_trivial_and_z2():
@@ -546,3 +555,70 @@ def test_zigzag_witnesses_on_connected_corpus():
             for b in range(cat.n_objects):
                 z = find_zigzag(cat, a, b)
                 assert z is not None and z.check(cat), name
+
+
+# ---------------------------------------------------------------------------
+# composition by rule: equal to the tabulated copy, verdicts unchanged
+
+def grid_poset(rows, cols):
+    rel = [(r1 * cols + c1, r2 * cols + c2)
+           for r1 in range(rows) for c1 in range(cols)
+           for r2 in range(r1, rows) for c2 in range(c1, cols) if (r1, c1) != (r2, c2)]
+    return poset_category(rows * cols, rel)
+
+
+def permutation_group_table(n):
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(g[f[x]] for x in range(n))] for f in perms] for g in perms]
+
+
+def built_categories():
+    """Categories composed by rule, from every library constructor."""
+    corpus = category_corpus()
+    cats = list(corpus)
+    cats += [(f"{a}x{b}", product_category(c, d)) for a, c in corpus for b, d in corpus]
+    grid = grid_poset(3, 4)
+    cats.append(("grid", grid))
+    cats += [(f"grid/{c}", comma_category(c, identity_functor(grid))) for c in range(12)]
+    rng = random.Random(34)
+    for k in (1, 4, 6, 9):
+        objects = sorted(rng.sample(range(12), k))
+        sub, incl = full_subcategory(grid, objects)
+        cats += [(f"grid{objects}", sub), (f"0/grid{objects}", comma_category(0, incl))]
+    klein = [[a ^ b for b in range(4)] for a in range(4)]
+    for name, table in (("z2", Z2_TABLE), ("z3", Z3_TABLE), ("klein", klein),
+                        ("s3", permutation_group_table(3))):
+        cats.append((name, group_as_category(table)))
+    return cats
+
+
+def test_built_categories_equal_their_tabulated_copies():
+    for name, cat in built_categories():
+        table = cat.with_composition_table()
+        assert cat == table and table == cat, name
+        assert validate_category(cat).ok, name
+
+
+def test_equality_compares_composites_however_stored():
+    assert chain_category(6) == chain_category(6)
+    assert chain_category(6) != chain_category(5)
+    chain = chain_category(6)
+    doc = parse_document(serialize_document(Document("category", chain)))
+    assert doc.value == chain and chain == doc.value
+    # one composite changed in the table breaks equality with the rule
+    table = dict(chain.with_composition_table()._table)
+    table[(chain.identity[0], chain.identity[0])] = 1
+    assert FinCategory(6, chain.dom, chain.cod, chain.identity, table,
+                       morphism_labels=chain.morphism_labels) != chain
+    # lazily listed truncations have no structural key: equal only to themselves
+    words = hx_category(FinSet(1), 2).category
+    assert words == words and words != words.with_composition_table()
+
+
+def test_verdicts_of_built_categories_match_their_tables():
+    for name, cat in built_categories():
+        table = cat.with_composition_table()
+        assert is_connected(cat) == is_connected(table), name
+        assert is_filtered(cat) == is_filtered(table), name
+        assert is_sifted(cat) == is_sifted(table), name

@@ -117,6 +117,24 @@ def test_smith_random_suite():
             running = expected if expected else running
 
 
+@pytest.mark.parametrize("shape,rank", [((n, n), n) for n in (1, 4, 8, 12)]
+                         + [((n, n), n // 2) for n in (2, 6, 9, 12)]
+                         + [((3, 7), 3), ((7, 3), 3), ((5, 12), 4), ((12, 5), 2),
+                            ((0, 4), 0), ((4, 0), 0), ((6, 6), 0)])
+def test_smith_transforms_from_the_hermite_basis(shape, rank):
+    # M = A B has the given rank; S is the one smith() eliminates on M itself
+    rng = random.Random(rank * 100 + shape[0] * 10 + shape[1])
+    a = IntMatrix([[rng.randint(-5, 5) for _ in range(rank)] for _ in range(shape[0])],
+                  shape=(shape[0], rank))
+    b = IntMatrix([[rng.randint(-5, 5) for _ in range(shape[1])] for _ in range(rank)],
+                  shape=(rank, shape[1]))
+    m = a @ b
+    s, u, v = smith_normal_form(m)
+    assert s == smith(m).s
+    assert u @ m @ v == s
+    assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
+
+
 def test_smith_inverses_track():
     rng = random.Random(7)
     for _ in range(20):
