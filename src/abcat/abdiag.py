@@ -19,7 +19,7 @@ the coproduct-exactness results all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     factor_through_kernel, free_abelian, hom_compose, hom_equal, hom_validate,
@@ -104,14 +104,12 @@ def constant_diagram(base: FinCategory, group: FGAbGroup) -> AbDiagram:
                      tuple(identity_hom(group) for _ in range(base.n_morphisms)))
 
 
-@dataclass(frozen=True)
-class AbCocone:
+class AbCocone(NamedTuple):
     vertex: FGAbGroup
     components: tuple
 
 
-@dataclass(frozen=True)
-class AbCone:
+class AbCone(NamedTuple):
     vertex: FGAbGroup
     components: tuple
 
@@ -452,8 +450,7 @@ def induced_map_on_colimits(d: AbDiagram, e: AbDiagram, components,
     return induced, colim_d, colim_e
 
 
-@dataclass(frozen=True)
-class Ab4Report:
+class Ab4Report(NamedTuple):
     ok: bool
     induced: AbHom
     kernel_group: FGAbGroup
@@ -484,8 +481,7 @@ def ab4_check(source_family, target_family, monos) -> Ab4Report:
     return Ab4Report(ker.is_trivial, induced, ker, source_sum, target_sum)
 
 
-@dataclass(frozen=True)
-class GeneratorReport:
+class GeneratorReport(NamedTuple):
     """Parallel homs f and f', whether they are equal, and if not a
     Z-probe ``witness`` (the source's ``witness_generator``-th generator)."""
 

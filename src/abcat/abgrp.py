@@ -16,12 +16,12 @@ with canonical forms come from Smith's transforms of that basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import InputError
 from .fincat import ValidationReport
-from .intmat import (ColumnLattice, IntMatrix, block_diagonal, hstack,
+from .intmat import (ColumnLattice, IntMatrix, block_diagonal, graph_lattice, hstack,
                      lattice_invariants, preimage_basis, smith, smith_normal_form,
                      solve_many)
 
@@ -160,7 +160,7 @@ def zero_group() -> FGAbGroup:
 class AbHom:
     """Homomorphism as a (target gens x source gens) integer matrix."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_graph")
 
     def __init__(self, source: FGAbGroup, target: FGAbGroup, matrix: IntMatrix):
         if matrix.shape != (target.gens, source.gens):
@@ -169,6 +169,14 @@ class AbHom:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._graph = None
+
+    def _graph_lattice(self) -> ColumnLattice:
+        """The columns (M_j; e_j) and the target's relation basis (R_k; 0),
+        built once; kernel, ``is_mono`` and ``is_epi`` read it."""
+        if self._graph is None:
+            self._graph = graph_lattice(self.matrix, self.target.reduced_relations.columns())
+        return self._graph
 
     def __matmul__(self, other: "AbHom") -> "AbHom":
         return hom_compose(self, other)
@@ -250,7 +258,7 @@ def kernel(h: AbHom) -> tuple[FGAbGroup, AbHom]:
     relation lattice; its relations are the vectors that land in the
     source relation lattice.
     """
-    pre = preimage_basis(h.matrix, h.target.reduced_relations)
+    pre = h._graph_lattice().bottom_basis(h.target.gens)
     rels = preimage_basis(pre, h.source.reduced_relations)
     k = FGAbGroup(pre.cols, rels)
     return k, AbHom(k, h.source, pre)
@@ -298,18 +306,17 @@ def biproduct(groups) -> tuple[FGAbGroup, list, list]:
 def is_mono(h: AbHom) -> bool:
     """Monomorphism test: the preimage of the target relations, which
     generates the kernel, lies in the source relations."""
-    pre = preimage_basis(h.matrix, h.target.reduced_relations)
+    pre = h._graph_lattice().bottom_basis(h.target.gens)
     return all(h.source.contains_relation(col) for col in pre.columns())
 
 
 def is_epi(h: AbHom) -> bool:
-    """Epimorphism test: trivial cokernel."""
-    c, _ = cokernel(h)
-    return c.is_trivial
+    """Epimorphism test: trivial cokernel, that is, the image and the
+    target relations span Z^gens, the top rows of the graph lattice."""
+    return h._graph_lattice().spans_top(h.target.gens)
 
 
-@dataclass(frozen=True)
-class Canonicalization:
+class Canonicalization(NamedTuple):
     """Isomorphism with the canonical presentation of a group."""
 
     canonical: FGAbGroup

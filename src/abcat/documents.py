@@ -34,7 +34,7 @@ at every non-identity element, named ``g<i>`` (the unit is ``e``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abdiag import AbDiagram, gmodule
 from .abgrp import AbHom, FGAbGroup, identity_hom
@@ -45,14 +45,12 @@ from .intmat import IntMatrix
 from .setdiag import FinSet, SetFunctor
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     kind: str
     value: object
 
 
-@dataclass(frozen=True)
-class AbNaturalMap:
+class AbNaturalMap(NamedTuple):
     """A natural family of homs between two diagrams on a shared base."""
 
     source: AbDiagram

@@ -12,14 +12,13 @@ exhaustive cocone search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .errors import BudgetError, InputError, PreconditionError
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of an exhaustive law check; empty problem list means valid."""
 
     problems: tuple
@@ -232,8 +231,7 @@ def identity_functor(c: FinCategory) -> FinFunctor:
     return FinFunctor(c, c, range(c.n_objects), range(c.n_morphisms))
 
 
-@dataclass(frozen=True)
-class ZigZag:
+class ZigZag(NamedTuple):
     """Alternating chain of morphisms connecting two objects.
 
     ``steps`` lists (morphism, forward) pairs; directions strictly
@@ -632,8 +630,7 @@ def validate_functor(f: FinFunctor) -> ValidationReport:
 # structural checks
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     connected: bool
     components: tuple
 
@@ -727,8 +724,7 @@ def find_zigzag(cat: FinCategory, a: int, b: int) -> ZigZag | None:
     return ZigZag(a, b, tuple(steps))
 
 
-@dataclass(frozen=True)
-class FinalityReport:
+class FinalityReport(NamedTuple):
     final: bool
     failing: tuple
     slice_components: tuple
@@ -756,8 +752,7 @@ def is_final(f: FinFunctor) -> FinalityReport:
     return FinalityReport(not failing, tuple(failing), tuple(slice_components))
 
 
-@dataclass(frozen=True)
-class FilteredReport:
+class FilteredReport(NamedTuple):
     filtered: bool
     reason: str | None
     failing: tuple | None
@@ -802,8 +797,7 @@ def is_filtered(cat: FinCategory) -> FilteredReport:
     return FilteredReport(True, None, None, bounds, coeqs)
 
 
-@dataclass(frozen=True)
-class SiftedReport:
+class SiftedReport(NamedTuple):
     sifted: bool
     reason: str | None
     failing_pairs: tuple
@@ -839,8 +833,7 @@ def is_sifted(cat: FinCategory) -> SiftedReport:
     return SiftedReport(not failing, reason, failing)
 
 
-@dataclass(frozen=True)
-class CoconeWitness:
+class CoconeWitness(NamedTuple):
     vertex: int
     legs: tuple
 

@@ -34,12 +34,12 @@ the morphism budget.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import accumulate, chain, combinations_with_replacement, product as iproduct
 from math import prod
+from typing import NamedTuple
 
 from .abdiag import AbDiagram, ab_colimit, AbColimit
 from .abgrp import (AbHom, FGAbGroup, biproduct, describe_form, direct_sum, hom_compose,
@@ -50,36 +50,47 @@ from .intmat import IntMatrix, hstack
 from .setdiag import FinSet
 
 
-@dataclass(frozen=True)
-class HXObject:
-    """A finite word (n, x) over the index set."""
-
+class _HXObject(NamedTuple):
     arity: int
     word: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(v) for v in self.word))
-        if len(self.word) != self.arity:
+
+class HXObject(_HXObject):
+    """A finite word (n, x) over the index set."""
+
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``; send it through the checks
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, arity: int, word):
+        word = tuple(int(v) for v in word)
+        if len(word) != arity:
             raise InputError("word length does not match arity")
+        return super().__new__(cls, arity, word)
 
 
-@dataclass(frozen=True)
-class HXMorphism:
-    """Index map f with source word equal to target word composed with f."""
-
+class _HXMorphism(NamedTuple):
     source: HXObject
     target: HXObject
     mapping: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if len(self.mapping) != self.source.arity:
+
+class HXMorphism(_HXMorphism):
+    """Index map f with source word equal to target word composed with f."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, source: HXObject, target: HXObject, mapping):
+        mapping = tuple(int(v) for v in mapping)
+        if len(mapping) != source.arity:
             raise InputError("mapping length does not match source arity")
-        for i, j in enumerate(self.mapping):
-            if not 0 <= j < self.target.arity:
+        for i, j in enumerate(mapping):
+            if not 0 <= j < target.arity:
                 raise InputError(f"mapping sends {i} outside the target word")
-            if self.source.word[i] != self.target.word[j]:
+            if source.word[i] != target.word[j]:
                 raise InputError(f"words disagree at position {i}")
+        return super().__new__(cls, source, target, mapping)
 
 
 class _Lazy(Sequence):
@@ -242,18 +253,38 @@ def _check_budget(morphisms: int, max_morphisms: int):
 def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
                       skeleton: bool) -> HXCategory:
     letters = range(alphabet.size)
-    objects = [HXObject(n, word) for n in range(cap + 1)
-               for word in (combinations_with_replacement(letters, n) if skeleton
-                            else iproduct(letters, repeat=n))]
+    contents = [c for n in range(cap + 1) for c in combinations_with_replacement(letters, n)]
+    words = contents if skeleton else [w for n in range(cap + 1)
+                                       for w in iproduct(letters, repeat=n)]
+    content_index = {c: i for i, c in enumerate(contents)}
+    content_of = [content_index[tuple(sorted(w))] for w in words]
+    members = [[] for _ in contents]
+    for i, c in enumerate(content_of):
+        members[c].append(i)
+    # a word of content s has prod_v t_v ** s_v maps into a word of content
+    # t, and none unless t holds every letter of s: count them per pair of
+    # contents, so the budget is checked before any offset is filled in
+    tallies = [Counter(c) for c in contents]
+    holding = [{t for t, tally in enumerate(tallies) if v in tally} for v in letters]
+    everywhere = set(range(len(contents)))
+    maps = [{t: prod(tallies[t][v] ** k for v, k in s.items())
+             for t in everywhere.intersection(*(holding[v] for v in s))}
+            for s in tallies]
+    _check_budget(sum(len(members[s]) * len(members[t]) * k
+                      for s, row in enumerate(maps) for t, k in row.items()), max_morphisms)
+
+    def counts(s):
+        row = [0] * len(words)
+        for t, k in maps[s].items():
+            for w in members[t]:
+                row[w] = k
+        return row
+
+    objects = [HXObject(len(w), w) for w in words]
     # positions of each letter inside each word; a morphism out of a word
     # chooses, per position, one matching position of the target word
-    spots = [{v: tuple(j for j, y in enumerate(o.word) if y == v) for v in o.word}
-             for o in objects]
-    starts = [0]
-    for src in objects:
-        for target in spots:
-            starts.append(starts[-1] + prod(len(target.get(v, ())) for v in src.word))
-    _check_budget(starts[-1], max_morphisms)
+    spots = [{v: tuple(j for j, y in enumerate(w) if y == v) for v in w} for w in words]
+    starts = list(accumulate(chain.from_iterable(map(counts, content_of)), initial=0))
     return HXCategory(alphabet, cap, objects, spots, starts,
                       _block_steps if skeleton else _elementary_steps)
 
@@ -368,8 +399,7 @@ def harting_expand(family, h: HXCategory) -> AbDiagram:
     return AbDiagram(h.category, groups, route)
 
 
-@dataclass(frozen=True)
-class HartingComparison:
+class HartingComparison(NamedTuple):
     """Explicit isomorphism between the expanded colimit and the coproduct."""
 
     ok: bool
@@ -434,8 +464,7 @@ def harting_compare(family, h: HXCategory) -> HartingComparison:
 # bounded structural reports
 
 
-@dataclass(frozen=True)
-class BoundedReport:
+class BoundedReport(NamedTuple):
     ok: bool
     checked: int
     failures: tuple

@@ -382,7 +382,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     True
     """
     r, n = m.shape
-    cols = _graph_lattice(m)._hermite_columns()
+    cols = graph_lattice(m)._hermite_columns()
     top = [c for c in cols if any(c[:r])]
     d = smith(_trusted_columns([c[:r] for c in top], r))
     v = _trusted_columns([c[r:] for c in top], n) @ d.v
@@ -500,6 +500,21 @@ class ColumnLattice:
         """The Hermite basis, columns in increasing pivot row."""
         return _trusted_columns(self._hermite_columns(), self.dim)
 
+    def bottom_basis(self, top: int) -> IntMatrix:
+        """Hermite basis of the lattice vectors whose first ``top`` entries
+        vanish, those entries cut off: the basis columns pivoting below them."""
+        return _trusted_columns([c[top:] for c in self._hermite_columns(top)], self.dim - top)
+
+    def spans_top(self, top: int) -> bool:
+        """Whether the lattice projects onto the first ``top`` coordinates.
+
+        The basis columns pivoting there project to a triangular basis of
+        the projection, which is all of Z^top exactly when each of those
+        rows holds a pivot equal to 1.
+        """
+        cols, pivot_of = self._cols, self._pivot_of
+        return all(p in pivot_of and cols[pivot_of[p]][p] == 1 for p in range(top))
+
 
 def _trusted_columns(columns, rows: int) -> IntMatrix:
     """Wrap int columns of length ``rows`` as a matrix, unchecked."""
@@ -507,7 +522,7 @@ def _trusted_columns(columns, rows: int) -> IntMatrix:
                               rows, len(columns))
 
 
-def _graph_lattice(m: IntMatrix, lattice_columns=()) -> ColumnLattice:
+def graph_lattice(m: IntMatrix, lattice_columns=()) -> ColumnLattice:
     """Lattice of the columns (M_j; e_j) and (L_k; 0), in m.rows + m.cols rows."""
     n = m.cols
     pad = (0,) * n
@@ -533,9 +548,7 @@ def preimage_basis(m: IntMatrix, lattice: IntMatrix) -> IntMatrix:
     """
     if m.rows != lattice.rows:
         raise InputError("row mismatch between map and lattice")
-    r = m.rows
-    lat = _graph_lattice(m, lattice.columns())
-    return _trusted_columns([c[r:] for c in lat._hermite_columns(r)], m.cols)
+    return graph_lattice(m, lattice.columns()).bottom_basis(m.rows)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -556,7 +569,7 @@ def solve_many(m: IntMatrix, columns) -> IntMatrix | None:
     True
     """
     r, n = m.shape
-    lat = _graph_lattice(m)
+    lat = graph_lattice(m)
     sols = []
     for b in columns:
         b = tuple(b)

@@ -9,30 +9,36 @@ pick canonical representatives so golden tests stay byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product as iproduct
+from typing import NamedTuple
 
 from .errors import InputError, PreconditionError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, ValidationReport,
                      element_classes, is_filtered)
 
 
-@dataclass(frozen=True)
-class FinSet:
-    """A finite set: canonical indices 0..size-1, optionally labelled."""
-
+class _FinSet(NamedTuple):
     size: int
     labels: tuple | None = None
 
-    def __post_init__(self):
-        if self.size < 0:
+
+class FinSet(_FinSet):
+    """A finite set: canonical indices 0..size-1, optionally labelled."""
+
+    __slots__ = ()
+    # ``_replace`` builds through ``_make``; send it through the checks
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, size: int, labels=None):
+        if size < 0:
             raise InputError("negative set size")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.size:
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != size:
                 raise InputError("label count does not match size")
-            if len(set(self.labels)) != self.size:
+            if len(set(labels)) != size:
                 raise InputError("labels are not distinct")
+        return super().__new__(cls, size, labels)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
@@ -92,16 +98,14 @@ def validate_functor(d: SetFunctor) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Vertex plus one projection table per object."""
 
     vertex: FinSet
     components: tuple
 
 
-@dataclass(frozen=True)
-class Cocone:
+class Cocone(NamedTuple):
     """Vertex plus one insertion table per object."""
 
     vertex: FinSet
@@ -169,8 +173,7 @@ def restrict_along(f: FinFunctor, d: SetFunctor) -> SetFunctor:
     return SetFunctor(f.source, sets, tables)
 
 
-@dataclass(frozen=True)
-class CommuteReport:
+class CommuteReport(NamedTuple):
     """Result of comparing colim-of-limits against limit-of-colimits;
     ``limits[a]`` lists the points of lim_D X(a, -) in element order."""
 

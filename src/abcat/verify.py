@@ -9,9 +9,8 @@ and the trial that ``run_suite`` samples for the seeded suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .abdiag import (AbDiagram, ab_colimit, coinvariants, gmodule, induced_map_on_colimits,
                      invariants, ab4_check, validate_diagram)
@@ -29,11 +28,10 @@ from .setdiag import (SetFunctor, commute_check, fixed_point_indices, restrict_a
 from . import sampling
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     name: str
     ok: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def verify_notlex(source: AbDiagram, target: AbDiagram, component: AbHom) -> VerifyReport:
@@ -347,8 +345,7 @@ def _fixpoints(value, **_):
     return verify_fixpoints(None, base.left, right, value)
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(NamedTuple):
     """A row: a document of kind ``kind`` is checked by ``check(value,
     cap=, stability_cap=)``; ``trial(rng, t, cap=, stability_cap=)``
     samples and checks trial ``t`` of the seeded suite named ``suite``.

@@ -5,7 +5,6 @@ Universality is probed against the fixed bounded surface {Z, Z/2, Z/4,
 Z/6}; factorizations are compared by hom equality modulo relations.
 """
 
-import dataclasses
 import itertools
 import json
 import random
@@ -447,14 +446,14 @@ def test_generator_report_rejects_a_witness_that_does_not_separate():
     assert rep.check() and rep.witness_generator == 1
     # f and g differ only at the second generator; the first goes to 1 under both
     first = hom(Z, z2, [[1], [0]])
-    assert not dataclasses.replace(rep, witness=first).ok
-    assert not dataclasses.replace(rep, witness=None).ok
-    assert not dataclasses.replace(rep, equal=True, witness=None).ok
+    assert not rep._replace(witness=first).ok
+    assert not rep._replace(witness=None).ok
+    assert not rep._replace(equal=True, witness=None).ok
     # into Z/2, the probe 2 goes to 0 under both
     z_2 = cyclic(2)
     rep = generator_check(hom(Z, z_2, [[1]]), hom(Z, z_2, [[0]]))
     assert rep.ok
-    assert not dataclasses.replace(rep, witness=hom(Z, Z, [[2]])).ok
+    assert not rep._replace(witness=hom(Z, Z, [[2]])).ok
     assert generator_check(hom(Z, z_2, [[1]]), hom(Z, z_2, [[3]])).check()
 
 

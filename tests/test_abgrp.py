@@ -204,6 +204,28 @@ def test_is_mono_matches_trivial_kernel():
     assert seen == {True, False}
 
 
+def test_is_epi_matches_trivial_cokernel():
+    # is_epi reads the pivots of the graph lattice; the cokernel route builds
+    # the quotient group and reads its canonical form
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(150):
+        a = random_group(rng, max_gens=3)
+        b = random_group(rng, max_gens=3)
+        if trial % 3 == 0:
+            a = scramble_group(rng, a)[0]
+        if trial % 3 == 1:
+            b = scramble_group(rng, b)[0]
+        h = random_hom(rng, a, b)
+        if trial % 5 == 0:
+            # a projection onto a quotient is epi
+            h = cokernel(h)[1]
+        expected = cokernel(h)[0].is_trivial
+        assert is_epi(h) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_are_isomorphic_with_witness():
     z2z3, _, _ = biproduct([cyclic(2), cyclic(3)])
     ok, witness = are_isomorphic(z2z3, cyclic(6))

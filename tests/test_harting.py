@@ -1,6 +1,7 @@
 """The truncated word category and the coproduct expansion."""
 
 import random
+import time
 from collections import OrderedDict
 from itertools import product as iproduct
 
@@ -74,6 +75,17 @@ def test_budget_error():
     assert len(hx_category(FinSet(2), 3, max_morphisms=10 ** 6).morphisms) == 389
     with pytest.raises(BudgetError):
         hx_category(FinSet(2), 3, max_morphisms=388)
+
+
+@pytest.mark.parametrize("letters, cap, morphisms", [(4, 5, 4_373_513), (3, 6, 46_033_573)])
+def test_oversized_word_categories_are_refused_before_the_build(letters, cap, morphisms):
+    # the budget is checked on counts per pair of letter contents, before
+    # any offset of a pair of words is filled in
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as refused:
+        hx_category(FinSet(letters), cap)
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == f"HX truncation holds {morphisms} morphisms, budget is 500000"
 
 
 def test_equal_requests_share_one_truncation():
