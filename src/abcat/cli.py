@@ -17,12 +17,13 @@ import json
 import sys
 
 from .abdiag import ab_colimit, ab_limit, coinvariants, invariants, validate_diagram
-from .abgrp import describe_form, direct_sum, smith_normal_form
+from .abgrp import describe_form, direct_sum
 from .documents import AbNaturalMap, Document, load_document
 from .errors import (BudgetError, DocumentError, InputError, PreconditionError,
                      TruncationError)
 from .fincat import (is_connected, is_filtered, is_final, is_sifted, validate_category,
                      validate_functor)
+from .intmat import smith_normal_form
 from .setdiag import FinSet, set_colimit, set_limit, validate_functor as validate_set_functor
 from . import verify as verify_mod
 from .harting import hx_category, hx_filtered_bounded_report, hx_sifted_bounded_report

@@ -41,10 +41,10 @@ class FinCategory:
     the index of g∘f; it is for input.  Built categories supply
     ``compose_rule`` instead, and may then give ``dom`` and ``cod`` as
     read-only sequences that compute their entries on demand.  Equality
-    compares composites however they are stored.  Optional
-    ``generators`` must reach every morphism from the identities by
-    composing on the left; group colimits glue along them alone.
-    Values are immutable after construction.
+    compares composites however they are stored, unless a subclass defines
+    its own.  Optional ``generators`` must reach every morphism from the
+    identities by composing on the left; group colimits glue along them
+    alone.  Values are immutable after construction.
     """
 
     __slots__ = ("n_objects", "dom", "cod", "identity", "_table", "_rule",
@@ -182,14 +182,10 @@ class FinCategory:
                 [self.morphism_label(m) for m in range(self.n_morphisms)], self.generators)
 
     def __eq__(self, other):
-        if not isinstance(other, FinCategory):
+        # a subclass with its own equality, such as a word truncation, decides
+        if not isinstance(other, FinCategory) or type(other).__eq__ is not FinCategory.__eq__:
             return NotImplemented
-        if self is other:
-            return True
-        # lazily listed categories (word truncations) have no structural key yet
-        if not isinstance(self.dom, tuple) or not isinstance(other.dom, tuple):
-            return False
-        return self._structure() == other._structure()
+        return self is other or self._structure() == other._structure()
 
     def __hash__(self):
         return hash((self.n_objects, self.dom, self.cod, self.identity))

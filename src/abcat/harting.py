@@ -27,16 +27,17 @@ on the sorted words, one per finite sub-multiset of X, is a skeleton: its
 inclusion is an equivalence, hence final and initial, and every colimit
 and limit over a truncation is the one over its skeleton.  ``hx_skeleton``
 builds it by the same closed form, generated inside each letter's block
-of positions.  Equal requests share one truncation; each request checks
-the morphism budget.
+of positions.  Truncations are FinCategories equal by (alphabet, cap,
+skeleton); the last eight requested are kept, and each build checks the
+morphism budget first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, OrderedDict
+from collections import Counter
 from collections.abc import Sequence
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, product as iproduct
 from math import prod
 from typing import NamedTuple
@@ -114,9 +115,10 @@ class _Lazy(Sequence):
         return map(self._item, range(self._length))
 
 
-class HXCategory:
+class HXCategory(FinCategory):
     """Truncation of HX at a given arity cap, or its skeleton on the sorted
-    words, realized as a FinCategory.
+    words.  It equals exactly the truncations of equal (alphabet, cap,
+    skeleton), so a rebuilt one equals the first and no composite is read.
 
     Objects are ordered by (arity, word) and held eagerly; morphisms are
     ordered by (source, target, mapping) and never enumerated.  The maps
@@ -124,29 +126,33 @@ class HXCategory:
     prefix offset ``_starts[source * len(objects) + target]``, and a map's
     place in its block is its mapping in mixed radix: digit i chooses one
     of the target positions carrying letter i of the source word, the
-    last digit running fastest.  ``morphisms``, the category's ``dom``
-    and ``cod``, its identities, generators and composition rule are all
-    read off that ranking.
+    last digit running fastest.  ``morphisms``, ``dom``, ``cod``, ``hom``,
+    identities, generators and composition rule are read off that ranking.
     """
 
-    __slots__ = ("alphabet", "cap", "category", "objects", "morphisms",
+    __slots__ = ("alphabet", "cap", "skeleton", "objects", "morphisms",
                  "_object_index", "_spots", "_starts")
 
-    def __init__(self, alphabet: FinSet, cap: int, objects, spots, starts, steps):
-        self.alphabet = alphabet
-        self.cap = cap
+    def __init__(self, alphabet: FinSet, cap: int, objects, spots, starts, skeleton: bool):
+        self.alphabet, self.cap, self.skeleton = alphabet, cap, skeleton
         self.objects = tuple(objects)
         self._object_index = {o: i for i, o in enumerate(self.objects)}
-        self._spots = spots
-        self._starts = starts
+        self._spots, self._starts = spots, starts
         total, n = starts[-1], len(self.objects)
         self.morphisms = _Lazy(total, self._unrank)
         ident = [self._index(i, i, tuple(range(o.arity))) for i, o in enumerate(self.objects)]
-        self.category = FinCategory(
+        super().__init__(
             n, _Lazy(total, lambda m: (bisect_right(starts, m) - 1) // n),
-            _Lazy(total, lambda m: (bisect_right(starts, m) - 1) % n), ident, None,
+            _Lazy(total, lambda m: (bisect_right(starts, m) - 1) % n), ident,
             compose_rule=self._compose, object_labels=map(self.word_label, self.objects),
-            generators=_generators(self, steps))
+            generators=_generators(self, _block_steps if skeleton else _elementary_steps))
+
+    def __eq__(self, other):
+        return isinstance(other, HXCategory) and \
+            (self.alphabet, self.cap, self.skeleton) == (other.alphabet, other.cap, other.skeleton)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.cap, self.skeleton))
 
     def _unrank(self, m: int) -> tuple:
         p = bisect_right(self._starts, m) - 1
@@ -181,22 +187,18 @@ class HXCategory:
         return self._index(self.object_index(mor.source), self.object_index(mor.target),
                            mor.mapping)
 
-    def hom_indices(self, src: int, tgt: int) -> range:
-        p = src * len(self.objects) + tgt
+    def hom(self, a: int, b: int) -> range:
+        p = a * len(self.objects) + b
         return range(self._starts[p], self._starts[p + 1])
 
     def _maps(self, src: int, tgt: int):
         """(index, mapping) for each morphism src -> tgt, in index order."""
         spots = self._spots[tgt]
-        return zip(self.hom_indices(src, tgt),
+        return zip(self.hom(src, tgt),
                    iproduct(*(spots.get(v, ()) for v in self.objects[src].word)))
 
     def word_label(self, obj: HXObject) -> str:
         return "(" + ",".join(self.alphabet.label(v) for v in obj.word) + ")"
-
-
-MAX_TRUNCATIONS = 8     # a seeded suite asks for 6 at most: 1-3 letters x 2 caps
-_truncations = OrderedDict()    # least recently requested first
 
 
 def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> HXCategory:
@@ -206,9 +208,9 @@ def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> 
     Only the objects and the size of each hom-set are computed; the
     category's generators are the adjacent transpositions, the last-pair
     merges and the appends of one letter, so colimits over it glue along
-    those alone.  Equal ``(alphabet, cap)``, labels included,
-    share one truncation.  Raises BudgetError, on every request and before
-    a build, when it holds more than ``max_morphisms`` index maps.
+    those alone.  Equal ``(alphabet, cap)``, labels included, give equal
+    truncations, shared per budget.  Raises BudgetError, before a build,
+    when it holds more than ``max_morphisms`` index maps.
 
     Its skeleton, ``hx_skeleton``, keeps the sorted words, one per letter
     content, generated inside each letter's block of positions.  A word is
@@ -216,7 +218,7 @@ def hx_category(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> 
     equivalence and colimits and limits over the two agree; this category
     is the skeleton's oracle.
     """
-    return _truncation(alphabet, cap, max_morphisms, skeleton=False)
+    return _truncation(alphabet, cap, max_morphisms, False)
 
 
 def hx_skeleton(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> HXCategory:
@@ -229,25 +231,14 @@ def hx_skeleton(alphabet: FinSet, cap: int, *, max_morphisms: int = 500_000) -> 
     insertion of the letter at the block's end.  Shared and budgeted like
     ``hx_category``, counting the skeleton's morphisms.
     """
-    return _truncation(alphabet, cap, max_morphisms, skeleton=True)
+    return _truncation(alphabet, cap, max_morphisms, True)
 
 
+@lru_cache(maxsize=8)    # a seeded suite asks for 6 at most: 1-3 letters x 2 caps
 def _truncation(alphabet: FinSet, cap: int, max_morphisms: int, skeleton: bool) -> HXCategory:
     if cap < 1:
         raise InputError("cap must be at least 1")
-    key = (alphabet, cap, skeleton)
-    h = _truncations.pop(key, None) or _build_truncation(alphabet, cap, max_morphisms, skeleton)
-    _truncations[key] = h
-    if len(_truncations) > MAX_TRUNCATIONS:
-        _truncations.popitem(last=False)
-    _check_budget(len(h.morphisms), max_morphisms)
-    return h
-
-
-def _check_budget(morphisms: int, max_morphisms: int):
-    if morphisms > max_morphisms:
-        raise BudgetError(f"HX truncation holds {morphisms} morphisms, "
-                          f"budget is {max_morphisms}")
+    return _build_truncation(alphabet, cap, max_morphisms, skeleton)
 
 
 def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
@@ -270,8 +261,11 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
     maps = [{t: prod(tallies[t][v] ** k for v, k in s.items())
              for t in everywhere.intersection(*(holding[v] for v in s))}
             for s in tallies]
-    _check_budget(sum(len(members[s]) * len(members[t]) * k
-                      for s, row in enumerate(maps) for t, k in row.items()), max_morphisms)
+    morphisms = sum(len(members[s]) * len(members[t]) * k
+                    for s, row in enumerate(maps) for t, k in row.items())
+    if morphisms > max_morphisms:
+        raise BudgetError(f"HX truncation holds {morphisms} morphisms, "
+                          f"budget is {max_morphisms}")
 
     def counts(s):
         row = [0] * len(words)
@@ -285,8 +279,7 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
     # chooses, per position, one matching position of the target word
     spots = [{v: tuple(j for j, y in enumerate(w) if y == v) for v in w} for w in words]
     starts = list(accumulate(chain.from_iterable(map(counts, content_of)), initial=0))
-    return HXCategory(alphabet, cap, objects, spots, starts,
-                      _block_steps if skeleton else _elementary_steps)
+    return HXCategory(alphabet, cap, objects, spots, starts, skeleton)
 
 
 def _generators(h: HXCategory, steps) -> list:
@@ -363,8 +356,8 @@ def h_embedding(h: HXCategory) -> FinFunctor:
     src = discrete_category(h.alphabet.size,
                             labels=[h.alphabet.label(i) for i in range(h.alphabet.size)])
     on_obj = [h.object_index(HXObject(1, (x,))) for x in range(h.alphabet.size)]
-    on_mor = [h.category.identity[o] for o in on_obj]
-    return FinFunctor(src, h.category, on_obj, on_mor)
+    on_mor = [h.identity[o] for o in on_obj]
+    return FinFunctor(src, h, on_obj, on_mor)
 
 
 def harting_expand(family, h: HXCategory) -> AbDiagram:
@@ -396,7 +389,7 @@ def harting_expand(family, h: HXCategory) -> AbDiagram:
         return AbHom(src_group, tgt_group,
                      IntMatrix._trusted(tuple(map(tuple, mat)), tgt_group.gens, src_group.gens))
 
-    return AbDiagram(h.category, groups, route)
+    return AbDiagram(h, groups, route)
 
 
 class HartingComparison(NamedTuple):
@@ -482,7 +475,7 @@ def hx_sifted_bounded_report(h: HXCategory) -> BoundedReport:
     witnesses = {}
     checked = 0
     n = len(h.objects)
-    reach = [{t for t in range(n) if h.hom_indices(s, t)} for s in range(n)]
+    reach = [{t for t in range(n) if h.hom(s, t)} for s in range(n)]
     maps = cache(lambda s, t: tuple(h._maps(s, t)))
     for ui in range(n):
         u = h.objects[ui]

@@ -326,7 +326,7 @@ def pair_expansion(family, hx):
                     mat[tgt + t][src + t] = 1
         homs.append(AbHom(groups[si], groups[ti],
                           IntMatrix(mat, shape=(groups[ti].gens, groups[si].gens))))
-    return AbDiagram(hx.category, groups, homs)
+    return AbDiagram(hx, groups, homs)
 
 
 def signed_expansion(family, hx):
@@ -356,7 +356,7 @@ def test_generator_colimit_matches_full_relation_colimit():
     for build, sizes in cases:
         for (letters, cap), draws in sizes.items():
             hx = hx_category(FinSet(letters), cap)
-            assert hx.category.generators is not None
+            assert hx.generators is not None
             rng = random.Random(1000 * letters + cap)
             for trial in range(draws):
                 diagram = build(random_family(rng, letters), hx)
@@ -367,7 +367,7 @@ def test_generator_colimit_matches_full_relation_colimit():
                 # full-relation lattice, so membership there proves
                 # membership in it, at a fraction of the lattice's cost
                 sub = FGAbGroup(full.rows, full_relation_relations(diagram,
-                                                                   hx.category.generators))
+                                                                   hx.generators))
                 # q: the cocone legs side by side, Z^total -> carrier; s: the
                 # section picking each carrier generator's representative
                 q = hstack(*[leg.matrix for leg in colim.cocone.components])

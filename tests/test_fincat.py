@@ -141,7 +141,7 @@ def test_product_of_chain20_squared_composes_componentwise():
         g2 = rng.choice(c.morphisms_from(c.cod[f2]))
         gf = p.compose(p.pair_morphism(g1, g2), p.pair_morphism(f1, f2))
         assert gf == p.pair_morphism(c.compose(g1, f1), c.compose(g2, f2))
-    words = hx_category(FinSet(1), 2).category
+    words = hx_category(FinSet(1), 2)
     q = product_category(words, discrete_category(2))
     assert q.n_morphisms == 2 * words.n_morphisms
     assert validate_category(q).ok
@@ -611,9 +611,19 @@ def test_equality_compares_composites_however_stored():
     table[(chain.identity[0], chain.identity[0])] = 1
     assert FinCategory(6, chain.dom, chain.cod, chain.identity, table,
                        morphism_labels=chain.morphism_labels) != chain
-    # lazily listed truncations have no structural key: equal only to themselves
-    words = hx_category(FinSet(1), 2).category
+    # a word truncation is named by (alphabet, cap, skeleton), never by its
+    # composites: its tabulated copy is another category
+    words = hx_category(FinSet(1), 2)
     assert words == words and words != words.with_composition_table()
+
+
+def test_a_category_never_lists_a_word_truncation_to_compare(monkeypatch):
+    # a subclass with its own equality decides, in both orders
+    words = hx_category(FinSet(1), 2)
+    prod = product_category(words, discrete_category(1))
+    monkeypatch.setattr(FinCategory, "_structure", lambda self: pytest.fail("composites listed"))
+    assert prod != words and words != prod
+    assert prod == prod
 
 
 def test_verdicts_of_built_categories_match_their_tables():

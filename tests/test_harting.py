@@ -2,17 +2,16 @@
 
 import random
 import time
-from collections import OrderedDict
 from itertools import product as iproduct
 
 import pytest
 
 from abcat.abdiag import (AbCocone, AbColimit, AbDiagram, ab_colimit, ab_limit,
                           induced_map_on_colimits, validate_diagram)
-from abcat.abgrp import (AbHom, FGAbGroup, biproduct, cyclic, free_abelian, hom, hom_compose,
-                         hom_equal, identity_hom, zero_group)
+from abcat.abgrp import (AbHom, FGAbGroup, biproduct, cyclic, describe_form, free_abelian, hom,
+                         hom_compose, hom_equal, identity_hom, zero_group)
 from abcat import harting
-from abcat.errors import BudgetError, InputError, TruncationError
+from abcat.errors import BudgetError, InputError, PreconditionError, TruncationError
 from abcat.fincat import (FinCategory, FinFunctor, is_connected, is_final, validate_category,
                           validate_functor)
 from abcat.harting import (HXMorphism, HXObject, h_embedding, harting_compare,
@@ -48,24 +47,24 @@ def test_hom_single_morphism():
     # oracle: exhaustive search over maps 1 -> 2 with the word condition
     valid = [f for f in iproduct(range(2), repeat=1) if (0, 1)[f[0]] == 0]
     assert valid == [(0,)]
-    homs = two.hom_indices(src, tgt)
+    homs = two.hom(src, tgt)
     assert len(homs) == 1
     assert two.morphisms[homs[0]][2] == (0,)
 
 
 def test_category_laws_small():
     two = hx_category(AB, 2)
-    assert validate_category(two.category).ok
+    assert validate_category(two).ok
 
 
 def test_generators_generate_the_truncation():
     for letters, cap, expected in ((1, 2, 4), (2, 3, 40), (3, 3, 114)):
-        cat = hx_category(FinSet(letters), cap).category
+        cat = hx_category(FinSet(letters), cap)
         assert len(cat.generators) == expected
         assert all(cat.identity[cat.dom[g]] != g for g in cat.generators)
     # no generator gap, and the category laws hold
     for letters, cap in ((2, 3), (3, 2), (3, 3)):
-        assert validate_category(hx_category(FinSet(letters), cap).category).ok
+        assert validate_category(hx_category(FinSet(letters), cap)).ok
 
 
 def test_budget_error():
@@ -90,7 +89,7 @@ def test_oversized_word_categories_are_refused_before_the_build(letters, cap, mo
 
 def test_equal_requests_share_one_truncation():
     first, second = hx_category(FinSet(2), 2), hx_category(FinSet(2), 2)
-    assert first is second and first.category == second.category
+    assert first is second and first == second
     family = random_family(random.Random(3), 2)
     d = harting_expand(family, first)
     e = harting_expand(family, second)
@@ -100,16 +99,18 @@ def test_equal_requests_share_one_truncation():
     # labels are part of the key
     labelled = hx_category(AB, 2)
     assert labelled is not first and labelled.alphabet == AB
-    assert labelled.category.object_labels != first.category.object_labels
+    assert labelled.object_labels != first.object_labels
 
 
-def test_truncations_kept_are_bounded(monkeypatch):
-    monkeypatch.setattr(harting, "_truncations", OrderedDict())
+def test_truncations_kept_are_bounded():
+    harting._truncation.cache_clear()
     first = hx_category(FinSet(1), 1)
-    for letters in range(2, harting.MAX_TRUNCATIONS + 2):
+    kept = harting._truncation.cache_info().maxsize
+    for letters in range(2, kept + 2):
         hx_category(FinSet(letters), 1)
-    assert len(harting._truncations) == harting.MAX_TRUNCATIONS
-    assert hx_category(FinSet(1), 1) is not first
+    assert harting._truncation.cache_info().currsize == kept
+    rebuilt = hx_category(FinSet(1), 1)
+    assert rebuilt is not first and rebuilt == first
 
 
 def test_seeded_suite_builds_each_truncation_once(monkeypatch):
@@ -120,12 +121,52 @@ def test_seeded_suite_builds_each_truncation_once(monkeypatch):
         builds.append((alphabet, cap, skeleton))
         return build(alphabet, cap, max_morphisms, skeleton)
 
-    monkeypatch.setattr(harting, "_truncations", OrderedDict())
+    harting._truncation.cache_clear()
     monkeypatch.setattr(harting, "_build_truncation", counted)
     assert run_suite("harting", 12, 5, stability_cap=3).ok
     # skeletons on 1-3 letters, each at cap 2 and stability cap 3
     assert len(builds) == len(set(builds)) <= 6
     assert builds and all(skeleton for _, _, skeleton in builds)
+
+
+def test_a_rebuilt_truncation_equals_the_evicted_one():
+    family = random_family(random.Random(7), 2)
+    harting._truncation.cache_clear()
+    first = hx_skeleton(FinSet(2), 2)
+    d = harting_expand(family, first)
+    for letters in range(3, 3 + harting._truncation.cache_info().maxsize):
+        hx_skeleton(FinSet(letters), 1)
+    rebuilt = hx_skeleton(FinSet(2), 2)
+    assert rebuilt is not first and rebuilt == first and hash(rebuilt) == hash(first)
+    e = harting_expand(family, rebuilt)
+    assert d == e
+    induced, colim_d, _ = induced_map_on_colimits(d, e, [identity_hom(g) for g in d.groups])
+    assert hom_equal(induced, identity_hom(colim_d.carrier))
+
+
+@pytest.mark.parametrize("build", [hx_category, hx_skeleton])
+@pytest.mark.parametrize("letters, cap", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_truncation_is_a_category_with_its_table_hom_sets(build, letters, cap):
+    h = build(FinSet(letters), cap)
+    table = h.with_composition_table()
+    assert isinstance(h, FinCategory) and type(table) is FinCategory
+    for a, b in iproduct(range(h.n_objects), repeat=2):
+        assert list(h.hom(a, b)) == list(table.hom(a, b))
+    emb = h_embedding(h)
+    assert emb.target is h and validate_functor(emb).ok
+    # the request names a truncation; its tabulated copy is another category
+    assert h != table and table != h
+
+
+def test_truncations_compare_by_alphabet_cap_and_kind():
+    words = hx_category(FinSet(2), 2)
+    wider = hx_category(FinSet(2), 2, max_morphisms=10 ** 6)
+    assert wider is not words and wider == words and hash(wider) == hash(words)
+    assert hx_category(AB, 2) != words and hx_category(FinSet(2), 3) != words
+    # on one letter the words are the sorted words, and still the kinds differ
+    one, sorted_one = hx_category(FinSet(1), 2), hx_skeleton(FinSet(1), 2)
+    assert one.with_composition_table() == sorted_one.with_composition_table()
+    assert one != sorted_one and sorted_one != one
 
 
 def test_coproduct_examples():
@@ -155,11 +196,11 @@ def test_coproduct_universal_property_exhaustive():
     target, left, right = hx_coproduct(two, u, v)
     ui, vi, ti = (two.object_index(o) for o in (u, v, target))
     for wi, w in enumerate(two.objects):
-        for p in two.hom_indices(ui, wi):
+        for p in two.hom(ui, wi):
             pm = two.morphisms[p][2]
-            for q in two.hom_indices(vi, wi):
+            for q in two.hom(vi, wi):
                 qm = two.morphisms[q][2]
-                mediating = [m for m in two.hom_indices(ti, wi)
+                mediating = [m for m in two.hom(ti, wi)
                              if all(two.morphisms[m][2][left.mapping[i]] == pm[i]
                                     for i in range(u.arity))
                              and all(two.morphisms[m][2][right.mapping[j]] == qm[j]
@@ -192,12 +233,12 @@ def test_expand_morphism_matrices():
     diagram = harting_expand(family, single)
     # identity morphisms carry identity matrices
     for oi in range(len(single.objects)):
-        ident = single.category.identity[oi]
+        ident = single.identity[oi]
         assert diagram.hom(ident).matrix == IntMatrix.identity(diagram.groups[oi].gens)
     # the fold (2,aa) -> (1,a) adds the two coordinates
     src = single.object_index(HXObject(2, (0, 0)))
     tgt = single.object_index(HXObject(1, (0,)))
-    fold = [m for m in single.hom_indices(src, tgt)][0]
+    fold = [m for m in single.hom(src, tgt)][0]
     assert diagram.hom(fold).matrix == IntMatrix([[1, 1]])
     # an injection lands in the matching summand
     two = hx_category(AB, 2)
@@ -205,7 +246,7 @@ def test_expand_morphism_matrices():
     diagram2 = harting_expand(family2, two)
     src2 = two.object_index(HXObject(1, (0,)))
     tgt2 = two.object_index(HXObject(2, (1, 0)))
-    arrows = two.hom_indices(src2, tgt2)
+    arrows = two.hom(src2, tgt2)
     assert len(arrows) == 1
     assert diagram2.hom(arrows[0]).matrix == IntMatrix([[0], [1]])
 
@@ -348,7 +389,7 @@ def test_bounded_sifted_agrees_with_slice_connectivity():
     # combined arity within the cap are connected by the comma machinery
     from abcat.fincat import comma_category, diagonal_functor
     single = hx_category(FinSet(1, ("a",)), 2)
-    cat = single.category.with_composition_table()
+    cat = single.with_composition_table()
     diag, prod = diagonal_functor(cat)
     rep = hx_sifted_bounded_report(single)
     assert rep.ok
@@ -419,35 +460,33 @@ def _enumerated(letters, cap):
 def test_closed_form_matches_enumeration(letters, cap):
     objects, morphisms, homs, identities, generators, compose, _ = _enumerated(letters, cap)
     hx = hx_category(FinSet(letters), cap)
-    cat = hx.category
     assert list(hx.objects) == objects
     assert list(hx.morphisms) == morphisms and len(hx.morphisms) == len(morphisms)
-    assert list(cat.dom) == [m[0] for m in morphisms]
-    assert list(cat.cod) == [m[1] for m in morphisms]
+    assert list(hx.dom) == [m[0] for m in morphisms]
+    assert list(hx.cod) == [m[1] for m in morphisms]
     for si in range(len(objects)):
         for ti in range(len(objects)):
-            assert list(hx.hom_indices(si, ti)) == homs.get((si, ti), [])
+            assert list(hx.hom(si, ti)) == homs.get((si, ti), [])
     for m, (si, ti, mapping) in enumerate(morphisms):
         assert hx.morphism_index(HXMorphism(objects[si], objects[ti], mapping)) == m
-    assert list(cat.identity) == identities
-    assert list(cat.generators) == generators
+    assert list(hx.identity) == identities
+    assert list(hx.generators) == generators
     rng = random.Random(1000 * letters + cap)
     for _ in range(500):
         f = rng.randrange(len(morphisms))
-        following = list(hx.hom_indices(morphisms[f][1], rng.randrange(len(objects))))
+        following = list(hx.hom(morphisms[f][1], rng.randrange(len(objects))))
         if following:
             g = rng.choice(following)
-            assert cat.compose(g, f) == compose(g, f)
+            assert hx.compose(g, f) == compose(g, f)
 
 
 @pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3)])
 def test_previous_generating_set_gives_the_same_colimits_and_limits(letters, cap):
     # the same truncation, glued along every insertion and adjacent merge
     hx = hx_category(FinSet(letters), cap)
-    cat = hx.category
     previous = _enumerated(letters, cap)[-1]
-    assert len(previous) > len(cat.generators)
-    wider = FinCategory(cat.n_objects, cat.dom, cat.cod, cat.identity,
+    assert len(previous) > len(hx.generators)
+    wider = FinCategory(hx.n_objects, hx.dom, hx.cod, hx.identity,
                         compose_rule=hx._compose, generators=previous)
     rng = random.Random(10 * letters + cap)
     for build in (harting_expand, pair_expansion, signed_expansion):
@@ -472,18 +511,17 @@ def test_compare_past_the_enumeration_wall(letters, cap):
     rep = harting_compare(family, hx)
     assert rep.ok, rep.failures
     assert rep.canonical_form == biproduct(family)[0].canonical_form
-    assert len(rep.colimit.diagram._cache) <= len(hx.category.generators)
+    assert len(rep.colimit.diagram._cache) <= len(hx.generators)
 
 
 def test_limit_of_expansion_values_homs_at_generators_only():
     hx = hx_category(FinSet(1), 3)
-    cat = hx.category
     d = harting_expand(random_family(random.Random(13), 1), hx)
     lim = ab_limit(d)
-    assert set(d._cache) <= set(cat.generators) < set(range(cat.n_morphisms))
+    assert set(d._cache) <= set(hx.generators) < set(range(hx.n_morphisms))
     # the same diagram on the same category without generators
-    plain = FinCategory(cat.n_objects, list(cat.dom), list(cat.cod), cat.identity,
-                        {(g, f): cat.compose(g, f) for g, f in cat.composable_pairs()})
+    plain = FinCategory(hx.n_objects, list(hx.dom), list(hx.cod), hx.identity,
+                        {(g, f): hx.compose(g, f) for g, f in hx.composable_pairs()})
     full = ab_limit(AbDiagram(plain, d.groups, d.homs))
     assert (lim.carrier, lim.cone.components) == (full.carrier, full.cone.components)
 
@@ -514,7 +552,7 @@ def _inclusion(letters, cap):
     on_obj = [words.object_index(o) for o in skeleton.objects]
     on_mor = [words.morphism_index(HXMorphism(skeleton.objects[si], skeleton.objects[ti], m))
               for si, ti, m in skeleton.morphisms]
-    return FinFunctor(skeleton.category, words.category, on_obj, on_mor)
+    return FinFunctor(skeleton, words, on_obj, on_mor)
 
 
 def _generated(cat):
@@ -538,19 +576,18 @@ def test_skeleton_is_the_full_subcategory_on_sorted_words(letters, cap):
         {tuple(sorted(o.word)) for o in words.objects}, key=lambda w: (len(w), w))
     for si, ti in iproduct(range(len(skeleton.objects)), repeat=2):
         # full: the hom-sets are the word category's, in the same order
-        assert list(map(inc.on_morphisms.__getitem__, skeleton.hom_indices(si, ti))) == \
-            list(words.hom_indices(inc.on_objects[si], inc.on_objects[ti]))
-    cat = skeleton.category
-    assert all(inc.on_morphisms[cat.identity[x]] == words.category.identity[inc.on_objects[x]]
-               for x in range(cat.n_objects))
+        assert list(map(inc.on_morphisms.__getitem__, skeleton.hom(si, ti))) == \
+            list(words.hom(inc.on_objects[si], inc.on_objects[ti]))
+    assert all(inc.on_morphisms[skeleton.identity[x]] == words.identity[inc.on_objects[x]]
+               for x in range(skeleton.n_objects))
     rng = random.Random(10 * letters + cap)
     for _ in range(300):
-        f = rng.randrange(cat.n_morphisms)
-        following = cat.morphisms_from(cat.cod[f])
+        f = rng.randrange(skeleton.n_morphisms)
+        following = skeleton.morphisms_from(skeleton.cod[f])
         g = rng.choice(following)
-        assert inc.on_morphisms[cat.compose(g, f)] == \
-            words.category.compose(inc.on_morphisms[g], inc.on_morphisms[f])
-    assert _generated(cat) == set(range(cat.n_morphisms))
+        assert inc.on_morphisms[skeleton.compose(g, f)] == \
+            words.compose(inc.on_morphisms[g], inc.on_morphisms[f])
+    assert _generated(skeleton) == set(range(skeleton.n_morphisms))
 
 
 @pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3), (2, 4)])
@@ -560,7 +597,7 @@ def test_skeleton_inclusion_is_final(letters, cap):
 
 @pytest.mark.parametrize("letters,cap", [(2, 3), (3, 3), (2, 4)])
 def test_skeleton_validates(letters, cap):
-    assert validate_category(hx_skeleton(FinSet(letters), cap).category).ok
+    assert validate_category(hx_skeleton(FinSet(letters), cap)).ok
 
 
 def _associative(cat, table):
@@ -577,19 +614,18 @@ def test_validation_rejects_one_redirected_composite(build, letters, cap):
     # a composite g∘f of two non-identities sent to another map with the
     # same endpoints is still caught, as the full triple loop catches it
     h = build(FinSet(letters), cap)
-    cat = h.category
-    dom, cod = tuple(cat.dom), tuple(cat.cod)
-    table = {(g, f): cat.compose(g, f) for f in range(cat.n_morphisms)
-             for g in cat.morphisms_from(cod[f])}
-    pairs = [(g, f) for g, f in table if g not in cat.identity and f not in cat.identity
-             and len(h.hom_indices(dom[f], cod[g])) > 1]
+    dom, cod = tuple(h.dom), tuple(h.cod)
+    table = {(g, f): h.compose(g, f) for f in range(h.n_morphisms)
+             for g in h.morphisms_from(cod[f])}
+    pairs = [(g, f) for g, f in table if g not in h.identity and f not in h.identity
+             and len(h.hom(dom[f], cod[g])) > 1]
     rng = random.Random(10 * letters + cap)
     for _ in range(5):
         g, f = rng.choice(pairs)
-        other = rng.choice([m for m in h.hom_indices(dom[f], cod[g]) if m != table[g, f]])
+        other = rng.choice([m for m in h.hom(dom[f], cod[g]) if m != table[g, f]])
         bad = {**table, (g, f): other}
-        tampered = FinCategory(cat.n_objects, cat.dom, cat.cod, cat.identity,
-                               compose_rule=lambda b, a: bad[b, a], generators=cat.generators)
+        tampered = FinCategory(h.n_objects, h.dom, h.cod, h.identity,
+                               compose_rule=lambda b, a: bad[b, a], generators=h.generators)
         report = validate_category(tampered)
         assert not report.ok
         assert report.ok == _associative(tampered, bad)
@@ -602,10 +638,10 @@ def test_the_word_listing_the_alphabet_is_terminal_exactly_when_it_fits(build):
         objects = range(len(h.objects))
         if cap >= letters:
             top = h.object_index(HXObject(letters, tuple(range(letters))))
-            assert all(len(h.hom_indices(s, top)) == 1 for s in objects)
+            assert all(len(h.hom(s, top)) == 1 for s in objects)
         else:
             singles = [h.object_index(HXObject(1, (x,))) for x in range(letters)]
-            assert not any(all(h.hom_indices(s, t) for s in singles) for t in objects)
+            assert not any(all(h.hom(s, t) for s in singles) for t in objects)
 
 
 @pytest.mark.parametrize("letters,cap", SKELETON_SIZES)
@@ -626,11 +662,11 @@ def test_expansion_colimits_and_limits_agree_on_both_bases(letters, cap):
 def test_skeleton_counts_match_the_closed_form_table():
     skeleton = hx_skeleton(FinSet(3), 4)
     assert (len(skeleton.objects), len(skeleton.morphisms),
-            len(skeleton.category.generators)) == (35, 3_675, 135)
+            len(skeleton.generators)) == (35, 3_675, 135)
     # ranked, not enumerated
     skeleton = hx_skeleton(FinSet(4), 6, max_morphisms=2_000_000)
     assert (len(skeleton.objects), len(skeleton.morphisms),
-            len(skeleton.category.generators)) == (210, 1_260_001, 1_288)
+            len(skeleton.generators)) == (210, 1_260_001, 1_288)
     with pytest.raises(BudgetError):
         hx_skeleton(FinSet(4), 6)
 
@@ -646,6 +682,27 @@ def test_verify_harting_counts_words_past_the_word_budget():
     report = verify_harting(random_family(random.Random(5), 4), cap=4, stability_cap=5)
     assert report.ok, report.details
     assert report.details["objects"] == sum(4 ** n for n in range(5)) == 341
+
+
+def test_truncation_guards_name_what_they_refuse():
+    hx = hx_category(FinSet(1), 1)    # words () and (0), three index maps
+    with pytest.raises(IndexError) as err:
+        hx.morphisms[len(hx.morphisms)]
+    assert str(err.value) == "morphism index 3 out of range"
+    with pytest.raises(InputError) as err:
+        hx.object_index(HXObject(2, (0, 0)))
+    assert str(err.value) == "object HXObject(arity=2, word=(0, 0)) is not in the truncation"
+    with pytest.raises(InputError) as err:
+        hx_skeleton(FinSet(2), 0)
+    assert str(err.value) == "cap must be at least 1"
+    with pytest.raises(PreconditionError) as err:
+        harting_compare([free_abelian(1)], hx)
+    assert str(err.value) == "colimit comparison needs an arity cap of at least 2"
+
+
+def test_comparison_describes_its_canonical_form():
+    rep = harting_compare([free_abelian(1), cyclic(3)], hx_skeleton(AB, 2))
+    assert rep.describe() == describe_form(rep.canonical_form) == "Z x Z/3"
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +758,7 @@ class _Tampered(harting.HXCategory):
     """A word category whose ``_maps`` edits the maps of the pairs in ``edits``."""
 
     def __init__(self, h, edits):
-        super().__init__(h.alphabet, h.cap, h.objects, h._spots, h._starts,
-                         harting._elementary_steps)
+        super().__init__(h.alphabet, h.cap, h.objects, h._spots, h._starts, False)
         self.edits = edits
 
     def _maps(self, src, tgt):
@@ -727,4 +783,4 @@ def test_filtered_report_names_a_parallel_pair_left_uncoequalized():
     rep = hx_filtered_bounded_report(_Tampered(hx, {(aa, a): lambda maps: [],
                                                     (aa, aa): lambda maps: []}))
     assert not rep.ok
-    assert rep.failures == (("coequalizer", *hx.hom_indices(a, aa)),)
+    assert rep.failures == (("coequalizer", *hx.hom(a, aa)),)

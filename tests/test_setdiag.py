@@ -156,7 +156,7 @@ def test_colimit_glues_along_generators_like_all_morphisms():
     # word (n, x) -> triples (i, j, e): positions i, j and an element e of
     # letter x_i's set; an index map f sends (i, j, e) to (f(i), f(j), e)
     hx = hx_category(FinSet(2), 3)
-    base = hx.category
+    base = hx
     assert base.generators is not None
     every = FinCategory(base.n_objects, base.dom, base.cod, base.identity,
                         object_labels=base.object_labels)
