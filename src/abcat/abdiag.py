@@ -26,7 +26,7 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     identity_hom, is_mono, kernel, summand_offsets, zero_group,
                     zero_hom)
 from .errors import InputError, PreconditionError
-from .fincat import FinCategory, ValidationReport, group_as_category
+from .fincat import FinCategory, ValidationReport, group_as_category, left_tree
 from .intmat import IntMatrix, block_diagonal, hstack, vstack
 
 
@@ -344,10 +344,11 @@ def ab_limit(d: AbDiagram) -> AbLimit:
 def gmodule(table, carrier: FGAbGroup, generator_action) -> AbDiagram:
     """The one-object diagram of a group action, over ``group_as_category(table)``.
 
-    The action is given on a generating set and extended to every group
-    element by closure; any inconsistency with the multiplication table
-    raises InputError.  The diagram holds the full action, so two
-    presentations of one action give equal diagrams.
+    The action is given on a generating set and extended along its
+    ``left_tree``, F(g·p) = F(g)∘F(p); the law F(g·f) = F(g)∘F(f) is checked
+    at every given g and every f, which gives it at every pair (see
+    ``validate_category``).  A failure or an element not generated raises
+    InputError.  Two presentations of one action give equal diagrams.
     """
     base = group_as_category(table)
     n = base.n_morphisms
@@ -359,50 +360,45 @@ def gmodule(table, carrier: FGAbGroup, generator_action) -> AbDiagram:
             raise InputError(f"action of {g} is not an endomorphism of the carrier")
         if hom_validate(h).problems:
             raise InputError(f"action of {g} is not well defined on the carrier")
-    known = {base.identity[0]: identity_hom(carrier)}
-    for g, h in generator_action.items():
-        if g in known:
-            if not hom_equal(known[g], h):
-                raise InputError(f"action of {g} conflicts with the identity")
-        else:
-            known[g] = h
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(known):
-                for prod, ha, hb in ((base.compose(a, b), known[a], known[b]),
-                                     (base.compose(b, a), known[b], known[a])):
-                    composite = hom_compose(ha, hb)
-                    if prod in known:
-                        if not hom_equal(known[prod], composite):
-                            raise InputError(f"action is inconsistent at product {prod}")
-                    else:
-                        known[prod] = composite
-                        fresh.append(prod)
-        frontier = fresh
-    if len(known) != n:
-        missing = sorted(set(range(n)) - set(known))
+    e = base.identity[0]
+    known = {**generator_action, e: identity_hom(carrier)}
+    if e in generator_action and not hom_equal(known[e], generator_action[e]):
+        raise InputError(f"action of {e} conflicts with the identity")
+    gens = tuple(g for g in generator_action if g != e)
+    tree = left_tree(base, lambda x: gens, base.compose)
+    for h, parent in tree.items():
+        if h not in known:
+            known[h] = hom_compose(known[parent[0]], known[parent[1]])
+    for g in gens:
+        for f in tree:
+            prod = base.compose(g, f)
+            if not hom_equal(known[prod], hom_compose(known[g], known[f])):
+                raise InputError(f"action is inconsistent at product {prod}")
+    if len(tree) != n:
+        missing = sorted(set(range(n)) - set(tree))
         raise InputError(f"action generators do not generate: missing {missing}")
     return AbDiagram(base, (carrier,), tuple(known[g] for g in range(n)))
+
+
+def _differences(d: AbDiagram) -> tuple:
+    """The carrier, its blocks g - 1 over ``generating()``, and their sum of carriers."""
+    carrier = d.groups[0]
+    blocks = [(d.hom(g) - identity_hom(carrier)).matrix for g in d.base.generating()]
+    return carrier, blocks, direct_sum([carrier] * len(blocks))
 
 
 def coinvariants(d: AbDiagram) -> tuple[FGAbGroup, AbHom]:
     """Quotient of the carrier of a one-object diagram by all differences
     g.a - a, g over ``generating()`` (every non-identity element of a
     group), with projection."""
-    carrier = d.groups[0]
-    blocks = [(d.hom(g) - identity_hom(carrier)).matrix for g in d.base.generating()]
-    stacked = direct_sum([carrier] * len(blocks))
+    carrier, blocks, stacked = _differences(d)
     return cokernel(AbHom(stacked, carrier, hstack(IntMatrix.zeros(carrier.gens, 0), *blocks)))
 
 
 def invariants(d: AbDiagram) -> tuple[FGAbGroup, AbHom]:
     """Subgroup of the carrier of a one-object diagram fixed by every
     ``generating()`` morphism, with inclusion."""
-    carrier = d.groups[0]
-    blocks = [(d.hom(g) - identity_hom(carrier)).matrix for g in d.base.generating()]
-    stacked = direct_sum([carrier] * len(blocks))
+    carrier, blocks, stacked = _differences(d)
     return kernel(AbHom(carrier, stacked, vstack(IntMatrix.zeros(0, carrier.gens), *blocks)))
 
 

@@ -573,22 +573,28 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def generator_closure(cat: FinCategory, composites: dict) -> set:
-    """Morphisms reached from the identities by composing ``generating()``
-    maps on the left.
+def left_tree(cat: FinCategory, generators_from, compose) -> dict:
+    """The left-search tree: each morphism h reached from the identities by
+    composing ``generators_from(x)`` maps on the left, mapped to a parent
+    (g, p) with h = g∘p, g in ``generators_from(cod p)`` and p found before
+    h, in breadth-first discovery order; identities map to None.
+    ``compose(g, p)`` returns None for a missing composite, so a partial or
+    faulty table is safe to search."""
+    tree = dict.fromkeys(cat.identity)
+    queue = list(tree)
+    for p in queue:
+        for g in generators_from(cat.cod[p]):
+            h = compose(g, p)
+            if h is not None and h not in tree:
+                tree[h] = (g, p)
+                queue.append(h)
+    return tree
 
-    ``composites`` maps pairs (g, f) to g∘f; missing pairs are skipped, so
-    a partial or faulty table is safe to pass.
-    """
-    reached, frontier = set(cat.identity), list(cat.identity)
-    while frontier:
-        f = frontier.pop()
-        for g in cat.generating_from(cat.cod[f]):
-            gf = composites.get((g, f))
-            if gf is not None and gf not in reached:
-                reached.add(gf)
-                frontier.append(gf)
-    return reached
+
+def generator_closure(cat: FinCategory, composites: dict) -> set:
+    """The key set of the ``left_tree`` of ``generating()`` maps in
+    ``composites``, a map from pairs (g, f) to g∘f that may miss some."""
+    return set(left_tree(cat, cat.generating_from, lambda g, f: composites.get((g, f))))
 
 
 def validate_functor(f: FinFunctor) -> ValidationReport:

@@ -16,7 +16,7 @@ from .abdiag import AbDiagram
 from .abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, direct_sum,
                     from_canonical_form, hom_compose, identity_hom)
 from .errors import InputError
-from .fincat import (FinCategory, chain_category, group_as_category,
+from .fincat import (FinCategory, chain_category, group_as_category, left_tree,
                      product_category)
 from .intmat import IntMatrix, block_diagonal, hstack
 from .setdiag import FinSet, SetFunctor
@@ -334,52 +334,33 @@ def random_gset_chain(rng: Random, chain_len: int, max_size: int = 5):
 def random_poset_functor(rng: Random, poset: FinCategory, covers,
                          max_size: int = 3, top_objects=()) -> SetFunctor:
     """Random diagram on a poset, built on cover maps and retried until all
-    composites agree; sets at ``top_objects`` have at most two elements."""
-    cover_set = {tuple(c) for c in covers}
+    composites agree; sets at ``top_objects`` have at most two elements.
+
+    Each relation's table is its parent's table followed by a cover's, in
+    the ``left_tree`` of the covers."""
+    cover_of = {}
+    for a, b in {tuple(c) for c in covers}:
+        relation = poset.hom(a, b)
+        if not relation:
+            raise InputError(f"cover ({a}, {b}) is not a relation of the poset")
+        cover_of[relation[0]] = (a, b)
+    tree = left_tree(poset, lambda x: [m for m in cover_of if poset.dom[m] == x], poset.compose)
+    if len(tree) != poset.n_morphisms:
+        raise InputError("poset has a relation not generated by covers")
     for _ in range(5000):
         sizes = [rng.randint(1, 2 if c in top_objects else max_size)
                  for c in range(poset.n_objects)]
-        sets = [FinSet(s) for s in sizes]
-        cover_tables = {}
-        for (a, b) in cover_set:
-            cover_tables[(a, b)] = tuple(rng.randrange(sizes[b]) for _ in range(sizes[a]))
-        tables = []
-        ok = True
-        for m in range(poset.n_morphisms):
-            a, b = poset.dom[m], poset.cod[m]
-            if a == b:
-                tables.append(tuple(range(sizes[a])))
-                continue
-            path = _cover_path(a, b, cover_set)
-            if path is None:
-                ok = False
-                break
-            table = list(range(sizes[a]))
-            for edge in path:
-                t = cover_tables[edge]
-                table = [t[v] for v in table]
-            tables.append(tuple(table))
-        if not ok:
-            raise InputError("poset has a relation not generated by covers")
-        functor = SetFunctor(poset, sets, tables)
+        drawn = {m: tuple(rng.randrange(sizes[b]) for _ in range(sizes[a]))
+                 for m, (a, b) in cover_of.items()}
+        tables = {poset.identity[c]: tuple(range(s)) for c, s in enumerate(sizes)}
+        for h, parent in tree.items():
+            if parent is not None:
+                tables[h] = tuple(drawn[parent[0]][v] for v in tables[parent[1]])
+        functor = SetFunctor(poset, [FinSet(s) for s in sizes],
+                             [tables[m] for m in range(poset.n_morphisms)])
         if validate_set_functor(functor).ok:
             return functor
     raise InputError("failed to sample a consistent poset diagram")
-
-
-def _cover_path(a, b, cover_set):
-    frontier = [(a, [])]
-    seen = {a}
-    while frontier:
-        node, path = frontier.pop(0)
-        for (x, y) in sorted(cover_set):
-            if x == node and y not in seen:
-                np = path + [(x, y)]
-                if y == b:
-                    return np
-                seen.add(y)
-                frontier.append((y, np))
-    return None
 
 
 DIAMOND_COVERS = ((0, 1), (0, 2), (1, 3), (2, 3))

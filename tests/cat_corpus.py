@@ -1,5 +1,7 @@
 """Shared fixture corpus for the test suite."""
 
+from itertools import permutations
+
 from abcat.fincat import (chain_category, cospan_category,
                           diamond_category, discrete_category, group_as_category,
                           parallel_pair_category, poset_category, span_category,
@@ -8,6 +10,14 @@ from abcat.fincat import (chain_category, cospan_category,
 Z2_TABLE = ((0, 1), (1, 0))
 Z3_TABLE = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 Z4_TABLE = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
+
+
+def permutation_group_table(n):
+    """The symmetric group on n points, permutations in sorted order, with
+    entry [g][f] the index of g∘f (f applied first)."""
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(g[f[x]] for x in range(n))] for f in perms] for g in perms]
 
 
 def powerset_two():

@@ -29,7 +29,7 @@ from abcat.sampling import (random_ab5_instance, random_family, random_group,
                             scramble_group)
 from abcat.setdiag import FinSet, SetFunctor
 from abcat.verify import verify_ab4, verify_ab5
-from cat_corpus import Z2_TABLE, Z3_TABLE
+from cat_corpus import Z2_TABLE, Z3_TABLE, permutation_group_table
 
 Z = free_abelian(1)
 
@@ -220,6 +220,20 @@ def test_gmodule_rejects_bad_actions():
         gmodule(Z2_TABLE, Z, {})
     with pytest.raises(InputError, match="inconsistent|identity"):
         gmodule(Z2_TABLE, Z, {1: hom(Z, Z, [[2]])})  # 2*2 = 4 != 1
+
+
+def test_gmodule_on_a_non_abelian_group():
+    # S_3 permuting the basis of Z^3; 1 = (0 2 1) is a transposition and
+    # 3 = (1 2 0) a 3-cycle, which together generate
+    s3 = permutation_group_table(3)
+    perms = sorted(itertools.permutations(range(3)))
+    z3 = free_abelian(3)
+    action = [hom(z3, z3, [[int(p[x] == y) for x in range(3)] for y in range(3)]) for p in perms]
+    module = gmodule(s3, z3, {1: action[1], 3: action[3]})
+    assert module == gmodule(s3, z3, {g: action[g] for g in range(1, 6)})
+    assert all(module.hom(g).matrix == action[g].matrix for g in range(6))
+    with pytest.raises(InputError, match="action is inconsistent"):
+        gmodule(s3, z3, {1: action[1], 3: action[1]})
 
 
 KLEIN_TABLE = tuple(tuple(a ^ b for b in range(4)) for a in range(4))

@@ -2,7 +2,6 @@
 decidable checks, cross-checked against independent enumeration."""
 
 import random
-from itertools import permutations
 
 import pytest
 
@@ -12,12 +11,13 @@ from abcat.fincat import (CoconeWitness, FinCategory, FinFunctor, ZigZag, chain_
                           diagonal_functor, discrete_category, find_zigzag,
                           full_subcategory, generator_closure, group_as_category,
                           identity_functor, is_connected, is_filtered, is_final, is_sifted,
-                          parallel_pair_category, poset_category, product_category,
+                          left_tree, parallel_pair_category, poset_category, product_category,
                           terminal_category, validate_category, validate_functor)
 from abcat.documents import Document, parse_document, serialize_document
-from abcat.harting import hx_category
+from abcat.harting import hx_category, hx_skeleton
 from abcat.setdiag import FinSet
-from cat_corpus import Z2_TABLE, Z3_TABLE, category_corpus, semilattice_corpus
+from cat_corpus import (Z2_TABLE, Z3_TABLE, category_corpus, permutation_group_table,
+                        semilattice_corpus)
 
 
 def test_validate_one_object_identity_only():
@@ -103,6 +103,33 @@ def test_generator_closure_skips_missing_composites():
     table = {k: v for k, v in cat.with_composition_table()._table.items() if k != (4, 1)}
     partial = FinCategory(3, cat.dom, cat.cod, cat.identity, table, generators=[1, 4])
     assert generator_closure(partial, table) == {0, 1, 3, 4, 5}
+
+
+def test_left_tree_parents_come_first():
+    corpus = category_corpus()
+    cats = [cat for _, cat in corpus]
+    cats += [product_category(c, d) for _, c in corpus for _, d in corpus]
+    cats.append(hx_skeleton(FinSet(2), 3))
+    for cat in cats:
+        tree = left_tree(cat, cat.generating_from, cat.compose)
+        order = {h: i for i, h in enumerate(tree)}
+        for h, parent in tree.items():
+            if h in cat.identity:
+                assert parent is None
+                continue
+            g, p = parent
+            assert g in cat.generating_from(cat.cod[p])
+            assert cat.compose(g, p) == h and order[p] < order[h]
+        composites = {pair: cat.compose(*pair) for pair in cat.composable_pairs()}
+        assert set(tree) == generator_closure(cat, composites) == set(range(cat.n_morphisms))
+
+
+def test_left_tree_skips_missing_composites():
+    cat = chain_category(3)
+    table = {k: v for k, v in cat.with_composition_table()._table.items() if k != (4, 1)}
+    partial = FinCategory(3, cat.dom, cat.cod, cat.identity, table, generators=[1, 4])
+    tree = left_tree(partial, partial.generating_from, lambda g, f: table.get((g, f)))
+    assert set(tree) == {0, 1, 3, 4, 5}
 
 
 def test_product_terminal_unit():
@@ -565,12 +592,6 @@ def grid_poset(rows, cols):
            for r1 in range(rows) for c1 in range(cols)
            for r2 in range(r1, rows) for c2 in range(c1, cols) if (r1, c1) != (r2, c2)]
     return poset_category(rows * cols, rel)
-
-
-def permutation_group_table(n):
-    perms = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(g[f[x]] for x in range(n))] for f in perms] for g in perms]
 
 
 def built_categories():

@@ -546,3 +546,10 @@ def test_poset_sampler_refuses_covers_that_do_not_generate():
     from abcat.sampling import random_poset_functor
     with pytest.raises(InputError, match="poset has a relation not generated by covers"):
         random_poset_functor(Random(0), chain_category(3), [(0, 1)])
+
+
+def test_poset_sampler_refuses_covers_that_are_not_relations():
+    from random import Random
+    from abcat.sampling import random_poset_functor
+    with pytest.raises(InputError, match=r"cover \(2, 0\) is not a relation of the poset"):
+        random_poset_functor(Random(0), chain_category(3), [(0, 1), (1, 2), (2, 0)])
