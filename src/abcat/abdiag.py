@@ -26,7 +26,7 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     identity_hom, is_mono, kernel, summand_offsets, zero_group,
                     zero_hom)
 from .errors import InputError, PreconditionError
-from .fincat import FinCategory, ValidationReport, group_as_category, left_tree
+from .fincat import FinCategory, ValidationReport, _extend_from_generators, group_as_category
 from .intmat import IntMatrix, block_diagonal, hstack, vstack
 
 
@@ -83,13 +83,13 @@ class AbDiagram:
 
 
 def validate_diagram(d: AbDiagram) -> ValidationReport:
-    """Functor laws up to hom equality modulo relations, and every hom
-    carrying its source relations into the target's."""
+    """Functor laws up to hom equality modulo relations, composites at
+    ``law_pairs()`` of a valid base, and every hom respecting relations."""
     problems = []
     for c in range(d.base.n_objects):
         if not hom_equal(d.hom(d.base.identity[c]), identity_hom(d.groups[c])):
             problems.append(f"hom of identity morphism at object {c} is not the identity")
-    for (g, f) in d.base.composable_pairs():
+    for (g, f) in d.base.law_pairs():
         gf = d.base.compose(g, f)
         if not hom_equal(d.hom(gf), hom_compose(d.hom(g), d.hom(f))):
             problems.append(f"homs break composite ({g},{f})")
@@ -345,10 +345,10 @@ def gmodule(table, carrier: FGAbGroup, generator_action) -> AbDiagram:
     """The one-object diagram of a group action, over ``group_as_category(table)``.
 
     The action is given on a generating set and extended along its
-    ``left_tree``, F(g·p) = F(g)∘F(p); the law F(g·f) = F(g)∘F(f) is checked
-    at every given g and every f, which gives it at every pair (see
-    ``validate_category``).  A failure or an element not generated raises
-    InputError.  Two presentations of one action give equal diagrams.
+    ``left_tree`` by ``fincat``'s shared extension, which checks the law
+    at the generator-led pairs, enough for every pair.  A failure or an
+    element not generated raises InputError.  Two presentations of one
+    action give equal diagrams.
     """
     base = group_as_category(table)
     n = base.n_morphisms
@@ -364,18 +364,11 @@ def gmodule(table, carrier: FGAbGroup, generator_action) -> AbDiagram:
     known = {**generator_action, e: identity_hom(carrier)}
     if e in generator_action and not hom_equal(known[e], generator_action[e]):
         raise InputError(f"action of {e} conflicts with the identity")
-    gens = tuple(g for g in generator_action if g != e)
-    tree = left_tree(base, lambda x: gens, base.compose)
-    for h, parent in tree.items():
-        if h not in known:
-            known[h] = hom_compose(known[parent[0]], known[parent[1]])
-    for g in gens:
-        for f in tree:
-            prod = base.compose(g, f)
-            if not hom_equal(known[prod], hom_compose(known[g], known[f])):
-                raise InputError(f"action is inconsistent at product {prod}")
-    if len(tree) != n:
-        missing = sorted(set(range(n)) - set(tree))
+    broken, missing = _extend_from_generators(
+        base, known, [g for g in generator_action if g != e], hom_compose, hom_equal)
+    if broken:
+        raise InputError(f"action is inconsistent at product {base.compose(*broken)}")
+    if missing:
         raise InputError(f"action generators do not generate: missing {missing}")
     return AbDiagram(base, (carrier,), tuple(known[g] for g in range(n)))
 

@@ -153,6 +153,14 @@ class FinCategory:
             for f in self.morphisms_to(self.dom[g]):
                 yield (g, f)
 
+    def law_pairs(self):
+        """Where functor laws are read: ``composable_pairs()``, or with
+        ``generators`` each g in ``generating()`` with each f into dom g; on
+        a valid category these give every pair (see ``validate_category``)."""
+        if self.generators is None:
+            return self.composable_pairs()
+        return ((g, f) for g in self.generating() for f in self.morphisms_to(self.dom[g]))
+
     def with_composition_table(self, max_pairs: int = 2_000_000) -> "FinCategory":
         """Materialize the composition rule into an explicit table."""
         if self._table is not None:
@@ -597,8 +605,23 @@ def generator_closure(cat: FinCategory, composites: dict) -> set:
     return set(left_tree(cat, cat.generating_from, lambda g, f: composites.get((g, f))))
 
 
+def _extend_from_generators(cat: FinCategory, values: dict, generators, compose, equal):
+    """Extend ``values`` from the identities and ``generators`` along their
+    ``left_tree`` by F(g∘p) = compose(F(g), F(p)), in place; return the
+    first (g, f), f in discovery order, with F(g∘f) not ``equal`` to
+    compose(F(g), F(f)), or None, and the sorted morphisms not reached."""
+    tree = left_tree(cat, lambda x: [g for g in generators if cat.dom[g] == x], cat.compose)
+    for h, parent in tree.items():
+        if h not in values:
+            values[h] = compose(values[parent[0]], values[parent[1]])
+    broken = ((g, f) for g in generators for f in tree if cat.cod[f] == cat.dom[g]
+              and not equal(values[cat.compose(g, f)], compose(values[g], values[f])))
+    return next(broken, None), [m for m in range(cat.n_morphisms) if m not in tree]
+
+
 def validate_functor(f: FinFunctor) -> ValidationReport:
-    """Check a functor preserves endpoints, identities, and composites."""
+    """Check a functor preserves endpoints, identities, and composites at
+    ``law_pairs()`` of its source, which must be a valid category."""
     src, tgt = f.source, f.target
     for x, o in enumerate(f.on_objects):
         if not 0 <= o < tgt.n_objects:
@@ -616,7 +639,7 @@ def validate_functor(f: FinFunctor) -> ValidationReport:
     for c in range(src.n_objects):
         if f.on_morphisms[src.identity[c]] != tgt.identity[f.on_objects[c]]:
             problems.append(f"functor breaks identity at object {c}")
-    for (g, h) in src.composable_pairs():
+    for (g, h) in src.law_pairs():
         lhs = f.on_morphisms[src.compose(g, h)]
         try:
             rhs = tgt.compose(f.on_morphisms[g], f.on_morphisms[h])

@@ -245,6 +245,22 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
                       skeleton: bool) -> HXCategory:
     letters = range(alphabet.size)
     contents = [c for n in range(cap + 1) for c in combinations_with_replacement(letters, n)]
+    # a word of content s has prod_v t_v ** s_v maps into a word of content
+    # t, none unless t holds every letter of s, and a word of length m has
+    # n ** m into each of the L ** n of length n: count before listing words
+    tallies = [Counter(c) for c in contents]
+    holding = [{t for t, tally in enumerate(tallies) if v in tally} for v in letters]
+    everywhere = set(range(len(contents)))
+
+    @cache
+    def maps(s):
+        return {t: prod(tallies[t][v] ** k for v, k in tallies[s].items())
+                for t in everywhere.intersection(*(holding[v] for v in tallies[s]))}
+    morphisms = sum(sum(maps(s).values()) for s in range(len(contents))) if skeleton else \
+        sum(alphabet.size ** n * n ** m for n in range(cap + 1) for m in range(cap + 1))
+    if morphisms > max_morphisms:
+        raise BudgetError(f"HX truncation holds {morphisms} morphisms, "
+                          f"budget is {max_morphisms}")
     words = contents if skeleton else [w for n in range(cap + 1)
                                        for w in iproduct(letters, repeat=n)]
     content_index = {c: i for i, c in enumerate(contents)}
@@ -252,24 +268,10 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
     members = [[] for _ in contents]
     for i, c in enumerate(content_of):
         members[c].append(i)
-    # a word of content s has prod_v t_v ** s_v maps into a word of content
-    # t, and none unless t holds every letter of s: count them per pair of
-    # contents, so the budget is checked before any offset is filled in
-    tallies = [Counter(c) for c in contents]
-    holding = [{t for t, tally in enumerate(tallies) if v in tally} for v in letters]
-    everywhere = set(range(len(contents)))
-    maps = [{t: prod(tallies[t][v] ** k for v, k in s.items())
-             for t in everywhere.intersection(*(holding[v] for v in s))}
-            for s in tallies]
-    morphisms = sum(len(members[s]) * len(members[t]) * k
-                    for s, row in enumerate(maps) for t, k in row.items())
-    if morphisms > max_morphisms:
-        raise BudgetError(f"HX truncation holds {morphisms} morphisms, "
-                          f"budget is {max_morphisms}")
 
     def counts(s):
         row = [0] * len(words)
-        for t, k in maps[s].items():
+        for t, k in maps(s).items():
             for w in members[t]:
                 row[w] = k
         return row

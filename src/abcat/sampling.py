@@ -16,11 +16,10 @@ from .abdiag import AbDiagram
 from .abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, direct_sum,
                     from_canonical_form, hom_compose, identity_hom)
 from .errors import InputError
-from .fincat import (FinCategory, chain_category, group_as_category, left_tree,
+from .fincat import (FinCategory, _extend_from_generators, chain_category, group_as_category,
                      product_category)
 from .intmat import IntMatrix, block_diagonal, hstack
 from .setdiag import FinSet, SetFunctor
-from .setdiag import validate_functor as validate_set_functor
 
 
 def random_matrix(rng: Random, rows: int, cols: int, bound: int = 20) -> IntMatrix:
@@ -336,30 +335,27 @@ def random_poset_functor(rng: Random, poset: FinCategory, covers,
     """Random diagram on a poset, built on cover maps and retried until all
     composites agree; sets at ``top_objects`` have at most two elements.
 
-    Each relation's table is its parent's table followed by a cover's, in
-    the ``left_tree`` of the covers."""
+    Tables extend from the covers along their ``left_tree``, and
+    composites are checked at the cover-led pairs alone."""
     cover_of = {}
     for a, b in {tuple(c) for c in covers}:
         relation = poset.hom(a, b)
         if not relation:
             raise InputError(f"cover ({a}, {b}) is not a relation of the poset")
         cover_of[relation[0]] = (a, b)
-    tree = left_tree(poset, lambda x: [m for m in cover_of if poset.dom[m] == x], poset.compose)
-    if len(tree) != poset.n_morphisms:
-        raise InputError("poset has a relation not generated by covers")
     for _ in range(5000):
         sizes = [rng.randint(1, 2 if c in top_objects else max_size)
                  for c in range(poset.n_objects)]
-        drawn = {m: tuple(rng.randrange(sizes[b]) for _ in range(sizes[a]))
-                 for m, (a, b) in cover_of.items()}
-        tables = {poset.identity[c]: tuple(range(s)) for c, s in enumerate(sizes)}
-        for h, parent in tree.items():
-            if parent is not None:
-                tables[h] = tuple(drawn[parent[0]][v] for v in tables[parent[1]])
-        functor = SetFunctor(poset, [FinSet(s) for s in sizes],
-                             [tables[m] for m in range(poset.n_morphisms)])
-        if validate_set_functor(functor).ok:
-            return functor
+        tables = {m: tuple(rng.randrange(sizes[b]) for _ in range(sizes[a]))
+                  for m, (a, b) in cover_of.items()}
+        tables.update((poset.identity[c], tuple(range(s))) for c, s in enumerate(sizes))
+        broken, missing = _extend_from_generators(
+            poset, tables, cover_of, lambda t, s: tuple(t[v] for v in s), tuple.__eq__)
+        if missing:
+            raise InputError("poset has a relation not generated by covers")
+        if broken is None:
+            return SetFunctor(poset, [FinSet(s) for s in sizes],
+                              [tables[m] for m in range(poset.n_morphisms)])
     raise InputError("failed to sample a consistent poset diagram")
 
 

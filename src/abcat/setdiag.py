@@ -83,14 +83,14 @@ def constant_functor(base: FinCategory, value: FinSet) -> SetFunctor:
 
 
 def validate_functor(d: SetFunctor) -> ValidationReport:
-    """Check identity and composition laws of a set-valued diagram."""
+    """Check identity and composition laws at ``law_pairs()`` of a valid base."""
     base = d.base
     problems = []
     for c in range(base.n_objects):
         t = d.tables[base.identity[c]]
         if any(t[x] != x for x in range(len(t))):
             problems.append(f"table of identity morphism {base.identity[c]} is not the identity")
-    for (g, f) in base.composable_pairs():
+    for (g, f) in base.law_pairs():
         gf = base.compose(g, f)
         tf, tg, tgf = d.tables[f], d.tables[g], d.tables[gf]
         if any(tg[tf[x]] != tgf[x] for x in range(len(tf))):

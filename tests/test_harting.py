@@ -10,16 +10,16 @@ from abcat.abdiag import (AbCocone, AbColimit, AbDiagram, ab_colimit, ab_limit,
                           induced_map_on_colimits, validate_diagram)
 from abcat.abgrp import (AbHom, FGAbGroup, biproduct, cyclic, describe_form, free_abelian, hom,
                          hom_compose, hom_equal, identity_hom, zero_group)
-from abcat import harting
+from abcat import harting, setdiag
 from abcat.errors import BudgetError, InputError, PreconditionError, TruncationError
-from abcat.fincat import (FinCategory, FinFunctor, is_connected, is_final, validate_category,
-                          validate_functor)
+from abcat.fincat import (FinCategory, FinFunctor, identity_functor, is_connected, is_final,
+                          validate_category, validate_functor)
 from abcat.harting import (HXMorphism, HXObject, h_embedding, harting_compare,
                            harting_expand, hx_category, hx_coproduct,
                            hx_filtered_bounded_report, hx_sifted_bounded_report, hx_skeleton)
 from abcat.intmat import IntMatrix
 from abcat.sampling import random_family
-from abcat.setdiag import FinSet
+from abcat.setdiag import FinSet, SetFunctor
 from abcat.verify import run_suite, verify_harting
 from test_cross_oracles import pair_expansion, signed_expansion
 
@@ -76,7 +76,10 @@ def test_budget_error():
         hx_category(FinSet(2), 3, max_morphisms=388)
 
 
-@pytest.mark.parametrize("letters, cap, morphisms", [(4, 5, 4_373_513), (3, 6, 46_033_573)])
+@pytest.mark.parametrize("letters, cap, morphisms", [
+    (4, 5, 4_373_513), (3, 6, 46_033_573),
+    (2, 30, 278_784_155_593_371_945_483_008_204_983_844_928_230_639_566_965_697_747),
+    (4, 20, 133_274_566_037_409_517_515_975_326_171_311_837_061)])
 def test_oversized_word_categories_are_refused_before_the_build(letters, cap, morphisms):
     # the budget is checked on counts per pair of letter contents, before
     # any offset of a pair of words is filled in
@@ -85,6 +88,16 @@ def test_oversized_word_categories_are_refused_before_the_build(letters, cap, mo
         hx_category(FinSet(letters), cap)
     assert time.perf_counter() - start < 0.5
     assert str(refused.value) == f"HX truncation holds {morphisms} morphisms, budget is 500000"
+
+
+def test_word_morphisms_are_counted_in_closed_form():
+    # each of the L ** n words of length n takes n ** m maps from each word
+    # of length m; the count is exact, so one less refuses the build
+    for letters, cap in iproduct(range(4), range(1, 4)):
+        closed = sum(letters ** n * n ** m for n in range(cap + 1) for m in range(cap + 1))
+        assert len(hx_category(FinSet(letters), cap).morphisms) == closed
+        with pytest.raises(BudgetError, match=f"holds {closed} morphisms, budget is {closed - 1}$"):
+            hx_category(FinSet(letters), cap, max_morphisms=closed - 1)
 
 
 def test_equal_requests_share_one_truncation():
@@ -784,3 +797,93 @@ def test_filtered_report_names_a_parallel_pair_left_uncoequalized():
                                                     (aa, aa): lambda maps: []}))
     assert not rep.ok
     assert rep.failures == (("coequalizer", *hx.hom(a, aa)),)
+
+
+# ---------------------------------------------------------------------------
+# functor laws read at the generator-led pairs of a generated base
+
+
+def _set_expansion(h, sizes):
+    """The diagram of sets sending a word w to the disjoint union of the
+    S_(w_i), whose elements are pairs (i, s), and an index map f to
+    (i, s) -> (f(i), s)."""
+    points = [[(i, s) for i, v in enumerate(o.word) for s in range(sizes[v])]
+              for o in h.objects]
+    where = [{p: k for k, p in enumerate(ps)} for ps in points]
+    tables = [[where[ti][mapping[i], s] for i, s in points[si]]
+              for si, ti, mapping in h.morphisms]
+    return SetFunctor(h, [FinSet(len(ps)) for ps in points], tables)
+
+
+def _redirected(h, rng):
+    """A non-generator non-identity morphism and another with its endpoints."""
+    m = rng.choice([m for m in range(h.n_morphisms) if m not in h.generators
+                    and m not in h.identity and len(h.hom(h.dom[m], h.cod[m])) > 1])
+    return m, rng.choice([k for k in h.hom(h.dom[m], h.cod[m]) if k != m])
+
+
+def test_law_pairs_are_every_pair_or_the_generator_led_ones():
+    h = hx_skeleton(FinSet(2), 3)
+    assert list(h.law_pairs()) == [(g, f) for g in h.generating()
+                                   for f in h.morphisms_to(h.dom[g])]
+    assert len(list(h.law_pairs())) < len(list(h.composable_pairs()))
+    plain = FinCategory(h.n_objects, list(h.dom), list(h.cod), h.identity,
+                        compose_rule=h.compose)
+    assert list(plain.law_pairs()) == list(plain.composable_pairs())
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_set_functor_laws_at_generator_led_pairs(sizes):
+    h = hx_skeleton(FinSet(2), 3)
+
+    def all_pairs(x):
+        return all(x.tables[h.compose(g, f)] == tuple(x.tables[g][v] for v in x.tables[f])
+                   for g, f in h.composable_pairs())
+    good = _set_expansion(h, sizes)
+    assert setdiag.validate_functor(good).ok and all_pairs(good)
+    rng = random.Random(sum(sizes))
+    for _ in range(5):
+        m, _other = _redirected(h, rng)
+        tables = [list(t) for t in good.tables]
+        x = rng.randrange(len(tables[m]))
+        tables[m][x] = rng.choice([y for y in range(good.sets[h.cod[m]].size)
+                                   if y != tables[m][x]])
+        bad = SetFunctor(h, good.sets, tables)
+        assert not setdiag.validate_functor(bad).ok
+        assert setdiag.validate_functor(bad).ok == all_pairs(bad)
+
+
+def test_diagram_laws_at_generator_led_pairs():
+    h = hx_skeleton(FinSet(2), 3)
+
+    def all_pairs(d):
+        return all(hom_equal(d.hom(h.compose(g, f)), hom_compose(d.hom(g), d.hom(f)))
+                   for g, f in h.composable_pairs())
+    for seed in range(2):
+        good = harting_expand([cyclic(0), cyclic(3 + seed)], h)
+        assert validate_diagram(good).ok and all_pairs(good)
+        m, other = _redirected(h, random.Random(seed))
+        bad = AbDiagram(h, good.groups, lambda k: good.hom(other if k == m else k))
+        assert not validate_diagram(bad).ok
+        assert validate_diagram(bad).ok == all_pairs(bad)
+    family = random_family(random.Random(5), 2)
+    assert validate_diagram(harting_expand(family, h)).ok
+
+
+def test_functor_laws_at_generator_led_pairs():
+    h = hx_skeleton(FinSet(2), 3)
+
+    def all_pairs(f):
+        return all(f.on_morphisms[h.compose(g, k)] ==
+                   h.compose(f.on_morphisms[g], f.on_morphisms[k])
+                   for g, k in h.composable_pairs())
+    good = identity_functor(h)
+    assert validate_functor(good).ok and all_pairs(good)
+    rng = random.Random(7)
+    for _ in range(5):
+        m, other = _redirected(h, rng)
+        images = list(good.on_morphisms)
+        images[m] = other
+        bad = FinFunctor(h, h, good.on_objects, images)
+        assert not validate_functor(bad).ok
+        assert validate_functor(bad).ok == all_pairs(bad)

@@ -553,3 +553,26 @@ def test_poset_sampler_refuses_covers_that_are_not_relations():
     from abcat.sampling import random_poset_functor
     with pytest.raises(InputError, match=r"cover \(2, 0\) is not a relation of the poset"):
         random_poset_functor(Random(0), chain_category(3), [(0, 1), (1, 2), (2, 0)])
+
+
+def test_poset_sampler_draws_are_pinned():
+    # 100 seeds on each of four shapes, the last with the redundant cover
+    # (0, 2); the digest covers each draw and the generator state after it
+    import hashlib
+    from random import Random
+    from abcat.fincat import diamond_category, poset_category
+    from abcat.sampling import DIAMOND_COVERS, random_poset_functor
+    grid = poset_category(6, [(a, b) for a in range(6) for b in range(6)
+                              if a != b and a // 3 <= b // 3 and a % 3 <= b % 3])
+    shapes = [(diamond_category(), DIAMOND_COVERS),
+              (chain_category(4), ((0, 1), (1, 2), (2, 3))),
+              (grid, ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5))),
+              (chain_category(3), ((0, 1), (1, 2), (0, 2)))]
+    digest = hashlib.sha256()
+    for poset, covers in shapes:
+        for seed in range(100):
+            rng = Random(seed)
+            x = random_poset_functor(rng, poset, covers)
+            digest.update(repr((x.sets, x.tables, rng.random())).encode())
+    assert digest.hexdigest() == \
+        "06c324b7e91d3d4e041e0b44b6d0578e1fae8a3bcd4815e6307c9f0d6c545b7f"
