@@ -1,6 +1,7 @@
 """Diagrams of finitely generated abelian groups over finite categories.
 
-Colimits and limits glue along the base's ``generating()`` morphisms:
+A group diagram's homs are a sequence or a rule, each checked when first
+read.  Colimits and limits glue along the base's ``generating()`` morphisms:
 its non-identity generators when it has them, else every non-identity
 morphism.  Colimits are computed by presentation (coproduct of all
 object groups, plus one relation column per source generator of each
@@ -26,60 +27,22 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     identity_hom, is_mono, kernel, summand_offsets, zero_group,
                     zero_hom)
 from .errors import InputError, PreconditionError
-from .fincat import FinCategory, ValidationReport, _extend_from_generators, group_as_category
+from .fincat import Diagram, ValidationReport, _extend_from_generators, group_as_category
 from .intmat import IntMatrix, block_diagonal, hstack, vstack
 
 
-class AbDiagram:
-    """Functor from a finite category into f.g. abelian groups.
+class AbDiagram(Diagram):
+    """Functor from a finite category into f.g. abelian groups: a group per
+    object, a hom per morphism, read by ``hom(m)``."""
 
-    ``homs`` is one hom per morphism, or a rule ``m -> AbHom`` that values
-    the diagram only at the morphisms read.  ``hom(m)`` is the accessor:
-    it checks the endpoints of each hom on first use and caches it.  A
-    tuple of homs is checked in full at construction.
-    """
+    __slots__ = ()
+    _names = ("group", "hom")
+    groups, hom, homs = Diagram.objects, Diagram.value, Diagram.values
 
-    __slots__ = ("base", "groups", "_rule", "_cache")
-
-    def __init__(self, base: FinCategory, groups, homs):
-        self.base = base
-        self.groups = tuple(groups)
-        if len(self.groups) != base.n_objects:
-            raise InputError("one group per object required")
-        self._cache = {}
-        if callable(homs):
-            self._rule = homs
-            return
-        homs = tuple(homs)
-        if len(homs) != base.n_morphisms:
-            raise InputError("one hom per morphism required")
-        self._rule = homs.__getitem__
-        for m in range(len(homs)):
-            self.hom(m)
-
-    def hom(self, m: int) -> AbHom:
-        h = self._cache.get(m)
-        if h is None:
-            h = self._rule(m)
-            if (h.source != self.groups[self.base.dom[m]]
-                    or h.target != self.groups[self.base.cod[m]]):
-                raise InputError(f"hom for morphism {m} has wrong endpoints")
-            self._cache[m] = h
+    def _check(self, m: int, h: AbHom) -> AbHom:
+        if h.source != self.groups[self.base.dom[m]] or h.target != self.groups[self.base.cod[m]]:
+            raise InputError(f"hom for morphism {m} has wrong endpoints")
         return h
-
-    @property
-    def homs(self) -> tuple:
-        """Every hom, in morphism order."""
-        return tuple(self.hom(m) for m in range(self.base.n_morphisms))
-
-    def __eq__(self, other):
-        if not isinstance(other, AbDiagram):
-            return NotImplemented
-        return (self.base == other.base and self.groups == other.groups
-                and self.homs == other.homs)
-
-    def __hash__(self):
-        return hash((self.base, self.groups))
 
 
 def validate_diagram(d: AbDiagram) -> ValidationReport:
@@ -97,11 +60,6 @@ def validate_diagram(d: AbDiagram) -> ValidationReport:
         if hom_validate(d.hom(m)).problems:
             problems.append(f"hom for morphism {m} does not respect the relations")
     return ValidationReport(tuple(problems))
-
-
-def constant_diagram(base: FinCategory, group: FGAbGroup) -> AbDiagram:
-    return AbDiagram(base, (group,) * base.n_objects,
-                     tuple(identity_hom(group) for _ in range(base.n_morphisms)))
 
 
 class AbCocone(NamedTuple):

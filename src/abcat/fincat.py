@@ -7,7 +7,8 @@ the hand-drawn shapes); every category the library builds composes by
 rule, through the data it was built from.  On top of that sit the
 decidable notions this package revolves around: connectedness by
 zig-zags, finality of a functor, filteredness, siftedness, and
-exhaustive cocone search.
+exhaustive cocone search.  Set and group diagrams hold their values
+in a ``Diagram``.
 """
 
 from __future__ import annotations
@@ -231,6 +232,53 @@ class FinFunctor:
         return f"<FinFunctor {self.source.n_objects}->{self.target.n_objects} objects>"
 
 
+class Diagram:
+    """A functor out of a finite category: one value per object, and one
+    per morphism given as a sequence or as a rule ``m -> value``.
+
+    ``value(m)`` checks a value with the subclass's ``_check(m, value)``
+    on first read and caches it; a sequence is checked in full at
+    construction.  ``_names`` says what messages call the two kinds of
+    value.  Diagrams of one kind are equal when their bases and values are.
+    """
+
+    __slots__ = ("base", "objects", "_rule", "_cache")
+
+    def __init__(self, base: FinCategory, objects, values):
+        self.base = base
+        self.objects = tuple(objects)
+        if len(self.objects) != base.n_objects:
+            raise InputError(f"one {self._names[0]} per object required")
+        self._cache, self._rule = {}, values
+        if not callable(values):
+            values = tuple(values)
+            if len(values) != base.n_morphisms:
+                raise InputError(f"one {self._names[1]} per morphism required")
+            self._rule = values.__getitem__
+            for m in range(len(values)):
+                self.value(m)
+
+    def value(self, m: int):
+        v = self._cache.get(m)
+        if v is None:
+            v = self._cache[m] = self._check(m, self._rule(m))
+        return v
+
+    @property
+    def values(self) -> tuple:
+        """Every value, in morphism order."""
+        return tuple(map(self.value, range(self.base.n_morphisms)))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.base == other.base and self.objects == other.objects
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.base, self.objects))
+
+
 def identity_functor(c: FinCategory) -> FinFunctor:
     return FinFunctor(c, c, range(c.n_objects), range(c.n_morphisms))
 
@@ -281,10 +329,6 @@ def discrete_category(n: int, labels=None) -> FinCategory:
     return FinCategory(n, range(n), range(n), range(n), comp,
                        object_labels=labels,
                        morphism_labels=[f"id_{i}" for i in range(n)])
-
-
-def terminal_category() -> FinCategory:
-    return discrete_category(1)
 
 
 def poset_category(n: int, relation, labels=None) -> FinCategory:
@@ -427,14 +471,6 @@ def product_category(c: FinCategory, d: FinCategory) -> ProductCategory:
         return c.compose(g1, f1) * nm + d.compose(g2, f2)
     return ProductCategory(c, d, c.n_objects * no, dom, cod, ident, compose_rule=compose,
                            object_labels=olabels)
-
-
-def diagonal_functor(c: FinCategory) -> tuple[FinFunctor, ProductCategory]:
-    """The functor x -> (x, x) into the product of c with itself."""
-    p = product_category(c, c)
-    on_obj = [p.pair_object(a, a) for a in range(c.n_objects)]
-    on_mor = [p.pair_morphism(m, m) for m in range(c.n_morphisms)]
-    return FinFunctor(c, p, on_obj, on_mor), p
 
 
 def comma_category(c: int, f: FinFunctor) -> FinCategory:
@@ -840,7 +876,7 @@ def is_sifted(cat: FinCategory) -> SiftedReport:
     composed once.  No product, diagonal or comma category is built; when
     Δ is a functor the slices' components are ``comma_category``'s.
     ``failing_pairs`` lists the pairs (a, b) with a disconnected slice,
-    in the order of ``diagonal_functor``'s product objects.
+    in the order of ``product_category(cat, cat)``'s objects.
     """
     if cat.n_objects == 0:
         return SiftedReport(False, "category is empty", ())

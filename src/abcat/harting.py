@@ -243,11 +243,23 @@ def _truncation(alphabet: FinSet, cap: int, max_morphisms: int, skeleton: bool) 
 
 def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
                       skeleton: bool) -> HXCategory:
-    letters = range(alphabet.size)
-    contents = [c for n in range(cap + 1) for c in combinations_with_replacement(letters, n)]
+    letters, sizes = range(alphabet.size), range(cap + 1)
     # a word of content s has prod_v t_v ** s_v maps into a word of content
     # t, none unless t holds every letter of s, and a word of length m has
-    # n ** m into each of the L ** n of length n: count before listing words
+    # n ** m into each of the L ** n of length n: count before listing words,
+    # the skeleton's pairs of contents by their sizes, one letter at a time
+    if skeleton:
+        by_sizes = [[int(a == b == 0) for b in sizes] for a in sizes]
+        for _ in letters:
+            by_sizes = [[sum(by_sizes[a - i][b - j] * j ** i for i in range(a + 1)
+                             for j in range(b + 1)) for b in sizes] for a in sizes]
+        morphisms = sum(map(sum, by_sizes))
+    else:
+        morphisms = sum(alphabet.size ** n * n ** m for n in sizes for m in sizes)
+    if morphisms > max_morphisms:
+        raise BudgetError(f"HX truncation holds {morphisms} morphisms, "
+                          f"budget is {max_morphisms}")
+    contents = [c for n in sizes for c in combinations_with_replacement(letters, n)]
     tallies = [Counter(c) for c in contents]
     holding = [{t for t, tally in enumerate(tallies) if v in tally} for v in letters]
     everywhere = set(range(len(contents)))
@@ -256,13 +268,7 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
     def maps(s):
         return {t: prod(tallies[t][v] ** k for v, k in tallies[s].items())
                 for t in everywhere.intersection(*(holding[v] for v in tallies[s]))}
-    morphisms = sum(sum(maps(s).values()) for s in range(len(contents))) if skeleton else \
-        sum(alphabet.size ** n * n ** m for n in range(cap + 1) for m in range(cap + 1))
-    if morphisms > max_morphisms:
-        raise BudgetError(f"HX truncation holds {morphisms} morphisms, "
-                          f"budget is {max_morphisms}")
-    words = contents if skeleton else [w for n in range(cap + 1)
-                                       for w in iproduct(letters, repeat=n)]
+    words = contents if skeleton else [w for n in sizes for w in iproduct(letters, repeat=n)]
     content_index = {c: i for i, c in enumerate(contents)}
     content_of = [content_index[tuple(sorted(w))] for w in words]
     members = [[] for _ in contents]

@@ -9,11 +9,10 @@ to satisfy a closure condition.
 
 from __future__ import annotations
 
-from math import gcd
 from random import Random
 
 from .abdiag import AbDiagram
-from .abgrp import (AbHom, FGAbGroup, biproduct, canonicalize, direct_sum,
+from .abgrp import (AbHom, FGAbGroup, biproduct, direct_sum,
                     from_canonical_form, hom_compose, identity_hom)
 from .errors import InputError
 from .fincat import (FinCategory, _extend_from_generators, chain_category, group_as_category,
@@ -102,33 +101,6 @@ def random_mono_family(rng: Random, size: int):
         target.append(scrambled)
         monos.append(hom_compose(fwd, injections[0]))
     return source, target, monos
-
-
-def random_hom(rng: Random, a: FGAbGroup, b: FGAbGroup) -> AbHom:
-    """A messy but well-defined homomorphism; multipliers lie in [-3, 3]."""
-    ca = canonicalize(a)
-    cb = canonicalize(b)
-    src, tgt = ca.canonical, cb.canonical
-    src_orders = _canonical_orders(src)
-    tgt_orders = _canonical_orders(tgt)
-    rows = [[0] * src.gens for _ in range(tgt.gens)]
-    for j, dj in enumerate(src_orders):
-        for i, ei in enumerate(tgt_orders):
-            if dj == 0:
-                rows[i][j] = rng.randint(-3, 3)
-            elif ei == 0:
-                rows[i][j] = 0
-            else:
-                step = ei // gcd(ei, dj)
-                k = rng.randint(-3, 3)
-                rows[i][j] = k * step
-    middle = AbHom(src, tgt, IntMatrix(rows, shape=(tgt.gens, src.gens)))
-    return hom_compose(cb.from_canonical, hom_compose(middle, ca.to_canonical))
-
-
-def _canonical_orders(group: FGAbGroup):
-    free, factors = group.canonical_form
-    return list(factors) + [0] * free
 
 
 def random_mono_chain(rng: Random, length: int) -> AbDiagram:
@@ -228,8 +200,8 @@ def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor, max_size: int)
                 a, b = shape.dom[m], shape.cod[m]
                 if b == c and tau[a] is not None:
                     for x in range(h.sets[a].size):
-                        y = h.tables[m][x]
-                        want = h2.tables[m][tau[a][x]]
+                        y = h.table(m)[x]
+                        want = h2.table(m)[tau[a][x]]
                         if forced.setdefault(y, want) != want:
                             conflict = True
                             break
@@ -247,8 +219,8 @@ def _natural_step(rng: Random, shape: FinCategory, h: SetFunctor, max_size: int)
                 for m in glued:
                     a, b = shape.dom[m], shape.cod[m]
                     if a == c and tau[b] is not None:
-                        want = tau[b][h.tables[m][x]]
-                        allowed = [y for y in allowed if h2.tables[m][y] == want]
+                        want = tau[b][h.table(m)[x]]
+                        allowed = [y for y in allowed if h2.table(m)[y] == want]
                 if not allowed:
                     break
                 component.append(rng.choice(allowed))
@@ -276,7 +248,7 @@ def _chain_diagram(f_cat: FinCategory, shape: FinCategory, stages, steps) -> Set
     for p in range(f_cat.n_morphisms):
         i, j = f_cat.dom[p], f_cat.cod[p]
         for q in range(shape.n_morphisms):
-            tables.append(tuple(stages[j].tables[q][x] for x in transport(i, j, shape.dom[q])))
+            tables.append(tuple(stages[j].table(q)[x] for x in transport(i, j, shape.dom[q])))
     return SetFunctor(product_category(f_cat, shape),
                       [s for stage in stages for s in stage.sets], tables)
 
@@ -306,14 +278,14 @@ def random_gset_chain(rng: Random, chain_len: int, max_size: int = 5):
         inv = random_involution(rng, size)
         # equivariant maps send fixed points to fixed points, so once a
         # stage has one every later stage needs one too
-        if k and any(x == y for x, y in enumerate(stages[-1].tables[1])) \
+        if k and any(x == y for x, y in enumerate(stages[-1].table(1))) \
                 and all(inv[x] != x for x in range(size)):
             size += 1
             inv = inv + (size - 1,)
         stages.append(SetFunctor(bg, [FinSet(size)], [tuple(range(size)), inv]))
     steps = []
     for i in range(chain_len - 1):
-        sigma, sigma2 = stages[i].tables[1], stages[i + 1].tables[1]
+        sigma, sigma2 = stages[i].table(1), stages[i + 1].table(1)
         fixed_targets = [y for y in range(len(sigma2)) if sigma2[y] == y]
         t = [None] * len(sigma)
         for x in range(len(sigma)):

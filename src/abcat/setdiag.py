@@ -1,10 +1,12 @@
 """Diagrams of finite sets on finite categories: limits, colimits, and
 the commutation harness for filtered colimits against finite limits.
 
-Limits are cut out of products by exhaustive tuple filtering; a colimit
-is the set of components of the diagram's category of elements, from
-``fincat.element_classes``.  Both come with their (co)cones, and both
-pick canonical representatives so golden tests stay byte-stable.
+A set diagram's tables are a sequence or a rule, each checked when first
+read.  Limits are cut out of products by exhaustive tuple filtering; a
+colimit is the set of components of the diagram's category of elements,
+from ``fincat.element_classes``.  Both read only the generators' tables,
+come with their (co)cones, and pick canonical representatives so golden
+tests stay byte-stable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import islice, product as iproduct
 from typing import NamedTuple
 
 from .errors import InputError, PreconditionError
-from .fincat import (FinCategory, FinFunctor, ProductCategory, ValidationReport,
+from .fincat import (Diagram, FinCategory, FinFunctor, ProductCategory, ValidationReport,
                      element_classes, is_filtered)
 
 
@@ -44,42 +46,25 @@ class FinSet(_FinSet):
         return self.labels[i] if self.labels else str(i)
 
 
-class SetFunctor:
-    """Diagram of finite sets: a carrier per object, a table per morphism."""
+class SetFunctor(Diagram):
+    """Diagram of finite sets: a carrier per object, a table per morphism,
+    read by ``table(m)``."""
 
-    __slots__ = ("base", "sets", "tables")
+    __slots__ = ()
+    _names = ("carrier", "table")
+    sets, table, tables = Diagram.objects, Diagram.value, Diagram.values
 
-    def __init__(self, base: FinCategory, sets, tables):
-        self.base = base
-        self.sets = tuple(sets)
-        self.tables = tuple(tuple(int(x) for x in t) for t in tables)
-        if len(self.sets) != base.n_objects:
-            raise InputError("one carrier per object required")
-        if len(self.tables) != base.n_morphisms:
-            raise InputError("one table per morphism required")
-        for m, t in enumerate(self.tables):
-            if len(t) != self.sets[base.dom[m]].size:
-                raise InputError(f"table for morphism {m} has arity {len(t)}, "
-                                 f"expected {self.sets[base.dom[m]].size}")
-            limit = self.sets[base.cod[m]].size
-            for x, y in enumerate(t):
-                if not 0 <= y < limit:
-                    raise InputError(f"table for morphism {m} sends {x} to {y}, "
-                                     f"outside codomain of size {limit}")
-
-    def __eq__(self, other):
-        if not isinstance(other, SetFunctor):
-            return NotImplemented
-        return (self.base == other.base and self.sets == other.sets
-                and self.tables == other.tables)
-
-    def __hash__(self):
-        return hash((self.sets, self.tables))
-
-
-def constant_functor(base: FinCategory, value: FinSet) -> SetFunctor:
-    ident = tuple(range(value.size))
-    return SetFunctor(base, (value,) * base.n_objects, (ident,) * base.n_morphisms)
+    def _check(self, m: int, t) -> tuple:
+        t = tuple(int(x) for x in t)
+        size = self.sets[self.base.dom[m]].size
+        if len(t) != size:
+            raise InputError(f"table for morphism {m} has arity {len(t)}, expected {size}")
+        limit = self.sets[self.base.cod[m]].size
+        for x, y in enumerate(t):
+            if not 0 <= y < limit:
+                raise InputError(f"table for morphism {m} sends {x} to {y}, "
+                                 f"outside codomain of size {limit}")
+        return t
 
 
 def validate_functor(d: SetFunctor) -> ValidationReport:
@@ -87,12 +72,12 @@ def validate_functor(d: SetFunctor) -> ValidationReport:
     base = d.base
     problems = []
     for c in range(base.n_objects):
-        t = d.tables[base.identity[c]]
+        t = d.table(base.identity[c])
         if any(t[x] != x for x in range(len(t))):
             problems.append(f"table of identity morphism {base.identity[c]} is not the identity")
     for (g, f) in base.law_pairs():
         gf = base.compose(g, f)
-        tf, tg, tgf = d.tables[f], d.tables[g], d.tables[gf]
+        tf, tg, tgf = d.table(f), d.table(g), d.table(gf)
         if any(tg[tf[x]] != tgf[x] for x in range(len(tf))):
             problems.append(f"tables break composite ({g},{f})")
     return ValidationReport(tuple(problems))
@@ -121,11 +106,9 @@ def set_limit(d: SetFunctor) -> tuple[FinSet, Cone]:
     second).  The limit over an empty base is a singleton.
     """
     base = d.base
-    points = []
-    glued = base.generating()
-    for x in iproduct(*(range(s.size) for s in d.sets)):
-        if all(d.tables[m][x[base.dom[m]]] == x[base.cod[m]] for m in glued):
-            points.append(x)
+    glued = [(base.dom[m], base.cod[m], d.table(m)) for m in base.generating()]
+    points = [x for x in iproduct(*(range(s.size) for s in d.sets))
+              if all(t[x[a]] == x[b] for a, b, t in glued)]
     labels = tuple("(" + ",".join(d.sets[c].label(v) for c, v in enumerate(x)) + ")"
                    for x in points)
     carrier = FinSet(len(points), labels)
@@ -149,8 +132,9 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
     (object index, element index) order.
     """
     base = d.base
+    tables = {m: d.table(m) for m in base.generating()}
     elements = [(c, x) for c in range(base.n_objects) for x in range(d.sets[c].size)]
-    classes = element_classes(base, elements, lambda m, x: d.tables[m][x])
+    classes = element_classes(base, elements, lambda m, x: tables[m][x])
     class_of = [0] * len(elements)
     labels = []
     for k, members in enumerate(classes):
@@ -165,12 +149,12 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
 
 
 def restrict_along(f: FinFunctor, d: SetFunctor) -> SetFunctor:
-    """Precompose a diagram with a functor into its base."""
+    """Precompose a diagram with a functor into its base, reading ``d``
+    only at the morphisms read."""
     if d.base is not f.target and d.base != f.target:
         raise InputError("diagram is not defined on the functor's target")
     sets = tuple(d.sets[f.on_objects[c]] for c in range(f.source.n_objects))
-    tables = tuple(d.tables[f.on_morphisms[m]] for m in range(f.source.n_morphisms))
-    return SetFunctor(f.source, sets, tables)
+    return SetFunctor(f.source, sets, lambda m: d.table(f.on_morphisms[m]))
 
 
 class CommuteReport(NamedTuple):
@@ -218,14 +202,13 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
         lim_carriers.append(carrier)
         lim_points.append(tuple(limit_points(cone)))
     lim_index = [{p: i for i, p in enumerate(pts)} for pts in lim_points]
-    lim_tables = []
-    for u in range(f_cat.n_morphisms):
-        moves = [x.tables[base.pair_morphism(u, d_cat.identity[c])]
+
+    def lim_table(u):
+        moves = [x.table(base.pair_morphism(u, d_cat.identity[c]))
                  for c in range(d_cat.n_objects)]
         index = lim_index[f_cat.cod[u]]
-        lim_tables.append(tuple(index[tuple(t[e] for t, e in zip(moves, p))]
-                                for p in lim_points[f_cat.dom[u]]))
-    lhs, lhs_cocone = set_colimit(SetFunctor(f_cat, lim_carriers, lim_tables))
+        return [index[tuple(t[e] for t, e in zip(moves, p))] for p in lim_points[f_cat.dom[u]]]
+    lhs, lhs_cocone = set_colimit(SetFunctor(f_cat, lim_carriers, lim_table))
 
     # colimits along the filtered factor, one per object of the finite factor;
     # a functor makes each transition well defined on classes
@@ -239,16 +222,16 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
         carrier, cocone = set_colimit(restrict_along(inj, x))
         colim_carriers.append(carrier)
         colim_cocones.append(cocone)
-    colim_tables = []
-    for v in range(d_cat.n_morphisms):
+
+    def colim_table(v):
         into, into2 = colim_cocones[d_cat.dom[v]], colim_cocones[d_cat.cod[v]]
         table = [0] * colim_carriers[d_cat.dom[v]].size
         for a in range(f_cat.n_objects):
-            tv = x.tables[base.pair_morphism(f_cat.identity[a], v)]
+            tv = x.table(base.pair_morphism(f_cat.identity[a], v))
             for e, k in enumerate(into.components[a]):
                 table[k] = into2.components[a][tv[e]]
-        colim_tables.append(tuple(table))
-    rhs, rhs_cone = set_limit(SetFunctor(d_cat, colim_carriers, colim_tables))
+        return table
+    rhs, rhs_cone = set_limit(SetFunctor(d_cat, colim_carriers, colim_table))
     rhs_index = {p: i for i, p in enumerate(limit_points(rhs_cone))}
 
     # canonical comparison: a class of (a, limit point) maps to the tuple
@@ -278,32 +261,26 @@ def fixed_point_indices(x: SetFunctor) -> tuple:
         raise InputError("fixed points require a one-object base")
     carrier = x.sets[0]
     return tuple(i for i in range(carrier.size)
-                 if all(x.tables[m][i] == i for m in range(x.base.n_morphisms)))
+                 if all(x.table(m)[i] == i for m in range(x.base.n_morphisms)))
 
 
 def pointwise_product(g: SetFunctor, h: SetFunctor):
     """Pointwise product diagram on a shared base, plus pair codecs.
 
     Returns (diagram, pair, unpair) where pair(c, i, j) is the index of
-    the element (i, j) in the product carrier at object c.
+    the element (i, j) in the product carrier at object c.  Tables are
+    built only where read.
     """
     if g.base is not h.base and g.base != h.base:
         raise InputError("pointwise product needs a shared base")
     base = g.base
     sizes = [(g.sets[c].size, h.sets[c].size) for c in range(base.n_objects)]
     sets = tuple(FinSet(a * b) for a, b in sizes)
-    tables = []
-    for m in range(base.n_morphisms):
-        c, c2 = base.dom[m], base.cod[m]
-        _, hb = sizes[c]
-        _, hb2 = sizes[c2]
-        tg, th = g.tables[m], h.tables[m]
-        table = []
-        for i in range(sizes[c][0]):
-            for j in range(hb):
-                table.append(tg[i] * hb2 + th[j])
-        tables.append(tuple(table))
-    diagram = SetFunctor(base, sets, tables)
+
+    def table(m):
+        width = sizes[base.cod[m]][1]
+        return tuple(i * width + j for i in g.table(m) for j in h.table(m))
+    diagram = SetFunctor(base, sets, table)
 
     def pair(c, i, j):
         return i * sizes[c][1] + j

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from abcat.abdiag import (AbDiagram, _signed_quotient, ab4_check, ab_colimit,
-                          ab_limit, coinvariants, constant_diagram, generator_check,
+                          ab_limit, coinvariants, generator_check,
                           gmodule, induced_map_on_colimits, invariants,
                           validate_diagram)
 from abcat.abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cyclic, direct_sum,
@@ -25,11 +25,12 @@ from abcat.fincat import (FinCategory, FinFunctor, chain_category, discrete_cate
 from abcat.harting import harting_expand, hx_category
 from abcat.intmat import ColumnLattice, IntMatrix, block_diagonal, smith_diagonal
 from abcat.sampling import (random_ab5_instance, random_family, random_group,
-                            random_hom, random_mono_chain, random_mono_family,
+                            random_mono_chain, random_mono_family,
                             scramble_group)
 from abcat.setdiag import FinSet, SetFunctor
 from abcat.verify import verify_ab4, verify_ab5
-from cat_corpus import Z2_TABLE, Z3_TABLE, permutation_group_table
+from cat_corpus import (Z2_TABLE, Z3_TABLE, constant_diagram, permutation_group_table,
+                        random_hom)
 
 Z = free_abelian(1)
 

@@ -21,16 +21,16 @@ from abcat.fincat import (chain_category, discrete_category, full_subcategory,
                           span_category)
 from abcat.harting import (harting_compare, harting_expand, hx_category,
                            hx_filtered_bounded_report, hx_sifted_bounded_report)
-from abcat.intmat import IntMatrix, determinant
+from abcat.intmat import IntMatrix
 from abcat.sampling import (random_commute_instance, random_family, random_group,
-                            random_gset_chain, random_hom, random_mono_family,
+                            random_gset_chain, random_mono_family,
                             random_ab5_instance, random_poset_functor,
                             DIAMOND_COVERS)
 from abcat.setdiag import FinSet, SetFunctor
 from abcat.verify import (verify_ab4, verify_ab5, verify_commute,
                           verify_final_restriction, verify_fixpoints,
                           verify_notlex, verify_sifted_products)
-from cat_corpus import category_corpus
+from cat_corpus import category_corpus, determinant, random_hom
 from abcat.fincat import diamond_category
 
 

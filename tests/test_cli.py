@@ -10,15 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from abcat.abdiag import constant_diagram
 from abcat.abgrp import cyclic
 from abcat.cli import main
 from abcat.documents import Document, parse_category_body, serialize_document
 from abcat.fincat import (FinFunctor, chain_category, discrete_category, group_as_category,
                           identity_functor, validate_category)
-from abcat.intmat import ColumnLattice, IntMatrix, _smith_work, determinant, smith_diagonal
+from abcat.intmat import ColumnLattice, IntMatrix, _smith_work, smith_diagonal
 from abcat.sampling import random_matrix
 from abcat.setdiag import FinSet, SetFunctor
+from cat_corpus import constant_diagram, determinant
 from test_golden_cli import PER_FIXTURE
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -20,9 +20,10 @@ from abcat.fincat import (FinCategory, chain_category, diamond_category,
                           span_category)
 from abcat.harting import harting_expand, hx_category
 from abcat.intmat import IntMatrix, block_diagonal, hstack
-from abcat.sampling import (DIAMOND_COVERS, random_family, random_hom,
-                            random_poset_functor, scramble_group)
+from abcat.sampling import (DIAMOND_COVERS, random_family, random_poset_functor,
+                            scramble_group)
 from abcat.setdiag import FinSet, SetFunctor, set_limit
+from cat_corpus import random_hom
 
 EXPONENT_FACTORS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (4, 4), (2, 2)]
 

@@ -8,16 +8,16 @@ import pytest
 from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (CoconeWitness, FinCategory, FinFunctor, ZigZag, chain_category,
                           comma_category, cone_search, cospan_category, diamond_category,
-                          diagonal_functor, discrete_category, find_zigzag,
+                          discrete_category, find_zigzag,
                           full_subcategory, generator_closure, group_as_category,
                           identity_functor, is_connected, is_filtered, is_final, is_sifted,
                           left_tree, parallel_pair_category, poset_category, product_category,
-                          terminal_category, validate_category, validate_functor)
+                          validate_category, validate_functor)
 from abcat.documents import Document, parse_document, serialize_document
 from abcat.harting import hx_category, hx_skeleton
 from abcat.setdiag import FinSet
-from cat_corpus import (Z2_TABLE, Z3_TABLE, category_corpus, permutation_group_table,
-                        semilattice_corpus)
+from cat_corpus import (Z2_TABLE, Z3_TABLE, category_corpus, diagonal_functor,
+                        permutation_group_table, semilattice_corpus, terminal_category)
 
 
 def test_validate_one_object_identity_only():
@@ -401,7 +401,7 @@ def test_sifted_and_final_never_build_the_square(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("square or comma category built")
 
-    for name in ("product_category", "diagonal_functor", "comma_category"):
+    for name in ("product_category", "comma_category"):
         monkeypatch.setattr(fincat, name, refuse)
     assert is_sifted(chain_category(14)).sifted
     rep = is_sifted(discrete_category(2))

@@ -100,6 +100,32 @@ def test_word_morphisms_are_counted_in_closed_form():
             hx_category(FinSet(letters), cap, max_morphisms=closed - 1)
 
 
+def test_skeleton_morphisms_are_counted_in_closed_form():
+    # a word of content s has prod_v t_v ** s_v maps into a word of content
+    # t; the count over the listed pairs of contents is exact, so one less
+    # refuses the build
+    from collections import Counter
+    from itertools import combinations_with_replacement
+    from math import prod
+    for letters, cap in iproduct(range(5), range(1, 5)):
+        contents = [Counter(c) for n in range(cap + 1)
+                    for c in combinations_with_replacement(range(letters), n)]
+        listed = sum(prod(t[v] ** k for v, k in s.items()) for s in contents for t in contents)
+        skeleton = hx_skeleton(FinSet(letters), cap, max_morphisms=10 ** 6)
+        assert len(skeleton.morphisms) == skeleton.n_morphisms == listed
+        with pytest.raises(BudgetError, match=f"holds {listed} morphisms, budget is {listed - 1}$"):
+            hx_skeleton(FinSet(letters), cap, max_morphisms=listed - 1)
+
+
+def test_oversized_skeletons_are_refused_before_listing_contents():
+    # (40, 5) has 1,221,759 letter contents; the count needs none of them
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as refused:
+        hx_skeleton(FinSet(40), 5)
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == "HX truncation holds 369196397 morphisms, budget is 500000"
+
+
 def test_equal_requests_share_one_truncation():
     first, second = hx_category(FinSet(2), 2), hx_category(FinSet(2), 2)
     assert first is second and first == second
@@ -400,7 +426,8 @@ def test_bounded_reports_small():
 def test_bounded_sifted_agrees_with_slice_connectivity():
     # cross-check on a tiny instance: the diagonal slices of pairs with
     # combined arity within the cap are connected by the comma machinery
-    from abcat.fincat import comma_category, diagonal_functor
+    from abcat.fincat import comma_category
+    from cat_corpus import diagonal_functor
     single = hx_category(FinSet(1, ("a",)), 2)
     cat = single.with_composition_table()
     diag, prod = diagonal_functor(cat)
@@ -803,16 +830,46 @@ def test_filtered_report_names_a_parallel_pair_left_uncoequalized():
 # functor laws read at the generator-led pairs of a generated base
 
 
-def _set_expansion(h, sizes):
+def _set_expansion(h, sizes, read=None):
     """The diagram of sets sending a word w to the disjoint union of the
     S_(w_i), whose elements are pairs (i, s), and an index map f to
-    (i, s) -> (f(i), s)."""
+    (i, s) -> (f(i), s).  Given a list ``read``, it is a rule that
+    appends to ``read`` each morphism it values; else it is tabled."""
     points = [[(i, s) for i, v in enumerate(o.word) for s in range(sizes[v])]
               for o in h.objects]
     where = [{p: k for k, p in enumerate(ps)} for ps in points]
-    tables = [[where[ti][mapping[i], s] for i, s in points[si]]
-              for si, ti, mapping in h.morphisms]
-    return SetFunctor(h, [FinSet(len(ps)) for ps in points], tables)
+
+    def table(m):
+        si, ti, mapping = h.morphisms[m]
+        return [where[ti][mapping[i], s] for i, s in points[si]]
+    sets = [FinSet(len(ps)) for ps in points]
+    if read is None:
+        return SetFunctor(h, sets, map(table, range(h.n_morphisms)))
+    return SetFunctor(h, sets, lambda m: read.append(m) or table(m))
+
+
+def test_set_colimit_reads_only_the_generator_tables():
+    h = hx_skeleton(FinSet(4), 4)
+    assert (h.n_morphisms, len(h.generating())) == (7_087, 284)
+    read = []
+    carrier, cocone = setdiag.set_colimit(_set_expansion(h, (1, 2, 1, 3), read))
+    assert sorted(read) == list(h.generating())
+    tabled = setdiag.set_colimit(_set_expansion(h, (1, 2, 1, 3)))
+    assert (carrier, cocone) == tabled and carrier.size == 7
+
+
+def test_set_limit_reads_only_the_generator_tables():
+    # every word carries two points and every index map fixes them
+    h = hx_skeleton(FinSet(2), 2)
+    read = []
+
+    def table(m):
+        read.append(m)
+        return (0, 1)
+    limit = setdiag.set_limit(SetFunctor(h, [FinSet(2)] * h.n_objects, table))
+    assert sorted(read) == list(h.generating()) and len(read) < h.n_morphisms
+    tabled = SetFunctor(h, [FinSet(2)] * h.n_objects, [(0, 1)] * h.n_morphisms)
+    assert limit == setdiag.set_limit(tabled) and limit[0].size == 2
 
 
 def _redirected(h, rng):

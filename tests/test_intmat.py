@@ -13,11 +13,12 @@ from math import gcd, prod
 import pytest
 
 from abcat.errors import InputError
-from abcat.intmat import (ColumnLattice, IntMatrix, determinant, hstack,
+from abcat.intmat import (ColumnLattice, IntMatrix, hstack,
                           kernel_basis, lattice_invariants, preimage_basis,
                           smith, smith_diagonal, smith_normal_form,
                           solve_many, vstack, xgcd)
 from abcat.sampling import random_matrix as sample_matrix
+from cat_corpus import determinant
 
 
 def minors_gcd(m: IntMatrix, k: int) -> int:

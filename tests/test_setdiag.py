@@ -14,11 +14,11 @@ from abcat.fincat import (FinCategory, FinFunctor, chain_category, discrete_cate
                           full_subcategory, group_as_category, identity_functor,
                           parallel_pair_category, product_category, span_category)
 from abcat.harting import hx_category
-from abcat.setdiag import (Cocone, FinSet, SetFunctor, commute_check, constant_functor,
+from abcat.setdiag import (Cocone, FinSet, SetFunctor, commute_check,
                            fixed_points, fixed_point_indices, limit_points,
                            pointwise_product, restrict_along, set_colimit,
                            set_limit, validate_functor)
-from cat_corpus import Z2_TABLE
+from cat_corpus import Z2_TABLE, constant_functor
 
 
 def involution_diagram(table):
@@ -56,6 +56,30 @@ def test_validate_arity_mismatch_raises():
         SetFunctor(cat, [FinSet(2)], [(0,)])
     with pytest.raises(InputError):
         SetFunctor(cat, [FinSet(2)], [(0, 5)])
+
+
+def test_a_rule_valued_table_is_checked_on_its_first_read():
+    cat = discrete_category(1)
+    short = SetFunctor(cat, [FinSet(2)], lambda m: (0,))
+    with pytest.raises(InputError, match="^table for morphism 0 has arity 1, expected 2$"):
+        short.table(0)
+    wide = SetFunctor(cat, [FinSet(2)], lambda m: (0, 5))
+    with pytest.raises(InputError, match="^table for morphism 0 sends 1 to 5, "
+                                         "outside codomain of size 2$"):
+        wide.tables
+    with pytest.raises(InputError, match="^one carrier per object required$"):
+        SetFunctor(cat, [], lambda m: (0,))
+
+
+def test_rule_valued_and_tabled_diagrams_compare_by_their_tables():
+    cat = chain_category(3)
+    sets = [FinSet(2), FinSet(3), FinSet(1)]
+    tabled = SetFunctor(cat, sets, _chain3_tables())
+    ruled = SetFunctor(cat, sets, lambda m: _chain3_tables()[m])
+    assert ruled == tabled and tabled == ruled and hash(ruled) == hash(tabled)
+    assert ruled.table(3) == tabled.table(3) == tabled.tables[3]
+    swapped = SetFunctor(cat, sets, lambda m: (1, 0) if m == cat.identity[0] else ruled.table(m))
+    assert swapped != tabled and len({tabled, ruled, swapped}) == 2
 
 
 def test_limit_product_case():
@@ -183,6 +207,7 @@ def test_restrict_identity_and_constant():
                        [cat.identity[1], cat.identity[1]])
     r = restrict_along(const, d)
     assert r.sets == (d.sets[1], d.sets[1])
+    assert r == SetFunctor(const.source, r.sets, [d.tables[cat.identity[1]]] * 2)
 
 
 def _chain3_tables():
@@ -205,6 +230,7 @@ def test_restrict_top_inclusion_table_composition():
     r = restrict_along(incl, d)
     assert r.sets == (d.sets[2],)
     assert r.tables == (d.tables[cat.identity[2]],)
+    assert r == SetFunctor(incl.source, r.sets, [d.tables[m] for m in incl.on_morphisms])
 
 
 # --- universality probes (vertex size <= 3, enumerated exhaustively) -------
@@ -515,6 +541,12 @@ def test_pointwise_product_sizes():
     assert validate_functor(prod).ok
     assert prod.sets[0].size == 6 and prod.sets[1].size == 2
     assert unpair(0, pair(0, 1, 2)) == (1, 2)
+    # the rule-valued product equals the tabled one: (i, j) goes to (g i, h j)
+    tables = [tuple(pair(base.cod[m], g.tables[m][i], h.tables[m][j])
+                    for i in range(g.sets[base.dom[m]].size)
+                    for j in range(h.sets[base.dom[m]].size))
+              for m in range(base.n_morphisms)]
+    assert prod == SetFunctor(base, prod.sets, tables)
 
 
 # --- samplers ----------------------------------------------------------------
