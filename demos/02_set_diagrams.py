@@ -9,10 +9,10 @@ building both sides and the explicit comparison map.
 from random import Random
 
 from abcat.fincat import (chain_category, full_subcategory, parallel_pair_category,
-                          group_as_category)
+                          group_as_category, restrict_along)
 from abcat.sampling import random_commute_instance, random_gset_chain
 from abcat.setdiag import (FinSet, SetFunctor, commute_check, fixed_points,
-                           limit_points, restrict_along, set_colimit, set_limit)
+                           limit_points, set_colimit, set_limit)
 
 print("== an equalizer of sets ==")
 shape = parallel_pair_category()

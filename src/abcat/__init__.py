@@ -2,10 +2,10 @@
 
 Submodules:
 
-- ``fincat``: finite categories, functors, connectivity, finality,
-  filteredness, siftedness, cocone search.
-- ``setdiag``: diagrams of finite sets, limits and colimits, restriction,
-  the colimit-limit interchange harness, fixed points of group actions.
+- ``fincat``: finite categories, functors and restriction along them,
+  connectivity, finality, filteredness, siftedness, cocone search.
+- ``setdiag``: diagrams of finite sets, limits and colimits, the
+  colimit-limit interchange harness, fixed points of group actions.
 - ``abgrp``: finitely generated abelian groups by presentation, Smith
   normal form, kernels, cokernels, biproducts, mono/epi/iso decisions.
 - ``abdiag``: diagrams of abelian groups (families and group actions
@@ -25,9 +25,9 @@ from .fincat import (FinCategory, FinFunctor, ZigZag, chain_category,
                      comma_category, cone_search, diamond_category,
                      discrete_category, find_zigzag, group_as_category,
                      is_connected, is_filtered, is_final, is_sifted,
-                     product_category, validate_category)
-from .setdiag import (FinSet, SetFunctor, commute_check, fixed_points,
-                      restrict_along, set_colimit, set_limit)
+                     product_category, restrict_along, validate_category)
+from .setdiag import (FinSet, SetFunctor, commute_check, fixed_points, set_colimit,
+                      set_limit)
 from .abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cokernel,
                     cyclic, describe_form, direct_sum, free_abelian, group_from_presentation,
                     hom, hom_equal, is_epi, is_mono, kernel)

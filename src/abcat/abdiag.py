@@ -27,7 +27,8 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     identity_hom, is_mono, kernel, summand_offsets, zero_group,
                     zero_hom)
 from .errors import InputError, PreconditionError
-from .fincat import Diagram, ValidationReport, _extend_from_generators, group_as_category
+from .fincat import (Cocone, Cone, Diagram, ValidationReport, _extend_from_generators,
+                     group_as_category)
 from .intmat import IntMatrix, block_diagonal, hstack, vstack
 
 
@@ -60,16 +61,6 @@ def validate_diagram(d: AbDiagram) -> ValidationReport:
         if hom_validate(d.hom(m)).problems:
             problems.append(f"hom for morphism {m} does not respect the relations")
     return ValidationReport(tuple(problems))
-
-
-class AbCocone(NamedTuple):
-    vertex: FGAbGroup
-    components: tuple
-
-
-class AbCone(NamedTuple):
-    vertex: FGAbGroup
-    components: tuple
 
 
 class AbColimit:
@@ -263,7 +254,7 @@ def ab_colimit(d: AbDiagram) -> AbColimit:
             tuple(map(tuple, leg)), len(live), group.gens)))
     coords = [(c, i) for c, group in enumerate(d.groups) for i in range(group.gens)]
     representatives = tuple(coords[r] for r in live)
-    return AbColimit(carrier, AbCocone(carrier, tuple(components)), d, representatives)
+    return AbColimit(carrier, Cocone(carrier, tuple(components)), d, representatives)
 
 
 def ab_limit(d: AbDiagram) -> AbLimit:
@@ -278,7 +269,7 @@ def ab_limit(d: AbDiagram) -> AbLimit:
     product, _, projections = biproduct(d.groups)
     glued = base.generating()
     if not glued:
-        cone = AbCone(product, tuple(projections))
+        cone = Cone(product, tuple(projections))
         return AbLimit(product, cone, d, identity_hom(product))
     blocks = []
     targets = []
@@ -292,7 +283,7 @@ def ab_limit(d: AbDiagram) -> AbLimit:
     carrier, inclusion = kernel(diff)
     components = tuple(hom_compose(projections[c], inclusion)
                        for c in range(base.n_objects))
-    return AbLimit(carrier, AbCone(carrier, components), d, inclusion)
+    return AbLimit(carrier, Cone(carrier, components), d, inclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +324,8 @@ def gmodule(table, carrier: FGAbGroup, generator_action) -> AbDiagram:
 
 def _differences(d: AbDiagram) -> tuple:
     """The carrier, its blocks g - 1 over ``generating()``, and their sum of carriers."""
+    if d.base.n_objects != 1:
+        raise InputError("(co)invariants require a one-object base")
     carrier = d.groups[0]
     blocks = [(d.hom(g) - identity_hom(carrier)).matrix for g in d.base.generating()]
     return carrier, blocks, direct_sum([carrier] * len(blocks))

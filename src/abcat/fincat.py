@@ -7,12 +7,14 @@ the hand-drawn shapes); every category the library builds composes by
 rule, through the data it was built from.  On top of that sit the
 decidable notions this package revolves around: connectedness by
 zig-zags, finality of a functor, filteredness, siftedness, and
-exhaustive cocone search.  Set and group diagrams hold their values
-in a ``Diagram``.
+exhaustive cocone search.  Functors, set diagrams and group diagrams
+hold their values in a ``Diagram``, and ``restrict_along`` precomposes
+any of them with a functor.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from itertools import product as iproduct
 from typing import NamedTuple
 
@@ -44,8 +46,8 @@ class FinCategory:
     read-only sequences that compute their entries on demand.  Equality
     compares composites however they are stored, unless a subclass defines
     its own.  Optional ``generators`` must reach every morphism from the
-    identities by composing on the left; group colimits glue along them
-    alone.  Values are immutable after construction.
+    identities by composing on the left; limits, colimits and (co)cone
+    checks read them alone.  Values are immutable after construction.
     """
 
     __slots__ = ("n_objects", "dom", "cod", "identity", "_table", "_rule",
@@ -203,35 +205,6 @@ class FinCategory:
         return f"<FinCategory {self.n_objects} objects, {self.n_morphisms} morphisms>"
 
 
-class FinFunctor:
-    """Functor between finite categories, as object and morphism tables."""
-
-    __slots__ = ("source", "target", "on_objects", "on_morphisms")
-
-    def __init__(self, source: FinCategory, target: FinCategory, on_objects, on_morphisms):
-        self.source = source
-        self.target = target
-        self.on_objects = tuple(int(x) for x in on_objects)
-        self.on_morphisms = tuple(int(x) for x in on_morphisms)
-        if len(self.on_objects) != source.n_objects:
-            raise InputError("functor object table length mismatch")
-        if len(self.on_morphisms) != source.n_morphisms:
-            raise InputError("functor morphism table length mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, FinFunctor):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.on_objects == other.on_objects
-                and self.on_morphisms == other.on_morphisms)
-
-    def __hash__(self):
-        return hash((self.on_objects, self.on_morphisms))
-
-    def __repr__(self):
-        return f"<FinFunctor {self.source.n_objects}->{self.target.n_objects} objects>"
-
-
 class Diagram:
     """A functor out of a finite category: one value per object, and one
     per morphism given as a sequence or as a rule ``m -> value``.
@@ -239,10 +212,11 @@ class Diagram:
     ``value(m)`` checks a value with the subclass's ``_check(m, value)``
     on first read and caches it; a sequence is checked in full at
     construction.  ``_names`` says what messages call the two kinds of
-    value.  Diagrams of one kind are equal when their bases and values are.
+    value.  Diagrams of one kind are equal when bases, targets and values are.
     """
 
     __slots__ = ("base", "objects", "_rule", "_cache")
+    target = None   # a functor's target category; sets and groups need none
 
     def __init__(self, base: FinCategory, objects, values):
         self.base = base
@@ -273,14 +247,67 @@ class Diagram:
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.base == other.base and self.objects == other.objects
-                and self.values == other.values)
+                and self.values == other.values and self.target == other.target)
 
     def __hash__(self):
         return hash((self.base, self.objects))
 
 
+class FinFunctor(Diagram):
+    """Functor between finite categories: an object of ``target`` per
+    object of ``source``, and a morphism index of ``target`` per morphism,
+    read by ``value(m)``."""
+
+    __slots__ = ("target",)
+    _names = ("object image", "morphism image")
+    source, on_objects, on_morphisms = Diagram.base, Diagram.objects, Diagram.values
+
+    def __init__(self, source: FinCategory, target: FinCategory, on_objects, on_morphisms):
+        self.target = target
+        on_objects = tuple(int(x) for x in on_objects)
+        for x, o in enumerate(on_objects):
+            if not 0 <= o < target.n_objects:
+                raise InputError(f"on_objects[{x}] = {o} out of range")
+        super().__init__(source, on_objects, on_morphisms)
+
+    def _check(self, m: int, o) -> int:
+        o = int(o)
+        if not 0 <= o < self.target.n_morphisms:
+            raise InputError(f"on_morphisms[{m}] = {o} out of range")
+        return o
+
+    def __repr__(self):
+        return f"<FinFunctor {self.source.n_objects}->{self.target.n_objects} objects>"
+
+
+class Cone(NamedTuple):
+    """Vertex plus one projection per object: tables for sets, homs for groups."""
+
+    vertex: object
+    components: tuple
+
+
+class Cocone(NamedTuple):
+    """Vertex plus one insertion per object: tables for sets, homs for groups."""
+
+    vertex: object
+    components: tuple
+
+
 def identity_functor(c: FinCategory) -> FinFunctor:
-    return FinFunctor(c, c, range(c.n_objects), range(c.n_morphisms))
+    return FinFunctor(c, c, range(c.n_objects), lambda m: m)
+
+
+def restrict_along(f: FinFunctor, d: Diagram) -> Diagram:
+    """Precompose a diagram of any kind with a functor into its base: a
+    diagram of the same kind on ``f.source``, reading ``f`` and ``d`` only
+    at the morphisms read.  Along a functor g it is the composite g∘f."""
+    if d.base is not f.target and d.base != f.target:
+        raise InputError("diagram is not defined on the functor's target")
+    r = copy(d)     # same kind, sharing what else it holds, such as a target
+    r.base, r.objects = f.source, tuple(d.objects[o] for o in f.objects)
+    r._rule, r._cache = (lambda m: d.value(f.value(m))), {}
+    return r
 
 
 class ZigZag(NamedTuple):
@@ -489,7 +516,7 @@ def comma_category(c: int, f: FinFunctor) -> FinCategory:
     for si, (x, arrow) in enumerate(objs):
         for k in source.morphisms_from(x):
             y = source.cod[k]
-            img = target.compose(f.on_morphisms[k], arrow)
+            img = target.compose(f.value(k), arrow)
             ti = obj_index.get((y, img))
             if ti is not None:
                 mors.append((si, ti, k))
@@ -508,6 +535,11 @@ def comma_category(c: int, f: FinFunctor) -> FinCategory:
 def full_subcategory(cat: FinCategory, objects) -> tuple[FinCategory, FinFunctor]:
     """Full subcategory on the given objects plus its inclusion functor."""
     objects = [int(x) for x in objects]
+    for i, o in enumerate(objects):
+        if not 0 <= o < cat.n_objects:
+            raise InputError(f"object {o} out of range")
+        if o in objects[:i]:
+            raise InputError(f"object {o} repeated")
     oset = set(objects)
     obj_index = {o: i for i, o in enumerate(objects)}
     keep = [m for m in range(cat.n_morphisms)
@@ -659,26 +691,20 @@ def validate_functor(f: FinFunctor) -> ValidationReport:
     """Check a functor preserves endpoints, identities, and composites at
     ``law_pairs()`` of its source, which must be a valid category."""
     src, tgt = f.source, f.target
-    for x, o in enumerate(f.on_objects):
-        if not 0 <= o < tgt.n_objects:
-            raise InputError(f"on_objects[{x}] = {o} out of range")
-    for x, o in enumerate(f.on_morphisms):
-        if not 0 <= o < tgt.n_morphisms:
-            raise InputError(f"on_morphisms[{x}] = {o} out of range")
     problems = []
     for m in range(src.n_morphisms):
-        fm = f.on_morphisms[m]
+        fm = f.value(m)
         if tgt.dom[fm] != f.on_objects[src.dom[m]]:
             problems.append(f"functor breaks dom at morphism {m}")
         if tgt.cod[fm] != f.on_objects[src.cod[m]]:
             problems.append(f"functor breaks cod at morphism {m}")
     for c in range(src.n_objects):
-        if f.on_morphisms[src.identity[c]] != tgt.identity[f.on_objects[c]]:
+        if f.value(src.identity[c]) != tgt.identity[f.on_objects[c]]:
             problems.append(f"functor breaks identity at object {c}")
     for (g, h) in src.law_pairs():
-        lhs = f.on_morphisms[src.compose(g, h)]
+        lhs = f.value(src.compose(g, h))
         try:
-            rhs = tgt.compose(f.on_morphisms[g], f.on_morphisms[h])
+            rhs = tgt.compose(f.value(g), f.value(h))
         except InputError:
             problems.append(f"functor images of ({g},{h}) are not composable")
             continue
@@ -806,7 +832,7 @@ def is_final(f: FinFunctor) -> FinalityReport:
         arrows = [(x, a) for x in range(source.n_objects)
                   for a in target.hom(c, f.on_objects[x])]
         comps = element_classes(
-            source, arrows, lambda k, a: target.compose(f.on_morphisms[k], a))
+            source, arrows, lambda k, a: target.compose(f.value(k), a))
         slice_components.append(comps)
         if len(comps) != 1:
             failing.append(c)
@@ -906,7 +932,7 @@ class CoconeWitness(NamedTuple):
                 return False
         for m in range(src.n_morphisms):
             a, b = src.dom[m], src.cod[m]
-            if tgt.compose(self.legs[b], diagram.on_morphisms[m]) != self.legs[a]:
+            if tgt.compose(self.legs[b], diagram.value(m)) != self.legs[a]:
                 return False
         return True
 
@@ -936,7 +962,7 @@ def cone_search(diagram: FinFunctor, *, require_filtered: bool = False) -> Cocon
             ok = True
             for m in glued:
                 a, b = source.dom[m], source.cod[m]
-                if target.compose(legs[b], diagram.on_morphisms[m]) != legs[a]:
+                if target.compose(legs[b], diagram.value(m)) != legs[a]:
                     ok = False
                     break
             if ok:

@@ -15,8 +15,8 @@ from itertools import islice, product as iproduct
 from typing import NamedTuple
 
 from .errors import InputError, PreconditionError
-from .fincat import (Diagram, FinCategory, FinFunctor, ProductCategory, ValidationReport,
-                     element_classes, is_filtered)
+from .fincat import (Cocone, Cone, Diagram, FinCategory, FinFunctor, ProductCategory,
+                     ValidationReport, element_classes, is_filtered, restrict_along)
 
 
 class _FinSet(NamedTuple):
@@ -83,20 +83,6 @@ def validate_functor(d: SetFunctor) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-class Cone(NamedTuple):
-    """Vertex plus one projection table per object."""
-
-    vertex: FinSet
-    components: tuple
-
-
-class Cocone(NamedTuple):
-    """Vertex plus one insertion table per object."""
-
-    vertex: FinSet
-    components: tuple
-
-
 def set_limit(d: SetFunctor) -> tuple[FinSet, Cone]:
     """Limit carrier and projection cone.
 
@@ -148,15 +134,6 @@ def set_colimit(d: SetFunctor) -> tuple[FinSet, Cocone]:
     return carrier, Cocone(carrier, components)
 
 
-def restrict_along(f: FinFunctor, d: SetFunctor) -> SetFunctor:
-    """Precompose a diagram with a functor into its base, reading ``d``
-    only at the morphisms read."""
-    if d.base is not f.target and d.base != f.target:
-        raise InputError("diagram is not defined on the functor's target")
-    sets = tuple(d.sets[f.on_objects[c]] for c in range(f.source.n_objects))
-    return SetFunctor(f.source, sets, lambda m: d.table(f.on_morphisms[m]))
-
-
 class CommuteReport(NamedTuple):
     """Result of comparing colim-of-limits against limit-of-colimits;
     ``limits[a]`` lists the points of lim_D X(a, -) in element order."""
@@ -196,8 +173,7 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
     for a in range(f_cat.n_objects):
         inj = FinFunctor(d_cat, base,
                          [base.pair_object(a, c) for c in range(d_cat.n_objects)],
-                         [base.pair_morphism(f_cat.identity[a], m)
-                          for m in range(d_cat.n_morphisms)])
+                         lambda m, e=f_cat.identity[a]: base.pair_morphism(e, m))
         carrier, cone = set_limit(restrict_along(inj, x))
         lim_carriers.append(carrier)
         lim_points.append(tuple(limit_points(cone)))
@@ -217,8 +193,7 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
     for c in range(d_cat.n_objects):
         inj = FinFunctor(f_cat, base,
                          [base.pair_object(a, c) for a in range(f_cat.n_objects)],
-                         [base.pair_morphism(m, d_cat.identity[c])
-                          for m in range(f_cat.n_morphisms)])
+                         lambda m, e=d_cat.identity[c]: base.pair_morphism(m, e))
         carrier, cocone = set_colimit(restrict_along(inj, x))
         colim_carriers.append(carrier)
         colim_cocones.append(cocone)

@@ -19,12 +19,12 @@ from .abgrp import (AbHom, describe_form, factor_through_kernel, free_abelian, h
 from .documents import AbNaturalMap
 from .errors import InputError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
-                     is_final, is_sifted, parallel_pair_category, span_category,
-                     validate_category)
+                     is_final, is_sifted, parallel_pair_category, restrict_along,
+                     span_category, validate_category)
 from .intmat import block_diagonal
 from .harting import harting_compare, harting_expand, hx_skeleton
-from .setdiag import (SetFunctor, commute_check, fixed_point_indices, restrict_along,
-                      set_colimit, pointwise_product, FinSet)
+from .setdiag import (SetFunctor, commute_check, fixed_point_indices, set_colimit,
+                      pointwise_product, FinSet)
 from . import sampling
 
 
@@ -198,8 +198,7 @@ def verify_fixpoints(table, f_cat: FinCategory, bg: FinCategory,
     pointwise = True
     for a, points in enumerate(rep.limits):
         stage = FinFunctor(bg, base, [base.pair_object(a, 0)],
-                           [base.pair_morphism(f_cat.identity[a], m)
-                            for m in range(bg.n_morphisms)])
+                           lambda m, e=f_cat.identity[a]: base.pair_morphism(e, m))
         fixed = fixed_point_indices(restrict_along(stage, x))
         pointwise = pointwise and fixed == tuple(p for (p,) in points)
     details = {

@@ -21,7 +21,8 @@ from abcat.abgrp import (AbHom, FGAbGroup, are_isomorphic, biproduct, cyclic, di
 from abcat.documents import abgroup_body, parse_document
 from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (FinCategory, FinFunctor, chain_category, discrete_category,
-                          parallel_pair_category, span_category)
+                          full_subcategory, identity_functor, is_final,
+                          parallel_pair_category, restrict_along, span_category)
 from abcat.harting import harting_expand, hx_category
 from abcat.intmat import ColumnLattice, IntMatrix, block_diagonal, smith_diagonal
 from abcat.sampling import (random_ab5_instance, random_family, random_group,
@@ -205,6 +206,37 @@ def test_invariants_paper_values():
     # oracle: the kernel of (swap - id) is the diagonal
     col = incl2.matrix.column(0)
     assert col[0] == col[1] != 0
+
+
+def _doubling_then_reduction():
+    """Z --x2--> Z --> Z/6 on chain(3), whose colimit is Z/6 and limit Z."""
+    chain, z6 = chain_category(3), cyclic(6)
+    double, reduce = hom(Z, Z, [[2]]), hom(Z, z6, [[1]])
+    return AbDiagram(chain, (Z, Z, z6), [identity_hom(Z), double, hom_compose(reduce, double),
+                                         identity_hom(Z), reduce, identity_hom(z6)])
+
+
+def test_invariants_and_coinvariants_refuse_a_base_of_several_objects():
+    double = AbDiagram(chain_category(2), (Z, Z), [identity_hom(Z), hom(Z, Z, [[2]]),
+                                                   identity_hom(Z)])
+    assert ab_colimit(double).carrier.canonical_form == (1, ())
+    assert ab_limit(double).carrier.canonical_form == (1, ())
+    for reduction in (coinvariants, invariants):
+        with pytest.raises(InputError, match=r"^\(co\)invariants require a one-object base$"):
+            reduction(double)
+
+
+def test_restriction_of_a_group_diagram():
+    d = _doubling_then_reduction()
+    assert validate_diagram(d).ok
+    assert restrict_along(identity_functor(d.base), d) == d
+    # the top of a chain is a final subcategory, so restriction keeps the colimit
+    _, top = full_subcategory(d.base, [2])
+    assert is_final(top).final
+    at_top = restrict_along(top, d)
+    assert isinstance(at_top, AbDiagram) and at_top.groups == (cyclic(6),)
+    assert ab_colimit(at_top).carrier.canonical_form == \
+        ab_colimit(d).carrier.canonical_form == (0, (6,))
 
 
 def test_trivial_action():

@@ -12,7 +12,7 @@ from abcat.fincat import (CoconeWitness, FinCategory, FinFunctor, ZigZag, chain_
                           full_subcategory, generator_closure, group_as_category,
                           identity_functor, is_connected, is_filtered, is_final, is_sifted,
                           left_tree, parallel_pair_category, poset_category, product_category,
-                          validate_category, validate_functor)
+                          restrict_along, validate_category, validate_functor)
 from abcat.documents import Document, parse_document, serialize_document
 from abcat.harting import hx_category, hx_skeleton
 from abcat.setdiag import FinSet
@@ -518,6 +518,48 @@ def test_validate_functor_laws():
     # break identity preservation
     broken = FinFunctor(discrete_category(1), cat, [0], [cat.hom(0, 1)[0]])
     assert not validate_functor(broken).ok
+
+
+def test_functor_images_out_of_range_keep_their_messages():
+    one, chain = discrete_category(1), chain_category(2)
+    with pytest.raises(InputError, match=r"^on_objects\[0\] = 2 out of range$"):
+        FinFunctor(one, chain, [2], [0])
+    with pytest.raises(InputError, match=r"^on_morphisms\[0\] = 3 out of range$"):
+        FinFunctor(one, chain, [0], [3])
+    # a rule's image is refused on its first read
+    lazy = FinFunctor(one, chain, [0], lambda m: 3)
+    with pytest.raises(InputError, match=r"^on_morphisms\[0\] = 3 out of range$"):
+        validate_functor(lazy)
+
+
+def test_rule_valued_and_tabled_functors_compare_and_hash_equal():
+    cat = chain_category(3)
+    rule, tabled = identity_functor(cat), FinFunctor(cat, cat, range(3), range(cat.n_morphisms))
+    assert rule == tabled and hash(rule) == hash(tabled)
+    assert rule.on_morphisms == tuple(range(cat.n_morphisms))
+    # the same images into a larger target are a different functor
+    one = discrete_category(1)
+    assert FinFunctor(one, chain_category(2), [0], [0]) != FinFunctor(one, cat, [0], [0])
+
+
+def test_restriction_along_a_functor_composes_their_tables():
+    for name, f in _final_cases(random.Random(3)):
+        g, _ = diagonal_functor(f.target)
+        gf = restrict_along(f, g)
+        assert isinstance(gf, FinFunctor) and gf.target is g.target, name
+        assert gf.on_objects == tuple(g.on_objects[x] for x in f.on_objects), name
+        assert gf.on_morphisms == tuple(g.on_morphisms[m] for m in f.on_morphisms), name
+        assert gf == FinFunctor(f.source, g.target, gf.on_objects, gf.on_morphisms), name
+        assert validate_functor(gf).ok, name
+
+
+@pytest.mark.parametrize("objects, message", [
+    ([0, 0], "object 0 repeated"), ([5], "object 5 out of range"),
+    ([-1], "object -1 out of range")])
+def test_full_subcategory_refuses_repeated_or_missing_objects(objects, message):
+    with pytest.raises(InputError) as refused:
+        full_subcategory(chain_category(3), objects)
+    assert str(refused.value) == message
 
 
 # --- corpus-wide invariants ------------------------------------------------

@@ -6,14 +6,14 @@ from itertools import product as iproduct
 
 import pytest
 
-from abcat.abdiag import (AbCocone, AbColimit, AbDiagram, ab_colimit, ab_limit,
+from abcat.abdiag import (AbColimit, AbDiagram, ab_colimit, ab_limit,
                           induced_map_on_colimits, validate_diagram)
 from abcat.abgrp import (AbHom, FGAbGroup, biproduct, cyclic, describe_form, free_abelian, hom,
                          hom_compose, hom_equal, identity_hom, zero_group)
 from abcat import harting, setdiag
 from abcat.errors import BudgetError, InputError, PreconditionError, TruncationError
-from abcat.fincat import (FinCategory, FinFunctor, identity_functor, is_connected, is_final,
-                          validate_category, validate_functor)
+from abcat.fincat import (Cocone, FinCategory, FinFunctor, identity_functor, is_connected,
+                          is_final, validate_category, validate_functor)
 from abcat.harting import (HXMorphism, HXObject, h_embedding, harting_compare,
                            harting_expand, hx_category, hx_coproduct,
                            hx_filtered_bounded_report, hx_sifted_bounded_report, hx_skeleton)
@@ -750,7 +750,7 @@ def test_comparison_describes_its_canonical_form():
 
 
 def _with_carrier(colim, carrier, legs):
-    return AbColimit(carrier, AbCocone(carrier, tuple(legs)), colim.diagram,
+    return AbColimit(carrier, Cocone(carrier, tuple(legs)), colim.diagram,
                      colim.representatives)
 
 
