@@ -14,8 +14,8 @@ A module over a finite groupoid X is a diagram on X.  A family of groups
 is a diagram on a discrete base, whose colimit is the direct sum; an
 action is the diagram ``gmodule`` builds on the one-object category of
 the group, whose colimit is the coinvariants and whose limit is the
-invariants.  Those two, induced maps on colimits, and the checks behind
-the coproduct-exactness results all live here.
+invariants.  Those two, natural maps and the maps they induce on
+colimits, and the checks behind the coproduct-exactness results live here.
 """
 
 from __future__ import annotations
@@ -348,6 +348,14 @@ def invariants(d: AbDiagram) -> tuple[FGAbGroup, AbHom]:
 
 # ---------------------------------------------------------------------------
 # families and induced maps
+
+
+class AbNaturalMap(NamedTuple):
+    """A natural family of homs between two diagrams on a shared base."""
+
+    source: AbDiagram
+    target: AbDiagram
+    components: tuple
 
 
 def induced_map_on_colimits(d: AbDiagram, e: AbDiagram, components,

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .abdiag import AbDiagram, gmodule
+from .abdiag import AbDiagram, AbNaturalMap, gmodule
 from .abgrp import AbHom, FGAbGroup, identity_hom
 from .errors import DocumentError, InputError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
@@ -48,14 +48,6 @@ from .setdiag import FinSet, SetFunctor
 class Document(NamedTuple):
     kind: str
     value: object
-
-
-class AbNaturalMap(NamedTuple):
-    """A natural family of homs between two diagrams on a shared base."""
-
-    source: AbDiagram
-    target: AbDiagram
-    components: tuple
 
 
 def _need(payload, key, kind, path):
@@ -136,12 +128,20 @@ def _int_matrix_rows(rows, shape, path):
         raise DocumentError(str(exc), path=path) from None
 
 
-def _homs_between(sources, targets):
-    """Section reader for a matrix from ``sources[i]`` to ``targets[i]``."""
-    def read(i, rows, path):
-        src, tgt = sources[i], targets[i]
-        return AbHom(src, tgt, _int_matrix_rows(rows, (tgt.gens, src.gens), path))
-    return read
+def _read_hom(source, target, rows, path):
+    return AbHom(source, target, _int_matrix_rows(rows, (target.gens, source.gens), path))
+
+
+def _natural_map(payload, names, noun, source, target, path) -> AbNaturalMap:
+    """The ``maps`` section: a hom from each group of ``source`` to ``target``'s."""
+    maps = _section(payload, "maps", names, noun, "map",
+                    lambda i, rows, p: _read_hom(source.groups[i], target.groups[i], rows, p),
+                    path)
+    return AbNaturalMap(source, target, tuple(maps))
+
+
+def _rows(hom: AbHom) -> list:
+    return [list(r) for r in hom.matrix.data]
 
 
 def _columns_matrix(columns, rows, path):
@@ -248,17 +248,50 @@ def category_body(cat: FinCategory) -> dict:
 # per-kind parsers
 
 
+def _parse_diagram(payload, base, path, make, objects_section, values_section,
+                   identity=None):
+    """``make(base, objects, values)`` from the two sections of a diagram on
+    ``base``, each (key, what, read, write): one entry per object, read by
+    ``read(i, value, path)``, and one per morphism, read by ``read(entry at
+    dom, entry at cod, value, path)``.  An identity without an entry takes
+    ``identity(entry at its object)`` when ``identity`` is given."""
+    objects, morphisms = _labels(base)
+    key, what, read, _ = objects_section
+    entries = _section(payload, key, objects, "object", what, read, path)
+    key, what, read, _ = values_section
+
+    def default(m):
+        c = base.dom[m]
+        return identity(entries[c]) if identity and base.identity[c] == m else None
+
+    values = _section(payload, key, morphisms, "morphism", what,
+                      lambda m, v, p: read(entries[base.dom[m]], entries[base.cod[m]], v, p),
+                      path, default)
+    return make(base, entries, values)
+
+
+def _diagram_body(d, objects_section, values_section) -> dict:
+    """The two sections of a diagram, each value written by its section."""
+    objects, morphisms = _labels(d.base)
+    (okey, *_, write_object), (vkey, *_, write_value) = objects_section, values_section
+    return {okey: {name: write_object(x) for name, x in zip(objects, d.objects)},
+            vkey: {name: write_value(d.value(m)) for m, name in enumerate(morphisms)}}
+
+
+def _image_sections(target: FinCategory) -> tuple:
+    """A functor's sections, naming the objects and morphisms of ``target``."""
+    objects, morphisms = _labels(target)
+    obj, mor = _resolver(objects, "object"), _resolver(morphisms, "morphism")
+    return (("on_objects", "image", lambda _, name, p: obj(name, p), objects.__getitem__),
+            ("on_morphisms", "image", lambda _s, _t, name, p: mor(name, p),
+             morphisms.__getitem__))
+
+
 def _parse_functor(payload, path="functor") -> FinFunctor:
     source = parse_category_body(_need(payload, "source", dict, path), f"{path}.source")
     target = parse_category_body(_need(payload, "target", dict, path), f"{path}.target")
-    s_obj, s_mor = _labels(source)
-    t_obj, t_mor = _labels(target)
-    obj, mor = _resolver(t_obj, "object"), _resolver(t_mor, "morphism")
-    on_objects = _section(payload, "on_objects", s_obj, "object", "image",
-                          lambda _, name, p: obj(name, p), path)
-    on_morphisms = _section(payload, "on_morphisms", s_mor, "morphism", "image",
-                            lambda _, name, p: mor(name, p), path)
-    return FinFunctor(source, target, on_objects, on_morphisms)
+    return _parse_diagram(payload, source, path, lambda b, o, v: FinFunctor(b, target, o, v),
+                          *_image_sections(target))
 
 
 def _read_set(_, value, path):
@@ -271,11 +304,16 @@ def _read_set(_, value, path):
     raise DocumentError("set must be a size or a label list", path=path)
 
 
-def _read_table(_, value, path):
+def _read_table(_s, _t, value, path):
     if not isinstance(value, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in value):
         raise DocumentError("map must be a list of element indices", path=path)
     return tuple(value)
+
+
+_SET_SECTIONS = (("sets", "carrier", _read_set,
+                  lambda s: list(s.labels) if s.labels else s.size),
+                 ("maps", "map", _read_table, list))
 
 
 def _parse_setdiagram(payload, path="setdiagram") -> SetFunctor:
@@ -289,20 +327,8 @@ def _parse_setdiagram(payload, path="setdiagram") -> SetFunctor:
         base = product_category(left, right)
     else:
         base = parse_category_body(_need(payload, "base", dict, path), f"{path}.base")
-    objects, morphisms = _labels(base)
-    sets = _section(payload, "sets", objects, "object", "carrier", _read_set, path)
-
-    def identity_table(m):
-        if base.identity[base.dom[m]] == m:
-            return tuple(range(sets[base.dom[m]].size))
-        return None
-
-    tables = _section(payload, "maps", morphisms, "morphism", "map", _read_table,
-                      path, default=identity_table)
-    try:
-        return SetFunctor(base, sets, tables)
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
+    return _parse_diagram(payload, base, path, SetFunctor, *_SET_SECTIONS,
+                          lambda s: tuple(range(s.size)))
 
 
 def parse_abgroup_body(payload, path="abgroup") -> FGAbGroup:
@@ -333,33 +359,18 @@ def _read_group(_, value, path):
     return parse_abgroup_body(value, path)
 
 
-def _parse_diagram_body(payload, base, path) -> AbDiagram:
-    """The ``groups`` and ``homs`` sections of a diagram on ``base``."""
-    objects, morphisms = _labels(base)
-    groups = _section(payload, "groups", objects, "object", "group", _read_group, path)
-
-    def identity_hom(m):
-        if base.identity[base.dom[m]] == m:
-            g = groups[base.dom[m]]
-            return AbHom(g, g, IntMatrix.identity(g.gens))
-        return None
-
-    read = _homs_between([groups[c] for c in base.dom], [groups[c] for c in base.cod])
-    homs = _section(payload, "homs", morphisms, "morphism", "hom", read, path,
-                    default=identity_hom)
-    return AbDiagram(base, groups, homs)
+_GROUP_SECTIONS = (("groups", "group", _read_group, abgroup_body),
+                   ("homs", "hom", _read_hom, _rows))
 
 
 def _parse_abdiagram(payload, path="abdiagram"):
     base = parse_category_body(_need(payload, "base", dict, path), f"{path}.base")
-    diagram = _parse_diagram_body(payload, base, path)
+    diagram = _parse_diagram(payload, base, path, AbDiagram, *_GROUP_SECTIONS, identity_hom)
     if "target" not in payload:
         return diagram
-    target = _parse_diagram_body(_need(payload, "target", dict, path), base,
-                                 f"{path}.target")
-    maps = _section(payload, "maps", _labels(base)[0], "object", "map",
-                    _homs_between(diagram.groups, target.groups), path)
-    return AbNaturalMap(diagram, target, tuple(maps))
+    target = _parse_diagram(_need(payload, "target", dict, path), base, f"{path}.target",
+                            AbDiagram, *_GROUP_SECTIONS, identity_hom)
+    return _natural_map(payload, _labels(base)[0], "object", diagram, target, path)
 
 
 def _parse_gmodule_body(payload, path="gmodule"):
@@ -383,9 +394,7 @@ def _parse_gmodule_body(payload, path="gmodule"):
     action = {}
     for k, v in _need(payload, "action", dict, path).items():
         g = element(k, f"{path}.action")
-        action[g] = AbHom(carrier, carrier,
-                          _int_matrix_rows(v, (carrier.gens, carrier.gens),
-                                           f"{path}.action.{k}"))
+        action[g] = _read_hom(carrier, carrier, v, f"{path}.action.{k}")
     try:
         module = gmodule(table, carrier, action)
     except Exception as exc:
@@ -403,8 +412,8 @@ def _parse_gmodule(payload, path="gmodule"):
     target, _ = _parse_gmodule_body(tpayload, f"{path}.target")
     if target.base != module.base:
         raise DocumentError("modules are over different groups", path=f"{path}.target")
-    component = _homs_between(module.groups, target.groups)(
-        0, _need(payload, "map", list, path), f"{path}.map")
+    component = _read_hom(module.groups[0], target.groups[0],
+                          _need(payload, "map", list, path), f"{path}.map")
     return AbNaturalMap(module, target, (component,))
 
 
@@ -422,9 +431,7 @@ def _parse_family(payload, path="family"):
     if "target_groups" not in payload:
         return source
     target = family("target_groups")
-    maps = _section(payload, "maps", index, "index", "map",
-                    _homs_between(source.groups, target.groups), path)
-    return AbNaturalMap(source, target, tuple(maps))
+    return _natural_map(payload, index, "index", source, target, path)
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +469,8 @@ def load_document(path) -> Document:
         return parse_document(fh.read())
 
 
-def _rows(hom: AbHom) -> list:
-    return [list(r) for r in hom.matrix.data]
-
-
 def _groups_body(names, groups) -> dict:
     return {name: abgroup_body(g) for name, g in zip(names, groups)}
-
-
-def _diagram_body(d: AbDiagram) -> dict:
-    objects, morphisms = _labels(d.base)
-    return {"groups": _groups_body(objects, d.groups),
-            "homs": {name: _rows(d.hom(m)) for m, name in enumerate(morphisms)}}
 
 
 def _table_names(group: FinCategory, names) -> list:
@@ -497,20 +494,11 @@ def _serialize_value(doc: Document) -> dict:
     if kind == "category":
         body = category_body(value)
     elif kind == "functor":
-        s_obj, s_mor = _labels(value.source)
-        t_obj, t_mor = _labels(value.target)
-        body = {
-            "source": category_body(value.source),
-            "target": category_body(value.target),
-            "on_objects": {name: t_obj[c] for name, c in zip(s_obj, value.on_objects)},
-            "on_morphisms": {name: t_mor[m] for name, m in zip(s_mor, value.on_morphisms)},
-        }
+        body = {"source": category_body(value.source), "target": category_body(value.target),
+                **_diagram_body(value, *_image_sections(value.target))}
     elif kind == "setdiagram":
         base = value.base
-        objects, morphisms = _labels(base)
-        body = {"sets": {name: list(s.labels) if s.labels else s.size
-                         for name, s in zip(objects, value.sets)},
-                "maps": {name: list(t) for name, t in zip(morphisms, value.tables)}}
+        body = _diagram_body(value, *_SET_SECTIONS)
         if isinstance(base, ProductCategory):
             body["factors"] = [category_body(base.left), category_body(base.right)]
         else:
@@ -522,10 +510,9 @@ def _serialize_value(doc: Document) -> dict:
         source = value.source if natural else value
         objects = _labels(source.base)[0]
         if kind == "abdiagram":
-            body = {"base": category_body(source.base), **_diagram_body(source)}
+            body = {"base": category_body(source.base), **_diagram_body(source, *_GROUP_SECTIONS)}
             if natural:
-                body["target"] = _diagram_body(value.target)
-                body["maps"] = {name: _rows(h) for name, h in zip(objects, value.components)}
+                body["target"] = _diagram_body(value.target, *_GROUP_SECTIONS)
         elif kind == "gmodule":
             names = [f"g{i}" for i in range(source.base.n_morphisms)]
             names[source.base.identity[0]] = "e"
@@ -539,7 +526,8 @@ def _serialize_value(doc: Document) -> dict:
             body = {"index": objects, "groups": _groups_body(objects, source.groups)}
             if natural:
                 body["target_groups"] = _groups_body(objects, value.target.groups)
-                body["maps"] = {name: _rows(h) for name, h in zip(objects, value.components)}
+        if natural and kind != "gmodule":
+            body["maps"] = {name: _rows(h) for name, h in zip(objects, value.components)}
     return {"kind": kind, **body}
 
 

@@ -44,10 +44,10 @@ class FinCategory:
     the index of g∘f; it is for input.  Built categories supply
     ``compose_rule`` instead, and may then give ``dom`` and ``cod`` as
     read-only sequences that compute their entries on demand.  Equality
-    compares composites however they are stored, unless a subclass defines
-    its own.  Optional ``generators`` must reach every morphism from the
-    identities by composing on the left; limits, colimits and (co)cone
-    checks read them alone.  Values are immutable after construction.
+    compares the shape, then composites however they are stored.  Optional
+    ``generators`` must reach every morphism from the identities by
+    composing on the left; limits, colimits and (co)cone checks read them
+    alone.  Values are immutable after construction.
     """
 
     __slots__ = ("n_objects", "dom", "cod", "identity", "_table", "_rule",
@@ -184,22 +184,24 @@ class FinCategory:
     def morphism_label(self, m: int) -> str:
         return self.morphism_labels[m] if self.morphism_labels else f"m{m}"
 
+    def _shape(self):
+        """Counts, identities, generators, endpoints and names."""
+        return (self.n_objects, self.identity, self.generators, tuple(self.dom), tuple(self.cod),
+                list(map(self.object_label, range(self.n_objects))),
+                list(map(self.morphism_label, range(self.n_morphisms))))
+
     def _structure(self):
-        """Shape, composites, names and generators, however they are stored."""
-        comp = sorted(self._table.items()) if self._table is not None \
+        return sorted(self._table.items()) if self._table is not None \
             else [(p, self._rule(*p)) for p in self.composable_pairs()]
-        return (self.n_objects, self.dom, self.cod, self.identity, comp,
-                [self.object_label(c) for c in range(self.n_objects)],
-                [self.morphism_label(m) for m in range(self.n_morphisms)], self.generators)
 
     def __eq__(self, other):
-        # a subclass with its own equality, such as a word truncation, decides
-        if not isinstance(other, FinCategory) or type(other).__eq__ is not FinCategory.__eq__:
+        if not isinstance(other, FinCategory):
             return NotImplemented
-        return self is other or self._structure() == other._structure()
+        return self is other or (self._shape() == other._shape()
+                                 and self._structure() == other._structure())
 
     def __hash__(self):
-        return hash((self.n_objects, self.dom, self.cod, self.identity))
+        return hash((self.n_objects, self.n_morphisms, self.identity))
 
     def __repr__(self):
         return f"<FinCategory {self.n_objects} objects, {self.n_morphisms} morphisms>"

@@ -27,9 +27,9 @@ on the sorted words, one per finite sub-multiset of X, is a skeleton: its
 inclusion is an equivalence, hence final and initial, and every colimit
 and limit over a truncation is the one over its skeleton.  ``hx_skeleton``
 builds it by the same closed form, generated inside each letter's block
-of positions.  Truncations are FinCategories equal by (alphabet, cap,
-skeleton); the last eight requested are kept, and each build checks the
-morphism budget first.
+of positions.  Truncations are FinCategories, and compare as any category
+does, at once when (alphabet, cap, skeleton) agree; the last eight
+requested are kept, and each build checks the morphism budget first.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ class _Lazy(Sequence):
 
 class HXCategory(FinCategory):
     """Truncation of HX at a given arity cap, or its skeleton on the sorted
-    words.  It equals exactly the truncations of equal (alphabet, cap,
-    skeleton), so a rebuilt one equals the first and no composite is read.
+    words.  It compares as any category does, and equals a truncation of
+    equal (alphabet, cap, skeleton) without reading a composite, so a
+    rebuilt one equals the first at once.
 
     Objects are ordered by (arity, word) and held eagerly; morphisms are
     ordered by (source, target, mapping) and never enumerated.  The maps
@@ -148,11 +149,10 @@ class HXCategory(FinCategory):
             generators=_generators(self, _block_steps if skeleton else _elementary_steps))
 
     def __eq__(self, other):
-        return isinstance(other, HXCategory) and \
-            (self.alphabet, self.cap, self.skeleton) == (other.alphabet, other.cap, other.skeleton)
+        return isinstance(other, HXCategory) and (self.alphabet, self.cap, self.skeleton) \
+            == (other.alphabet, other.cap, other.skeleton) or super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.alphabet, self.cap, self.skeleton))
+    __hash__ = FinCategory.__hash__     # an ``__eq__`` of its own would unset it
 
     def _unrank(self, m: int) -> tuple:
         p = bisect_right(self._starts, m) - 1
@@ -347,8 +347,10 @@ def _block_steps(word: tuple, h: HXCategory) -> list:
 def hx_coproduct(h: HXCategory, u: HXObject, v: HXObject):
     """Concatenation with its two injections; the coproduct inside HX.
 
-    Raises TruncationError when the combined arity exceeds the cap.
+    Raises PreconditionError on a skeleton and TruncationError past the cap.
     """
+    if h.skeleton:
+        raise PreconditionError("concatenation is the coproduct only in the word category")
     if u.arity + v.arity > h.cap:
         raise TruncationError(
             f"coproduct arity {u.arity + v.arity} exceeds cap {h.cap}; rebuild "

@@ -12,11 +12,10 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, NamedTuple
 
-from .abdiag import (AbDiagram, ab_colimit, coinvariants, gmodule, induced_map_on_colimits,
-                     invariants, ab4_check, validate_diagram)
+from .abdiag import (AbDiagram, AbNaturalMap, ab_colimit, coinvariants, gmodule,
+                     induced_map_on_colimits, invariants, ab4_check, validate_diagram)
 from .abgrp import (AbHom, describe_form, factor_through_kernel, free_abelian, hom,
                     hom_compose, hom_equal, is_epi, is_mono, is_zero_hom, kernel)
-from .documents import AbNaturalMap
 from .errors import InputError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
                      is_final, is_sifted, parallel_pair_category, restrict_along,

@@ -8,13 +8,17 @@ from pathlib import Path
 import pytest
 
 from abcat.abdiag import AbDiagram
+from abcat.abgrp import cyclic, hom
 from abcat.documents import (AbNaturalMap, Document, load_document, parse_document,
                              serialize_document)
 from abcat.errors import DocumentError
-from abcat.fincat import (discrete_category, group_as_category, parallel_pair_category,
-                          span_category)
-from abcat.sampling import random_commute_instance, random_gset_chain
+from abcat.fincat import (discrete_category, group_as_category, identity_functor,
+                          parallel_pair_category, product_category, span_category)
+from abcat.harting import h_embedding, harting_expand, hx_category, hx_skeleton
+from abcat.sampling import random_commute_instance, random_family, random_gset_chain
+from abcat.setdiag import FinSet, SetFunctor
 from abcat.verify import COMMUTE_SHAPES
+from cat_corpus import category_corpus, constant_diagram, diagonal_functor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -149,6 +153,56 @@ def test_documents_hash_consistently_with_equality(name):
     assert again == doc
     assert hash(again) == hash(doc)
     assert {doc: name}[again] == name
+
+
+def assert_round_trip(doc):
+    again = parse_document(serialize_document(doc))
+    assert again == doc and hash(again) == hash(doc)
+
+
+def representable(cat) -> SetFunctor:
+    """hom(0, -): the maps out of object 0, each morphism acting by composing."""
+    homs = [list(cat.hom(0, x)) for x in range(cat.n_objects)]
+    return SetFunctor(cat, [FinSet(len(h)) for h in homs], lambda m: [
+        homs[cat.cod[m]].index(cat.compose(m, f)) for f in homs[cat.dom[m]]])
+
+
+CORPUS = [cat for _, cat in category_corpus()]
+# a base and a functor out of it: the diagonal of a corpus category, and
+# the identity of the product of two neighbours in the corpus
+BASES = [(cat, diagonal_functor(cat)[0]) for cat in CORPUS] + [
+    (cat, identity_functor(cat)) for cat in map(product_category, CORPUS, CORPUS[1:])]
+
+
+@pytest.mark.parametrize("cat, functor", BASES, ids=range(len(BASES)))
+def test_every_kind_round_trips_on_the_corpus_and_its_products(cat, functor):
+    z3 = constant_diagram(cat, cyclic(3))
+    for doc in (Document("category", cat), Document("functor", functor),
+                Document("setdiagram", representable(cat)), Document("abdiagram", z3),
+                Document("abdiagram", AbNaturalMap(z3, z3, (hom(cyclic(3), cyclic(3), [[2]]),)
+                                                   * cat.n_objects))):
+        assert_round_trip(doc)
+
+
+@pytest.mark.parametrize("build", [hx_category, hx_skeleton])
+def test_every_kind_round_trips_on_a_truncation(build):
+    h = build(FinSet(2, ("a", "b")), 2)
+    positions = SetFunctor(h, [FinSet(o.arity) for o in h.objects], lambda m: h.morphisms[m][2])
+    expansion = harting_expand(random_family(random.Random(2), 2), h)
+    for doc in (Document("category", h), Document("functor", h_embedding(h)),
+                Document("setdiagram", positions), Document("abdiagram", expansion),
+                Document("abdiagram", AbNaturalMap(expansion, expansion, tuple(
+                    hom(g, g, [[-(i == j) for j in range(g.gens)] for i in range(g.gens)])
+                    for g in expansion.groups)))):
+        assert_round_trip(doc)
+
+
+@pytest.mark.parametrize("build, letters, cap", [
+    (hx_category, 1, 2), (hx_category, 2, 2), (hx_category, 2, 3),
+    (hx_skeleton, 1, 2), (hx_skeleton, 2, 2), (hx_skeleton, 2, 3), (hx_skeleton, 3, 3)])
+def test_expansions_round_trip_on_both_truncation_bases(build, letters, cap):
+    family = random_family(random.Random(10 * letters + cap), letters)
+    assert_round_trip(Document("abdiagram", harting_expand(family, build(FinSet(letters), cap))))
 
 
 Z3_ELEMENTS = ["e", "g1", "g2"]

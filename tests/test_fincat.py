@@ -2,6 +2,7 @@
 decidable checks, cross-checked against independent enumeration."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -674,10 +675,10 @@ def test_equality_compares_composites_however_stored():
     table[(chain.identity[0], chain.identity[0])] = 1
     assert FinCategory(6, chain.dom, chain.cod, chain.identity, table,
                        morphism_labels=chain.morphism_labels) != chain
-    # a word truncation is named by (alphabet, cap, skeleton), never by its
-    # composites: its tabulated copy is another category
+    # a word truncation equals its tabulated copy, and hashes like it
     words = hx_category(FinSet(1), 2)
-    assert words == words and words != words.with_composition_table()
+    table = words.with_composition_table()
+    assert words == table and table == words and hash(words) == hash(table)
 
 
 def test_a_category_never_lists_a_word_truncation_to_compare(monkeypatch):
@@ -687,6 +688,18 @@ def test_a_category_never_lists_a_word_truncation_to_compare(monkeypatch):
     monkeypatch.setattr(FinCategory, "_structure", lambda self: pytest.fail("composites listed"))
     assert prod != words and words != prod
     assert prod == prod
+
+
+def test_categories_of_another_shape_compare_unequal_unlisted(monkeypatch):
+    # counts, endpoints (span and cospan) or names differ: no composite is read
+    corpus = [cat for _, cat in category_corpus()]
+    chain = chain_category(3)
+    renamed = FinCategory(3, chain.dom, chain.cod, chain.identity,
+                          chain.with_composition_table()._table, object_labels="xyz")
+    monkeypatch.setattr(FinCategory, "_structure", lambda self: pytest.fail("composites listed"))
+    for i, j in permutations(range(len(corpus)), 2):
+        assert corpus[i] != corpus[j], (i, j)
+    assert renamed != chain and chain != renamed
 
 
 def test_verdicts_of_built_categories_match_their_tables():

@@ -193,8 +193,8 @@ def test_truncation_is_a_category_with_its_table_hom_sets(build, letters, cap):
         assert list(h.hom(a, b)) == list(table.hom(a, b))
     emb = h_embedding(h)
     assert emb.target is h and validate_functor(emb).ok
-    # the request names a truncation; its tabulated copy is another category
-    assert h != table and table != h
+    # a truncation equals its tabulated copy, and hashes like it
+    assert h == table and table == h and hash(h) == hash(table)
 
 
 def test_truncations_compare_by_alphabet_cap_and_kind():
@@ -202,10 +202,10 @@ def test_truncations_compare_by_alphabet_cap_and_kind():
     wider = hx_category(FinSet(2), 2, max_morphisms=10 ** 6)
     assert wider is not words and wider == words and hash(wider) == hash(words)
     assert hx_category(AB, 2) != words and hx_category(FinSet(2), 3) != words
-    # on one letter the words are the sorted words, and still the kinds differ
+    # on one letter the words are the sorted words: one category, however built
     one, sorted_one = hx_category(FinSet(1), 2), hx_skeleton(FinSet(1), 2)
     assert one.with_composition_table() == sorted_one.with_composition_table()
-    assert one != sorted_one and sorted_one != one
+    assert one == sorted_one and sorted_one == one and hash(one) == hash(sorted_one)
 
 
 def test_coproduct_examples():
@@ -421,6 +421,15 @@ def test_bounded_reports_small():
         gm = two.morphisms[g][2]
         hm = two.morphisms[h][2]
         assert all(hm[fm[i]] == hm[gm[i]] for i in range(len(fm)))
+
+
+def test_bounded_reports_refuse_a_skeleton():
+    # concatenation is the coproduct only in the word category: (b) + (a, a)
+    # is no sorted word
+    sorted_words = hx_skeleton(FinSet(2), 3)
+    for report in (hx_sifted_bounded_report, hx_filtered_bounded_report):
+        with pytest.raises(PreconditionError, match="word category"):
+            report(sorted_words)
 
 
 def test_bounded_sifted_agrees_with_slice_connectivity():

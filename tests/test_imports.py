@@ -98,3 +98,29 @@ def test_checker_flags_an_unreferenced_private_helper():
 def test_library_uses_every_private_helper():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def imported_modules(source: str) -> set:
+    """The last dotted part of each module ``source`` imports; ``from . import
+    x`` imports x."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.update([alias.name for alias in node.names] if node.module in (None, "abcat")
+                         else [node.module.rsplit(".", 1)[-1]])
+    return found
+
+
+def test_checker_names_relative_and_absolute_imports():
+    source = ("from . import sampling\nfrom .documents import Document\n"
+              "import abcat.cli\nfrom abcat import fincat\n")
+    assert imported_modules(source) == {"sampling", "documents", "cli", "fincat"}
+
+
+def test_the_library_never_imports_documents_or_the_command_line():
+    for name in ("intmat", "fincat", "setdiag", "abgrp", "abdiag", "harting", "sampling",
+                 "verify"):
+        found = imported_modules((PACKAGE / f"{name}.py").read_text())
+        assert not found & {"documents", "cli"}, name
