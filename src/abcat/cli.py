@@ -220,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("file", nargs="?", default=None,
                                help="input document (JSON); omit to run the seeded suite")
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized suites")
 
     p_check = sub.add_parser("check", help="decide a structural property")
     p_check.add_argument("property", choices=("connected", "final", "filtered", "sifted"))
@@ -247,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification harness")
     p_verify.add_argument("property", choices=tuple(verify_mod.PROPERTIES))
     common(p_verify, file_required=False)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p_verify.add_argument("--trials", type=int, default=10)
     p_verify.add_argument("--cap", type=int, default=2)
     p_verify.add_argument("--stability-cap", type=int, default=None)

@@ -185,8 +185,10 @@ class FinCategory:
         return self.morphism_labels[m] if self.morphism_labels else f"m{m}"
 
     def _shape(self):
-        """Counts, identities, generators, endpoints and names."""
-        return (self.n_objects, self.identity, self.generators, tuple(self.dom), tuple(self.cod),
+        """Counts, identities, generating set (``None`` when not given),
+        endpoints and names."""
+        return (self.n_objects, self.identity, tuple(self.dom), tuple(self.cod),
+                None if self.generators is None else self.generating(),
                 list(map(self.object_label, range(self.n_objects))),
                 list(map(self.morphism_label, range(self.n_morphisms))))
 

@@ -16,11 +16,11 @@ machinery here produces the isomorphism explicitly.
 The full HX is infinite, so instances are truncated at an arity cap.
 All identifications needed for the coproduct are witnessed by arity <= 2
 objects; cap stability is covered by the property suites.  A truncation
-holds its words and hom-set sizes and ranks index maps in closed form.
-It is generated by the adjacent transpositions, the merge of the last two
-positions and the appending of one letter, and an expansion values its
-routing homs only at the morphisms read, so colimits cost per generator,
-not per index map.
+holds its words, one block of indices per pair of words that has maps,
+and ranks index maps in closed form.  It is generated by the adjacent
+transpositions, the merge of the last two positions and the appending of
+one letter, and an expansion values its routing homs only at the
+morphisms read, so colimits cost per generator, not per index map.
 
 A word is isomorphic to each of its permutations, so the full subcategory
 on the sorted words, one per finite sub-multiset of X, is a skeleton: its
@@ -123,30 +123,34 @@ class HXCategory(FinCategory):
 
     Objects are ordered by (arity, word) and held eagerly; morphisms are
     ordered by (source, target, mapping) and never enumerated.  The maps
-    of one (source, target) pair form a contiguous block starting at the
-    prefix offset ``_starts[source * len(objects) + target]``, and a map's
-    place in its block is its mapping in mixed radix: digit i chooses one
-    of the target positions carrying letter i of the source word, the
-    last digit running fastest.  ``morphisms``, ``dom``, ``cod``, ``hom``,
-    identities, generators and composition rule are read off that ranking.
+    of a (source, target) pair form a block, a ``range`` of indices kept
+    only for the pairs that have maps, and a map's place in its block is
+    its mapping in mixed radix: digit i chooses one of the target
+    positions carrying letter i of the source word, the last digit running
+    fastest.  ``morphisms``, ``dom`` and ``cod`` bisect the block starts;
+    they, ``hom``, identities, generators and composition are read off
+    that ranking, and a pair without a block has an empty ``hom``.
     """
 
     __slots__ = ("alphabet", "cap", "skeleton", "objects", "morphisms",
-                 "_object_index", "_spots", "_starts")
+                 "_object_index", "_spots", "_block_starts", "_block_pairs")
 
-    def __init__(self, alphabet: FinSet, cap: int, objects, spots, starts, skeleton: bool):
+    def __init__(self, alphabet: FinSet, cap: int, objects, spots, blocks, skeleton: bool):
         self.alphabet, self.cap, self.skeleton = alphabet, cap, skeleton
         self.objects = tuple(objects)
         self._object_index = {o: i for i, o in enumerate(self.objects)}
-        self._spots, self._starts = spots, starts
-        total, n = starts[-1], len(self.objects)
+        self._spots, self._hom_cache = spots, blocks    # ``_index`` reads the blocks
+        self._block_pairs = pairs = list(blocks)
+        self._block_starts = starts = [r.start for r in blocks.values()]
+        total = next(reversed(blocks.values())).stop
         self.morphisms = _Lazy(total, self._unrank)
         ident = [self._index(i, i, tuple(range(o.arity))) for i, o in enumerate(self.objects)]
         super().__init__(
-            n, _Lazy(total, lambda m: (bisect_right(starts, m) - 1) // n),
-            _Lazy(total, lambda m: (bisect_right(starts, m) - 1) % n), ident,
+            len(self.objects), _Lazy(total, lambda m: pairs[bisect_right(starts, m) - 1][0]),
+            _Lazy(total, lambda m: pairs[bisect_right(starts, m) - 1][1]), ident,
             compose_rule=self._compose, object_labels=map(self.word_label, self.objects),
             generators=_generators(self, _block_steps if skeleton else _elementary_steps))
+        self._hom_cache = blocks    # ``super`` cleared it; ``FinCategory.hom`` reads it
 
     def __eq__(self, other):
         return isinstance(other, HXCategory) and (self.alphabet, self.cap, self.skeleton) \
@@ -155,10 +159,10 @@ class HXCategory(FinCategory):
     __hash__ = FinCategory.__hash__     # an ``__eq__`` of its own would unset it
 
     def _unrank(self, m: int) -> tuple:
-        p = bisect_right(self._starts, m) - 1
-        si, ti = divmod(p, len(self.objects))
+        p = bisect_right(self._block_starts, m) - 1
+        si, ti = self._block_pairs[p]
         spots = self._spots[ti]
-        rest = m - self._starts[p]
+        rest = m - self._block_starts[p]
         mapping = []
         for v in reversed(self.objects[si].word):
             rest, digit = divmod(rest, len(spots[v]))
@@ -170,7 +174,7 @@ class HXCategory(FinCategory):
         spots, rank = self._spots[ti], 0
         for v, j in zip(self.objects[si].word, mapping):
             rank = rank * len(spots[v]) + spots[v].index(j)
-        return self._starts[si * len(self.objects) + ti] + rank
+        return self._hom_cache[si, ti].start + rank
 
     def _compose(self, g: int, f: int) -> int:
         s1, _, fmap = self._unrank(f)
@@ -186,10 +190,6 @@ class HXCategory(FinCategory):
     def morphism_index(self, mor: HXMorphism) -> int:
         return self._index(self.object_index(mor.source), self.object_index(mor.target),
                            mor.mapping)
-
-    def hom(self, a: int, b: int) -> range:
-        p = a * len(self.objects) + b
-        return range(self._starts[p], self._starts[p + 1])
 
     def _maps(self, src: int, tgt: int):
         """(index, mapping) for each morphism src -> tgt, in index order."""
@@ -263,11 +263,6 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
     tallies = [Counter(c) for c in contents]
     holding = [{t for t, tally in enumerate(tallies) if v in tally} for v in letters]
     everywhere = set(range(len(contents)))
-
-    @cache
-    def maps(s):
-        return {t: prod(tallies[t][v] ** k for v, k in tallies[s].items())
-                for t in everywhere.intersection(*(holding[v] for v in tallies[s]))}
     words = contents if skeleton else [w for n in sizes for w in iproduct(letters, repeat=n)]
     content_index = {c: i for i, c in enumerate(contents)}
     content_of = [content_index[tuple(sorted(w))] for w in words]
@@ -275,19 +270,21 @@ def _build_truncation(alphabet: FinSet, cap: int, max_morphisms: int,
     for i, c in enumerate(content_of):
         members[c].append(i)
 
-    def counts(s):
-        row = [0] * len(words)
-        for t, k in maps(s).items():
-            for w in members[t]:
-                row[w] = k
-        return row
-
+    @cache
+    def targets(s):
+        """The words receiving maps from content s, in object order, and their map counts."""
+        counts = {t: prod(tallies[t][v] ** k for v, k in tallies[s].items())
+                  for t in everywhere.intersection(*(holding[v] for v in tallies[s]))}
+        return tuple(zip(*sorted((w, counts[t]) for t in counts for w in members[t])))
+    # the maps of each pair of words that has any, as one block of indices
+    pairs = [(si, ti) for si, s in enumerate(content_of) for ti in targets(s)[0]]
+    ends = list(accumulate(chain.from_iterable(targets(s)[1] for s in content_of), initial=0))
+    blocks = dict(zip(pairs, map(range, ends, ends[1:])))
     objects = [HXObject(len(w), w) for w in words]
     # positions of each letter inside each word; a morphism out of a word
     # chooses, per position, one matching position of the target word
     spots = [{v: tuple(j for j, y in enumerate(w) if y == v) for v in w} for w in words]
-    starts = list(accumulate(chain.from_iterable(map(counts, content_of)), initial=0))
-    return HXCategory(alphabet, cap, objects, spots, starts, skeleton)
+    return HXCategory(alphabet, cap, objects, spots, blocks, skeleton)
 
 
 def _generators(h: HXCategory, steps) -> list:

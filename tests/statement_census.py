@@ -2,7 +2,7 @@
 
 Run it by hand from the repository root::
 
-    python tests/statement_census.py [--show MODULE ...] [--max-gaps N] [pytest arguments]
+    python tests/statement_census.py [--show MODULE[,MODULE...]] [--max-gaps N] [pytest arguments]
 
 It runs pytest in this process (on the ``testpaths`` of pyproject.toml,
 as tier-1 does, when no pytest arguments are given) under a
@@ -10,7 +10,8 @@ as tier-1 does, when no pytest arguments are given) under a
 in ``src/abcat``.  It then prints, per module, how many
 statements it has and how many never ran, with the ``raise`` statements
 among those counted apart, and lists the lines of the unexecuted
-statements of each module named by ``--show`` (``--show harting``).
+statements of each module named by ``--show``, a comma-separated list
+(``--show harting,abdiag``).
 With ``--max-gaps N`` it exits 1 when more than N statements that are
 not ``raise`` never ran; otherwise it exits with pytest's code.
 
@@ -83,7 +84,7 @@ def main(argv) -> int:
     show, max_gaps = set(), None
     while argv[:1] in (["--show"], ["--max-gaps"]):
         if argv[0] == "--show":
-            show.add(argv[1].removesuffix(".py"))
+            show.update(name.removesuffix(".py") for name in argv[1].split(","))
         else:
             max_gaps = int(argv[1])
         argv = argv[2:]

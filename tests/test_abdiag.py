@@ -29,7 +29,7 @@ from abcat.sampling import (random_ab5_instance, random_family, random_group,
                             random_mono_chain, random_mono_family,
                             scramble_group)
 from abcat.setdiag import FinSet, SetFunctor
-from abcat.verify import verify_ab4, verify_ab5
+from abcat.verify import verify_ab4, verify_ab5, verify_notlex
 from cat_corpus import (Z2_TABLE, Z3_TABLE, constant_diagram, permutation_group_table,
                         random_hom)
 
@@ -381,6 +381,39 @@ def test_induced_rejects_non_natural():
     bad = hom(Z, swp.groups[0], [[1], [0]])
     with pytest.raises(InputError, match="natural"):
         induced_map_on_colimits(neg, swp, [bad])
+
+
+def test_induced_refuses_diagrams_on_different_bases():
+    with pytest.raises(InputError) as err:
+        induced_map_on_colimits(negation_module(), parallel_diagram(2, 0), [identity_hom(Z)])
+    assert str(err.value) == "diagrams live on different bases"
+
+
+def test_induced_needs_one_component_per_object():
+    d = parallel_diagram(2, 0)
+    with pytest.raises(InputError) as err:
+        induced_map_on_colimits(d, d, [identity_hom(Z)])
+    assert str(err.value) == "one component per object required"
+
+
+def test_induced_names_a_component_with_wrong_endpoints():
+    d = parallel_diagram(2, 0)
+    with pytest.raises(InputError) as err:
+        induced_map_on_colimits(d, d, [identity_hom(Z), identity_hom(cyclic(2))])
+    assert str(err.value) == "component at object 1 has wrong endpoints"
+
+
+def test_notlex_refuses_a_component_off_the_carriers():
+    with pytest.raises(InputError) as err:
+        verify_notlex(negation_module(), swap_module(), identity_hom(Z))
+    assert str(err.value) == "component does not map the carriers"
+
+
+def test_notlex_refuses_modules_over_different_groups():
+    trivial = gmodule(Z3_TABLE, Z, {1: identity_hom(Z)})
+    with pytest.raises(InputError) as err:
+        verify_notlex(negation_module(), trivial, identity_hom(Z))
+    assert str(err.value) == "modules are over different groups"
 
 
 def test_ab4_check_examples():

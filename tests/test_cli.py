@@ -468,6 +468,17 @@ def test_machine_output_stable_across_runs(capsys):
     assert payload["seed"] == 5
 
 
+def test_only_verify_takes_a_seed(capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(["check", "connected", str(FIXTURES / "chain3.json"), "--seed", "1"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "verify", "commute", "--seed", "5", "--format", "machine")
+    assert code == 0
+    assert json.loads(out) == {"verify": "commute", "ok": True, "seed": 5, "trials": 10,
+                               "failures": []}
+
+
 def test_exit_code_two_on_bad_input(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run_cli(capsys, "check", "filtered", missing)[0] == 2

@@ -681,6 +681,23 @@ def test_equality_compares_composites_however_stored():
     assert words == table and table == words and hash(words) == hash(table)
 
 
+def test_equality_compares_the_generating_set():
+    chain = chain_category(3)
+    table = chain.with_composition_table()._table
+
+    def generated(generators):
+        return FinCategory(3, chain.dom, chain.cod, chain.identity, table, generators=generators)
+    # order, repeats and listed identities do not change what generates
+    covers = generated([1, 4])
+    for same in (generated([4, 1, 1]), generated([1, 4, chain.identity[0]])):
+        assert same.generating() == covers.generating() == (1, 4)
+        assert same == covers and covers == same and hash(same) == hash(covers)
+    # generators given are never the same as none given
+    every = generated([1, 2, 4])
+    assert every.generating() == generated(None).generating()
+    assert every != generated(None) and generated(None) != every
+
+
 def test_a_category_never_lists_a_word_truncation_to_compare(monkeypatch):
     # a subclass with its own equality decides, in both orders
     words = hx_category(FinSet(1), 2)

@@ -1,5 +1,6 @@
 """The truncated word category and the coproduct expansion."""
 
+import hashlib
 import random
 import time
 from itertools import product as iproduct
@@ -720,6 +721,26 @@ def test_skeleton_counts_match_the_closed_form_table():
         hx_skeleton(FinSet(4), 6)
 
 
+# SHA-256 of both truncations' structure at eight sizes, recorded while hom
+# offsets were stored for every pair of words: a change of storage must
+# keep every index, hom-set, generator and composite
+STRUCTURE_DIGEST = "1f5dc0edf289d24618eab592facbf30d88a33f2eae0218db171603d977769d1a"
+
+
+def test_truncation_structure_is_pinned():
+    sha = hashlib.sha256()
+    for build, (letters, cap) in iproduct((hx_category, hx_skeleton),
+                                          [(1, 1), (1, 3), (2, 2), (2, 3),
+                                           (3, 2), (3, 3), (2, 4), (4, 2)]):
+        h = build(FinSet(letters), cap)
+        objects = range(h.n_objects)
+        for part in (list(h.dom), list(h.cod), h.identity, h.generators, list(h.morphisms),
+                     [list(h.hom(a, b)) for a, b in iproduct(objects, objects)],
+                     [(g, f, h.compose(g, f)) for g, f in h.law_pairs()]):
+            sha.update(repr(part).encode())
+    assert sha.hexdigest() == STRUCTURE_DIGEST
+
+
 def test_skeleton_is_cached_apart_from_the_word_category():
     skeleton = hx_skeleton(FinSet(2), 3)
     assert skeleton is hx_skeleton(FinSet(2), 3) and skeleton is not hx_category(FinSet(2), 3)
@@ -807,7 +828,7 @@ class _Tampered(harting.HXCategory):
     """A word category whose ``_maps`` edits the maps of the pairs in ``edits``."""
 
     def __init__(self, h, edits):
-        super().__init__(h.alphabet, h.cap, h.objects, h._spots, h._starts, False)
+        super().__init__(h.alphabet, h.cap, h.objects, h._spots, h._hom_cache, False)
         self.edits = edits
 
     def _maps(self, src, tgt):
