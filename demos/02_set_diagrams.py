@@ -62,5 +62,4 @@ print(f"fixed points of the colimit: {report.rhs.size};",
       "they agree" if report.bijective else "MISMATCH")
 swap_two = SetFunctor(group_as_category([[0, 1], [1, 0]]),
                       [FinSet(3)], [(0, 1, 2), (1, 0, 2)])
-print("swap action on three points fixes:", list(fixed_points([[0, 1], [1, 0]],
-                                                              swap_two).labels))
+print("swap action on three points fixes:", list(fixed_points(swap_two).labels))

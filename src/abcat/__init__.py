@@ -3,7 +3,8 @@
 Submodules:
 
 - ``fincat``: finite categories, functors and restriction along them,
-  connectivity, finality, filteredness, siftedness, cocone search.
+  connectivity, finality, filteredness, siftedness, groupoids, cocone
+  search.
 - ``setdiag``: diagrams of finite sets, limits and colimits, the
   colimit-limit interchange harness, fixed points of group actions.
 - ``abgrp``: finitely generated abelian groups by presentation, Smith
@@ -24,7 +25,7 @@ from .intmat import IntMatrix, smith_normal_form
 from .fincat import (FinCategory, FinFunctor, ZigZag, chain_category,
                      comma_category, cone_search, diamond_category,
                      discrete_category, find_zigzag, group_as_category,
-                     is_connected, is_filtered, is_final, is_sifted,
+                     is_connected, is_filtered, is_final, is_groupoid, is_sifted,
                      product_category, restrict_along, validate_category)
 from .setdiag import (FinSet, SetFunctor, commute_check, fixed_points, set_colimit,
                       set_limit)

@@ -139,11 +139,18 @@ def cyclic(order: int) -> FGAbGroup:
 
 
 def from_canonical_form(free_rank: int, factors) -> FGAbGroup:
-    """Canonical presentation: torsion generators first, then free ones."""
+    """Canonical presentation: torsion generators first, then free ones.
+
+    The factors must each be at least 2 and divide the next, so that the
+    group's canonical form is the one given.
+    """
     factors = tuple(int(d) for d in factors)
-    for d in factors:
-        if d < 2:
-            raise InputError("invariant factors must be at least 2")
+    if free_rank < 0:
+        raise InputError(f"negative free rank {free_rank}")
+    if any(d < 2 for d in factors):
+        raise InputError("invariant factors must be at least 2")
+    if any(b % a for a, b in zip(factors, factors[1:])):
+        raise InputError(f"invariant factors {factors} do not each divide the next")
     gens = len(factors) + free_rank
     cols = []
     for i, d in enumerate(factors):

@@ -6,10 +6,10 @@ Composition is a table only where a table is the input (documents and
 the hand-drawn shapes); every category the library builds composes by
 rule, through the data it was built from.  On top of that sit the
 decidable notions this package revolves around: connectedness by
-zig-zags, finality of a functor, filteredness, siftedness, and
-exhaustive cocone search.  Functors, set diagrams and group diagrams
-hold their values in a ``Diagram``, and ``restrict_along`` precomposes
-any of them with a functor.
+zig-zags, finality of a functor, filteredness, siftedness, being a
+groupoid, and exhaustive cocone search.  Functors, set diagrams and
+group diagrams hold their values in a ``Diagram``, and ``restrict_along``
+precomposes any of them with a functor.
 """
 
 from __future__ import annotations
@@ -429,45 +429,26 @@ def cospan_category() -> FinCategory:
                        morphism_labels=["id0", "id1", "id2", "l", "r"])
 
 
-def validate_group_table(table) -> tuple:
-    """Check a multiplication table is a group; return (table, identity index).
+def group_as_category(table, labels=None) -> FinCategory:
+    """One-object category whose endomorphisms multiply by the group table.
 
-    Raises InputError naming the first failed axiom.
+    Raises InputError unless the table is square with entries below its
+    size, has a two-sided identity, is associative and inverts every element.
     """
     table = tuple(tuple(int(x) for x in row) for row in table)
     n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise InputError(f"group table row {i} has {len(row)} entries, expected {n}")
-        for j, x in enumerate(row):
-            if not 0 <= x < n:
-                raise InputError(f"group table not closed: entry ({i},{j}) = {x}")
-    if n == 0:
-        raise InputError("group table is empty")
-    unit = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            unit = e
-            break
+    if any(len(row) != n or not all(0 <= x < n for x in row) for row in table):
+        raise InputError(f"group table not closed: expected {n} rows of {n} entries below {n}")
+    unit = next((e for e in range(n)
+                 if all(table[e][x] == x == table[x][e] for x in range(n))), None)
     if unit is None:
         raise InputError("group table has no two-sided identity")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise InputError(f"group table not associative at ({i},{j},{k})")
-    for x in range(n):
-        if not any(table[x][y] == unit and table[y][x] == unit for y in range(n)):
-            raise InputError(f"group table element {x} has no inverse")
-    return table, unit
-
-
-def group_as_category(table, labels=None) -> FinCategory:
-    """One-object category whose endomorphisms multiply by the group table."""
-    table, unit = validate_group_table(table)
-    n = len(table)
-    return FinCategory(1, [0] * n, [0] * n, [unit], compose_rule=lambda g, f: table[g][f],
-                       object_labels=["*"], morphism_labels=labels)
+    cat = FinCategory(1, [0] * n, [0] * n, [unit], compose_rule=lambda g, f: table[g][f],
+                      object_labels=["*"], morphism_labels=labels)
+    validate_category(cat).require("group table is not associative")
+    if not is_groupoid(cat):
+        raise InputError("group table has an element with no inverse")
+    return cat
 
 
 class ProductCategory(FinCategory):
@@ -886,6 +867,14 @@ def is_filtered(cat: FinCategory) -> FilteredReport:
                 return FilteredReport(False, "no coequalizing arrow", (f, g), bounds, coeqs)
             coeqs[(f, g)] = found
     return FilteredReport(True, None, None, bounds, coeqs)
+
+
+def is_groupoid(cat: FinCategory) -> bool:
+    """Every morphism m has some g: cod m -> dom m with g∘m and m∘g identities."""
+    return all(any(cat.compose(g, m) == cat.identity[cat.dom[m]]
+                   and cat.compose(m, g) == cat.identity[cat.cod[m]]
+                   for g in cat.hom(cat.cod[m], cat.dom[m]))
+               for m in range(cat.n_morphisms))
 
 
 class SiftedReport(NamedTuple):

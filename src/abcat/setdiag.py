@@ -210,23 +210,35 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
     rhs_index = {p: i for i, p in enumerate(limit_points(rhs_cone))}
 
     # canonical comparison: a class of (a, limit point) maps to the tuple
-    # of classes of its coordinates, the same for every member of the class
-    mapping = [0] * lhs.size
-    for a, points in enumerate(lim_points):
-        for i, point in enumerate(points):
-            mapping[lhs_cocone.components[a][i]] = rhs_index[tuple(
-                cocone.components[a][e] for cocone, e in zip(colim_cocones, point))]
-    bij = len(set(mapping)) == lhs.size == rhs.size
-    return CommuteReport(bij, tuple(mapping), lhs, rhs,
-                         None if bij else "comparison map is not a bijection",
-                         tuple(lim_points))
+    # of classes of its coordinates, which every member must agree on
+    mapping, consistent, bij = _canonical_map(
+        ((lhs_cocone.components[a][i], rhs_index[tuple(
+            cocone.components[a][e] for cocone, e in zip(colim_cocones, point))])
+         for a, points in enumerate(lim_points) for i, point in enumerate(points)),
+        lhs.size, rhs.size)
+    failure = ("comparison map is not well defined" if not consistent
+               else None if bij else "comparison map is not a bijection")
+    return CommuteReport(failure is None, mapping, lhs, rhs, failure, tuple(lim_points))
 
 
-def fixed_points(table, x: SetFunctor) -> FinSet:
+def _canonical_map(pairs, size: int, target_size: int) -> tuple[tuple, bool, bool]:
+    """Read the canonical map out of a colimit of ``size`` classes from
+    (class, image) pairs.  Returns the map, with each class sent to the
+    image of its last member, whether no class is sent two ways, and
+    whether the map is a bijection onto ``target_size`` classes."""
+    mapping = [None] * size
+    consistent = True
+    for k, v in pairs:
+        if mapping[k] is not None and mapping[k] != v:
+            consistent = False
+        mapping[k] = v
+    bij = None not in mapping and len(set(mapping)) == size and size == target_size
+    return tuple(mapping), consistent, bij
+
+
+def fixed_points(x: SetFunctor) -> FinSet:
     """Elements fixed by every morphism of a one-object group action."""
     fixed = fixed_point_indices(x)
-    if x.base.n_morphisms != len(table):
-        raise InputError("base does not match the group table")
     return FinSet(len(fixed), tuple(x.sets[0].label(i) for i in fixed))
 
 

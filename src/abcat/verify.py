@@ -18,12 +18,12 @@ from .abgrp import (AbHom, describe_form, factor_through_kernel, free_abelian, h
                     hom_compose, hom_equal, is_epi, is_mono, is_zero_hom, kernel)
 from .errors import InputError
 from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
-                     is_final, is_sifted, parallel_pair_category, restrict_along,
-                     span_category, validate_category)
+                     is_final, is_groupoid, is_sifted, parallel_pair_category,
+                     restrict_along, span_category, validate_category)
 from .intmat import block_diagonal
 from .harting import harting_compare, harting_expand, hx_skeleton
-from .setdiag import (SetFunctor, commute_check, fixed_point_indices, set_colimit,
-                      pointwise_product, FinSet)
+from .setdiag import (SetFunctor, _canonical_map, commute_check, fixed_point_indices,
+                      set_colimit, pointwise_product, FinSet)
 from . import sampling
 
 
@@ -209,27 +209,13 @@ def verify_fixpoints(table, f_cat: FinCategory, bg: FinCategory,
                         rep.bijective and pointwise, details)
 
 
-def _canonical_map(pairs, size: int, target_size: int) -> tuple[bool, bool]:
-    """Read the canonical map out of a colimit of ``size`` classes from
-    (class, image) pairs.  Returns whether no class is sent two ways, and
-    whether the map is a bijection onto ``target_size`` classes."""
-    mapping = [None] * size
-    consistent = True
-    for k, v in pairs:
-        if mapping[k] is not None and mapping[k] != v:
-            consistent = False
-        mapping[k] = v
-    bij = None not in mapping and len(set(mapping)) == size and size == target_size
-    return consistent, bij
-
-
 def verify_final_restriction(f: FinFunctor, d: SetFunctor) -> VerifyReport:
     """Restriction along a final functor leaves the colimit unchanged."""
     fin = is_final(f)
     restricted = restrict_along(f, d)
     colim_full, cocone_full = set_colimit(d)
     colim_res, cocone_res = set_colimit(restricted)
-    consistent, bij = _canonical_map(
+    _, consistent, bij = _canonical_map(
         ((cocone_res.components[c][e], cocone_full.components[f.on_objects[c]][e])
          for c in range(f.source.n_objects) for e in range(restricted.sets[c].size)),
         colim_res.size, colim_full.size)
@@ -251,7 +237,7 @@ def verify_sifted_products(g: SetFunctor, h: SetFunctor) -> VerifyReport:
     colim_prod, cocone_prod = set_colimit(prod_diag)
     colim_g, cocone_g = set_colimit(g)
     colim_h, cocone_h = set_colimit(h)
-    consistent, bij = _canonical_map(
+    _, consistent, bij = _canonical_map(
         ((cocone_prod.components[c][pair(c, i, j)],
           (cocone_g.components[c][i], cocone_h.components[c][j]))
          for c in range(base.n_objects)
@@ -334,11 +320,7 @@ def _commute(value, **_):
 def _fixpoints(value, **_):
     base = _checked_factors(value, "fixpoints")
     right = base.right
-    morphisms = range(right.n_morphisms)
-    # with one object every pair composes; a group inverts each morphism on both sides
-    if right.n_objects != 1 or not all(any(
-            right.compose(g, m) == right.identity[0] == right.compose(m, g) for g in morphisms)
-            for m in morphisms):
+    if right.n_objects != 1 or not is_groupoid(right):
         raise InputError("the second factor must be a one-object group category")
     return verify_fixpoints(None, base.left, right, value)
 

@@ -66,6 +66,15 @@ def test_canonical_form_idempotent():
         assert again.canonical_form == scrambled.canonical_form
 
 
+def test_from_canonical_form_rejects_what_is_not_a_canonical_form():
+    with pytest.raises(InputError, match="negative free rank"):
+        from_canonical_form(-1, (2, 4))
+    with pytest.raises(InputError, match="do not each divide the next"):
+        from_canonical_form(0, (2, 3))
+    with pytest.raises(InputError, match="invariant factors must be at least 2"):
+        from_canonical_form(0, (1, 2))
+
+
 def test_hom_validate_examples():
     assert hom_validate(identity_hom(cyclic(6))).ok
     assert hom_validate(hom(cyclic(2), cyclic(4), [[2]])).ok

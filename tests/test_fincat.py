@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from abcat import is_groupoid
 from abcat.errors import InputError, PreconditionError
 from abcat.fincat import (CoconeWitness, FinCategory, FinFunctor, ZigZag, chain_category,
                           comma_category, cone_search, cospan_category, diamond_category,
@@ -198,6 +199,41 @@ def test_group_as_category_rejects_non_groups():
         group_as_category([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     with pytest.raises(InputError, match="closed"):
         group_as_category([[0, 5], [1, 0]])
+
+
+def test_group_as_category_rejects_an_element_without_inverse():
+    # {0, 1} under max: 0 is the identity, 1 is idempotent
+    with pytest.raises(InputError, match="inverse"):
+        group_as_category([[0, 1], [1, 1]])
+
+
+def test_is_groupoid_on_the_corpus():
+    groupoids = {"terminal", "discrete2", "discrete3", "bz2", "bz3"}
+    for name, cat in category_corpus():
+        assert is_groupoid(cat) == (name in groupoids), name
+    assert is_groupoid(product_category(group_as_category(Z2_TABLE),
+                                        group_as_category(Z3_TABLE)))
+    # the monoid {1, e} with e∘e = e is a category with a non-invertible e
+    monoid = FinCategory(1, [0, 0], [0, 0], [0], compose_rule=lambda g, f: max(g, f))
+    assert validate_category(monoid).ok
+    assert not is_groupoid(monoid)
+
+
+def test_constructor_rejects_inconsistent_tables():
+    with pytest.raises(InputError, match="dom and cod tables differ in length"):
+        FinCategory(1, [0, 0], [0], [0])
+    with pytest.raises(InputError, match="identity table has 2 entries, expected 1"):
+        FinCategory(1, [0], [0], [0, 0])
+    with pytest.raises(InputError, match="object label count mismatch"):
+        FinCategory(1, [0], [0], [0], object_labels=["a", "b"])
+    with pytest.raises(InputError, match="morphism label count mismatch"):
+        FinCategory(1, [0], [0], [0], morphism_labels=[])
+
+
+def test_restrict_along_needs_the_functor_target():
+    d = FinFunctor(chain_category(2), chain_category(2), [0, 1], lambda m: m)
+    with pytest.raises(InputError, match="diagram is not defined on the functor's target"):
+        restrict_along(identity_functor(discrete_category(2)), d)
 
 
 def up_set_size(n, c):
