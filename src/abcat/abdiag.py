@@ -28,7 +28,7 @@ from .abgrp import (AbHom, FGAbGroup, biproduct, cokernel, direct_sum,
                     zero_hom)
 from .errors import InputError, PreconditionError
 from .fincat import (Cocone, Cone, Diagram, ValidationReport, _extend_from_generators,
-                     group_as_category)
+                     discrete_category, group_as_category)
 from .intmat import IntMatrix, block_diagonal, hstack, vstack
 
 
@@ -356,6 +356,18 @@ class AbNaturalMap(NamedTuple):
     source: AbDiagram
     target: AbDiagram
     components: tuple
+
+
+def family_diagram(groups, target_groups=None, maps=None, labels=None):
+    """A family of groups as a diagram with identity homs on
+    ``discrete_category``, its objects labelled by ``labels``; with
+    ``target_groups``, the natural map ``maps`` into that second family."""
+    base = discrete_category(len(groups), labels=labels)
+    source = AbDiagram(base, groups, [identity_hom(g) for g in groups])
+    if target_groups is None:
+        return source
+    target = AbDiagram(base, target_groups, [identity_hom(g) for g in target_groups])
+    return AbNaturalMap(source, target, tuple(maps))
 
 
 def induced_map_on_colimits(d: AbDiagram, e: AbDiagram, components,

@@ -192,8 +192,8 @@ def _cmd_verify(args) -> int:
     options = {"cap": args.cap, "stability_cap": args.stability_cap}
     if args.file:
         report = row.check(_load(args.file, (row.kind,)).value, **options)
-    elif row.trial is None:
-        report = row.check(row.example(), **options)
+    elif row.suite is None:
+        report = row.check(row.draw(None, 0), **options)
     else:
         report = verify_mod.run_suite(args.property, args.trials, args.seed, **options)
     payload = {"verify": args.property, "ok": report.ok, "seed": args.seed}

@@ -24,9 +24,9 @@ Kinds and their bodies:
 
 The last three kinds are syntaxes for one type.  An abdiagram parses to
 an ``AbDiagram``; a gmodule to ``abdiag.gmodule(table, carrier,
-action)``, the diagram on ``group_as_category(table)``; a family to the
-diagram on ``discrete_category`` labelled by its index, with identity
-homs.  With a target and maps, each parses to an ``AbNaturalMap``
+action)``, the diagram on ``group_as_category(table)``; a family to
+``abdiag.family_diagram``, on ``discrete_category`` labelled by its
+index.  With a target and maps, each parses to an ``AbNaturalMap``
 between two such diagrams on one base.  A gmodule serializes its action
 at every non-identity element, named ``g<i>`` (the unit is ``e``).
 """
@@ -36,11 +36,11 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .abdiag import AbDiagram, AbNaturalMap, gmodule
+from .abdiag import AbDiagram, AbNaturalMap, family_diagram, gmodule
 from .abgrp import AbHom, FGAbGroup, identity_hom
 from .errors import DocumentError, InputError
-from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
-                     generator_closure, product_category)
+from .fincat import (FinCategory, FinFunctor, ProductCategory, generator_closure,
+                     product_category)
 from .intmat import IntMatrix
 from .setdiag import FinSet, SetFunctor
 
@@ -132,12 +132,10 @@ def _read_hom(source, target, rows, path):
     return AbHom(source, target, _int_matrix_rows(rows, (target.gens, source.gens), path))
 
 
-def _natural_map(payload, names, noun, source, target, path) -> AbNaturalMap:
-    """The ``maps`` section: a hom from each group of ``source`` to ``target``'s."""
-    maps = _section(payload, "maps", names, noun, "map",
-                    lambda i, rows, p: _read_hom(source.groups[i], target.groups[i], rows, p),
-                    path)
-    return AbNaturalMap(source, target, tuple(maps))
+def _maps(payload, names, noun, sources, targets, path) -> tuple:
+    """The ``maps`` section: a hom from each of ``sources`` to the group of ``targets``."""
+    return tuple(_section(payload, "maps", names, noun, "map",
+                          lambda i, rows, p: _read_hom(sources[i], targets[i], rows, p), path))
 
 
 def _rows(hom: AbHom) -> list:
@@ -370,7 +368,8 @@ def _parse_abdiagram(payload, path="abdiagram"):
         return diagram
     target = _parse_diagram(_need(payload, "target", dict, path), base, f"{path}.target",
                             AbDiagram, *_GROUP_SECTIONS, identity_hom)
-    return _natural_map(payload, _labels(base)[0], "object", diagram, target, path)
+    return AbNaturalMap(diagram, target, _maps(payload, _labels(base)[0], "object",
+                                               diagram.groups, target.groups, path))
 
 
 def _parse_gmodule_body(payload, path="gmodule"):
@@ -421,17 +420,16 @@ def _parse_family(payload, path="family"):
     index = _name_list(_need(payload, "index", list, path), f"{path}.index")
     if len(set(index)) != len(index):
         raise DocumentError("index labels are not distinct", path=f"{path}.index")
-    base = discrete_category(len(index), labels=index)
 
     def family(key):
-        groups = _section(payload, key, index, "index", "group", _read_group, path)
-        return AbDiagram(base, groups, [identity_hom(g) for g in groups])
+        return _section(payload, key, index, "index", "group", _read_group, path)
 
-    source = family("groups")
+    groups = family("groups")
     if "target_groups" not in payload:
-        return source
-    target = family("target_groups")
-    return _natural_map(payload, index, "index", source, target, path)
+        return family_diagram(groups, labels=index)
+    targets = family("target_groups")
+    return family_diagram(groups, targets, _maps(payload, index, "index", groups, targets, path),
+                          labels=index)
 
 
 # ---------------------------------------------------------------------------

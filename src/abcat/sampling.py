@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .abdiag import AbDiagram
+from .abdiag import AbDiagram, AbNaturalMap
 from .abgrp import (AbHom, FGAbGroup, biproduct, direct_sum,
                     from_canonical_form, hom_compose, identity_hom)
 from .errors import InputError
@@ -131,8 +131,8 @@ def random_mono_chain(rng: Random, length: int) -> AbDiagram:
     return AbDiagram(base, groups, homs)
 
 
-def random_ab5_instance(rng: Random, length: int):
-    """(D, E, eta) over a chain: eta natural with nontrivial kernels.
+def random_ab5_instance(rng: Random, length: int) -> AbNaturalMap:
+    """A natural map eta: D -> E over a chain, with nontrivial kernels.
 
     D is a scrambled pointwise sum of E with a kernel chain K, and eta is
     the projection, so ker(eta_c) is isomorphic to K(c).
@@ -140,10 +140,7 @@ def random_ab5_instance(rng: Random, length: int):
     e_diag = random_mono_chain(rng, length)
     k_diag = random_mono_chain(rng, length)
     base = e_diag.base
-    sums = []
-    for c in range(length):
-        summed, injections, projections = biproduct([e_diag.groups[c], k_diag.groups[c]])
-        sums.append((summed, injections, projections))
+    sums = [biproduct([e_diag.groups[c], k_diag.groups[c]]) for c in range(length)]
     scrambles = [scramble_group(rng, sums[c][0]) for c in range(length)]
     groups = [s[0] for s in scrambles]
     homs = []
@@ -153,8 +150,8 @@ def random_ab5_instance(rng: Random, length: int):
                                                                 k_diag.hom(m).matrix]))
         homs.append(hom_compose(scrambles[b][1], hom_compose(blocked, scrambles[a][2])))
     d_diag = AbDiagram(base, groups, homs)
-    eta = [hom_compose(sums[c][2][0], scrambles[c][2]) for c in range(length)]
-    return d_diag, e_diag, eta
+    eta = tuple(hom_compose(sums[c][2][0], scrambles[c][2]) for c in range(length))
+    return AbNaturalMap(d_diag, e_diag, eta)
 
 
 # ---------------------------------------------------------------------------

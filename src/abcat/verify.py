@@ -4,7 +4,7 @@ Each ``verify_*`` function checks one statement on concrete data and
 returns a report with an ``ok`` flag plus the certificate details a
 caller can print.  ``PROPERTIES`` is the command line's table, keyed by
 property: a row holds the document kind, the check of such a document,
-and the trial that ``run_suite`` samples for the seeded suite.
+and the draw of a seeded trial, a document value checked as files are.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, NamedTuple
 
-from .abdiag import (AbDiagram, AbNaturalMap, ab_colimit, coinvariants, gmodule,
-                     induced_map_on_colimits, invariants, ab4_check, validate_diagram)
+from .abdiag import (AbDiagram, AbNaturalMap, ab_colimit, coinvariants, family_diagram,
+                     gmodule, induced_map_on_colimits, invariants, ab4_check, validate_diagram)
 from .abgrp import (AbHom, describe_form, factor_through_kernel, free_abelian, hom,
                     hom_compose, hom_equal, is_epi, is_mono, is_zero_hom, kernel)
-from .errors import InputError
-from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category,
+from .errors import InputError, PreconditionError
+from .fincat import (FinCategory, FinFunctor, ProductCategory, discrete_category, is_filtered,
                      is_final, is_groupoid, is_sifted, parallel_pair_category,
                      restrict_along, span_category, validate_category)
 from .intmat import block_diagonal
@@ -140,10 +140,13 @@ def verify_ab5(d: AbDiagram, e: AbDiagram, components) -> VerifyReport:
 
     Builds the kernel diagram, compares its colimit with the kernel of
     the induced map through the canonical comparison, and certifies that
-    the comparison is an isomorphism.
+    the comparison is an isomorphism.  The base must be filtered.
     """
     components = list(components)
     base = d.base
+    rep = is_filtered(base)
+    if not rep.filtered:
+        raise PreconditionError(f"base is not filtered: {rep.reason}")
     kernels = [kernel(components[c]) for c in range(base.n_objects)]
     k_groups = [k for k, _ in kernels]
 
@@ -287,8 +290,7 @@ def _harting(value, **options):
 def _ab4(value, cap, **_):
     if not isinstance(value, AbNaturalMap):
         raise InputError("ab4 expects a family document with target_groups and maps")
-    return verify_ab4(list(value.source.groups), list(value.target.groups),
-                      list(value.components), cross_cap=cap)
+    return verify_ab4(value.source.groups, value.target.groups, value.components, cross_cap=cap)
 
 
 def _ab5(value, **_):
@@ -326,37 +328,29 @@ def _fixpoints(value, **_):
 
 
 class Property(NamedTuple):
-    """A row: a document of kind ``kind`` is checked by ``check(value,
-    cap=, stability_cap=)``; ``trial(rng, t, cap=, stability_cap=)``
-    samples and checks trial ``t`` of the seeded suite named ``suite``.
-    A property without a suite checks ``example()`` instead."""
+    """A row: ``check(value, cap=, stability_cap=)`` checks the value of a
+    ``kind`` document, and ``draw(rng, t)`` is one for trial ``t`` of the
+    seeded suite ``suite``, or else the row's example, ``draw(None, 0)``."""
 
     kind: str
     check: Callable
+    draw: Callable
     suite: str | None = None
-    trial: Callable | None = None
-    example: Callable | None = None
 
 
 PROPERTIES = {
-    "ab4": Property("family", _ab4, "randomized coproduct mono suite",
-                    lambda rng, t, cap, **_: verify_ab4(
-                        *sampling.random_mono_family(rng, rng.randint(1, 3)), cross_cap=cap)),
-    "ab5": Property("abdiagram", _ab5, "randomized filtered exactness suite",
-                    lambda rng, t, **_: verify_ab5(
-                        *sampling.random_ab5_instance(rng, rng.randint(2, 3)))),
-    "harting": Property("family", _harting, "randomized coproduct expansion suite",
-                        lambda rng, t, **options: verify_harting(
-                            sampling.random_family(rng, rng.randint(1, 3)), **options)),
-    # a sampled set diagram on a product base is checked as a document is
-    "commute": Property("setdiagram", _commute, "randomized interchange suite",
-                        lambda rng, t, **_: _commute(sampling.random_commute_instance(
-                            rng, rng.randint(2, MAX_CHAIN),
-                            COMMUTE_SHAPES[t % len(COMMUTE_SHAPES)])[-1])),
-    "fixpoints": Property("setdiagram", _fixpoints, "randomized fixed point suite",
-                          lambda rng, t, **_: _fixpoints(sampling.random_gset_chain(
-                              rng, rng.randint(2, MAX_CHAIN))[-1])),
-    "notlex": Property("gmodule", _notlex, example=_notlex_example),
+    "ab4": Property("family", _ab4, lambda rng, t: family_diagram(
+        *sampling.random_mono_family(rng, rng.randint(1, 3))), "randomized coproduct mono suite"),
+    "ab5": Property("abdiagram", _ab5, lambda rng, t: sampling.random_ab5_instance(
+        rng, rng.randint(2, 3)), "randomized filtered exactness suite"),
+    "harting": Property("family", _harting, lambda rng, t: family_diagram(
+        sampling.random_family(rng, rng.randint(1, 3))), "randomized coproduct expansion suite"),
+    "commute": Property("setdiagram", _commute, lambda rng, t: sampling.random_commute_instance(
+        rng, rng.randint(2, MAX_CHAIN), COMMUTE_SHAPES[t % len(COMMUTE_SHAPES)])[-1],
+                        "randomized interchange suite"),
+    "fixpoints": Property("setdiagram", _fixpoints, lambda rng, t: sampling.random_gset_chain(
+        rng, rng.randint(2, MAX_CHAIN))[-1], "randomized fixed point suite"),
+    "notlex": Property("gmodule", _notlex, lambda rng, t: _notlex_example()),
 }
 
 
@@ -367,12 +361,12 @@ def run_suite(prop: str, trials: int, seed: int, *, cap: int = 2,
     if trials < 1:
         raise InputError("trials must be at least 1")
     row = PROPERTIES[prop]
-    if row.trial is None:
+    if row.suite is None:
         raise InputError(f"{prop} has no seeded suite")
     rng = Random(seed)
     failures = []
     for t in range(trials):
-        rep = row.trial(rng, t, cap=cap, stability_cap=stability_cap)
+        rep = row.check(row.draw(rng, t), cap=cap, stability_cap=stability_cap)
         if not rep.ok:
             failures.append((t, rep.details))
     return VerifyReport(row.suite, not failures,

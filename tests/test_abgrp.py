@@ -327,3 +327,35 @@ def test_coefficients_stay_within_the_hadamard_bound(n):
     inclusion = kernel(h)[1].matrix
     bound = hadamard_bits(hstack(h.matrix, scrambled.reduced_relations))
     assert max_entry_bits(inclusion) <= bound
+
+
+def test_groups_and_homs_refuse_bad_shapes():
+    import re
+    from abcat.abgrp import AbHom, FGAbGroup
+    z, z2 = free_abelian(1), free_abelian(2)
+    for build, message in (
+            (lambda: FGAbGroup(-1), "negative generator count"),
+            (lambda: FGAbGroup(2, IntMatrix.zeros(3, 0)), "relation matrix has 3 rows, expected 2"),
+            (lambda: cyclic(-1), "negative order"),
+            (lambda: AbHom(z, z2, IntMatrix.zeros(1, 2)),
+             "matrix shape (1, 2) does not match (2, 1)"),
+            (lambda: identity_hom(z) + identity_hom(z2), "sum of homs with different endpoints")):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_factorizations_refuse_maps_that_do_not_factor():
+    z, z2 = free_abelian(1), free_abelian(2)
+    _, diagonal = kernel(hom(z2, z, [[1, -1]]))
+    _, quotient = cokernel(hom(z, z2, [[1], [1]]))
+    for factor, through, u, message in (
+            (factor_through_kernel, diagonal, identity_hom(z),
+             "map does not land in the kernel's ambient group"),
+            (factor_through_kernel, diagonal, hom(z, z2, [[1], [0]]),
+             "map does not factor through the kernel"),
+            (factor_through_cokernel, quotient, identity_hom(z),
+             "map does not start at the cokernel's ambient group"),
+            (factor_through_cokernel, quotient, hom(z2, z, [[1, 0]]),
+             "map does not kill the image; no factorization exists")):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            factor(through, u)

@@ -580,3 +580,29 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "holds: True" in proc.stdout
+
+
+def test_verify_ab5_needs_target_and_maps(capsys, tmp_path):
+    def edit(doc):
+        del doc["target"], doc["maps"]
+    plain = _broken_ab5_chain(tmp_path, "plain.json", edit)
+    assert run_cli(capsys, "verify", "ab5", plain) == (
+        2, "", "error: ab5 expects an abdiagram document with target and maps\n")
+
+
+def test_verify_ab5_needs_a_filtered_base(capsys, tmp_path):
+    # kernels need not pass through colimits on these bases, so a
+    # certificate there would not refute the theorem: the notlex map as an
+    # abdiagram over B(Z/2), and a map of diagrams on the parallel pair
+    from abcat.abdiag import AbDiagram, AbNaturalMap
+    from abcat.abgrp import identity_hom
+    from abcat.documents import load_document
+    from abcat.fincat import parallel_pair_category
+    z = cyclic(0)
+    pair = AbDiagram(parallel_pair_category(), [z, z], lambda m: identity_hom(z))
+    for name, value in (("notlex", load_document(FIXTURES / "notlex.json").value),
+                        ("pair", AbNaturalMap(pair, pair, (identity_hom(z),) * 2))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_document(Document("abdiagram", value)))
+        assert run_cli(capsys, "verify", "ab5", path) == (
+            2, "", "error: base is not filtered: no coequalizing arrow\n")

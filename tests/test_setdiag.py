@@ -630,3 +630,16 @@ def test_poset_sampler_draws_are_pinned():
             digest.update(repr((x.sets, x.tables, rng.random())).encode())
     assert digest.hexdigest() == \
         "06c324b7e91d3d4e041e0b44b6d0578e1fae8a3bcd4815e6307c9f0d6c545b7f"
+
+
+def test_interchange_fixed_points_and_products_refuse_mismatched_bases():
+    two = SetFunctor(discrete_category(2), [FinSet(1), FinSet(1)], [(0,), (0,)])
+    one = SetFunctor(discrete_category(1), [FinSet(1)], [(0,)])
+    x = SetFunctor(product_category(chain_category(1), discrete_category(2)),
+                   [FinSet(1), FinSet(1)], [(0,), (0,)])
+    with pytest.raises(InputError, match="^diagram base is not the product of the given factors$"):
+        commute_check(chain_category(2), discrete_category(2), x)
+    with pytest.raises(InputError, match="^fixed points require a one-object base$"):
+        fixed_point_indices(two)
+    with pytest.raises(InputError, match="^pointwise product needs a shared base$"):
+        pointwise_product(one, two)
