@@ -4,23 +4,25 @@ Objects of HX are pairs (n, word) with word a length-n tuple over a fixed
 finite set X; a morphism (n, x) -> (m, y) is an index map f with
 x == y o f pointwise.  HX has coproducts (concatenation), every pair of
 words is bounded above, and parallel index maps are coequalized by
-quotienting the target positions, which is what makes colimits over HX
-behave like filtered colimits.
+quotienting the target positions.
 
 The expansion functor turns a family of abelian groups A : X -> Ab into
 a diagram on HX sending (n, x) to the direct sum of the A(x_i), with
-morphisms routing summands along f and adding up over fibres.  Its
-colimit recovers the coproduct of the family, and the comparison
-machinery here produces the isomorphism explicitly.
+morphisms routing summands along f and adding up over fibres.  It is the
+left Kan extension Lan_h A along the one-letter words h (``h_embedding``),
+so its colimit is colim_X A, the coproduct of the family, on every
+truncation, filtered or not; the comparison machinery here produces that
+isomorphism of the Kan adjunction explicitly.
 
 The full HX is infinite, so instances are truncated at an arity cap.
-All identifications needed for the coproduct are witnessed by arity <= 2
-objects; cap stability is covered by the property suites.  A truncation
-holds its words, one block of indices per pair of words that has maps,
-and ranks index maps in closed form.  It is generated by the adjacent
-transpositions, the merge of the last two positions and the appending of
-one letter, and an expansion values its routing homs only at the
-morphisms read, so colimits cost per generator, not per index map.
+Every cap >= 1 holds the one-letter words, hence the whole comparison;
+the property suites check that the canonical form does not move with
+the cap.  A truncation holds its words, one block of indices per pair
+of words that has maps, and ranks index maps in closed form.  It is
+generated by the adjacent transpositions, the merge of the last two
+positions and the appending of one letter, and an expansion values its
+routing homs only at the morphisms read, so colimits cost per
+generator, not per index map.
 
 A word is isomorphic to each of its permutations, so the full subcategory
 on the sorted words, one per finite sub-multiset of X, is a skeleton: its
@@ -421,11 +423,10 @@ def harting_compare(family, h: HXCategory) -> HartingComparison:
     against the plain direct sum, verifying that ``forward`` carries each
     colimit leg to the sum's insertion (``backward`` is the legs at the
     one-letter words, so it matches them by construction).  Any failed
-    check is listed by name.  The truncation must have cap at least 2,
-    so that the identifications gluing two summands together are present.
+    check is listed by name.  The expansion is Lan_h of the family along
+    the one-letter words, so the comparison is the Kan adjunction's
+    isomorphism colim Lan_h A = colim_X A and holds at every cap.
     """
-    if h.cap < 2:
-        raise PreconditionError("colimit comparison needs an arity cap of at least 2")
     family = list(family)
     expanded = harting_expand(family, h)
     colim = ab_colimit(expanded)

@@ -1,5 +1,7 @@
 """Diagrams of finite sets on finite categories: limits, colimits, and
-the commutation harness for filtered colimits against finite limits.
+the colimit-limit interchange on a product base, one comparison for
+filtered colimits against finite limits and for sifted colimits against
+finite products.
 
 A set diagram's tables are a sequence or a rule, each checked when first
 read.  Limits are cut out of products by exhaustive tuple filtering; a
@@ -151,9 +153,7 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
 
     ``x`` must live on product_category(f_cat, d_cat) and obey the functor
     laws (InputError otherwise); the first factor must be filtered
-    (PreconditionError otherwise).  The comparison map is assembled
-    explicitly from the cone and cocone components and tested for
-    bijectivity.
+    (PreconditionError otherwise).  The comparison is ``interchange(x)``.
     """
     base = x.base
     if not isinstance(base, ProductCategory):
@@ -165,8 +165,22 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
     rep = is_filtered(f_cat)
     if not rep.filtered:
         raise PreconditionError(f"first factor is not filtered: {rep.reason}")
+    return interchange(x)
 
-    # limits along the finite factor, one per object of the filtered factor;
+
+def interchange(x: SetFunctor) -> CommuteReport:
+    """Compare colim_F lim_D X with lim_D colim_F X via the canonical map,
+    for X on a product base F x D, with no hypothesis on either factor.
+
+    The comparison map is assembled explicitly from the cone and cocone
+    components and tested for bijectivity; X is presumed a functor.
+    """
+    base = x.base
+    if not isinstance(base, ProductCategory):
+        raise InputError("diagram base is not a product category")
+    f_cat, d_cat = base.left, base.right
+
+    # limits along the second factor, one per object of the first;
     # a functor carries compatible tuples to compatible tuples
     lim_carriers = []
     lim_points = []
@@ -186,7 +200,7 @@ def commute_check(f_cat: FinCategory, d_cat: FinCategory, x: SetFunctor) -> Comm
         return [index[tuple(t[e] for t, e in zip(moves, p))] for p in lim_points[f_cat.dom[u]]]
     lhs, lhs_cocone = set_colimit(SetFunctor(f_cat, lim_carriers, lim_table))
 
-    # colimits along the filtered factor, one per object of the finite factor;
+    # colimits along the first factor, one per object of the second;
     # a functor makes each transition well defined on classes
     colim_carriers = []
     colim_cocones = []
@@ -249,30 +263,3 @@ def fixed_point_indices(x: SetFunctor) -> tuple:
     carrier = x.sets[0]
     return tuple(i for i in range(carrier.size)
                  if all(x.table(m)[i] == i for m in range(x.base.n_morphisms)))
-
-
-def pointwise_product(g: SetFunctor, h: SetFunctor):
-    """Pointwise product diagram on a shared base, plus pair codecs.
-
-    Returns (diagram, pair, unpair) where pair(c, i, j) is the index of
-    the element (i, j) in the product carrier at object c.  Tables are
-    built only where read.
-    """
-    if g.base is not h.base and g.base != h.base:
-        raise InputError("pointwise product needs a shared base")
-    base = g.base
-    sizes = [(g.sets[c].size, h.sets[c].size) for c in range(base.n_objects)]
-    sets = tuple(FinSet(a * b) for a, b in sizes)
-
-    def table(m):
-        width = sizes[base.cod[m]][1]
-        return tuple(i * width + j for i in g.table(m) for j in h.table(m))
-    diagram = SetFunctor(base, sets, table)
-
-    def pair(c, i, j):
-        return i * sizes[c][1] + j
-
-    def unpair(c, k):
-        return divmod(k, sizes[c][1])
-
-    return diagram, pair, unpair

@@ -9,8 +9,8 @@ import pytest
 
 from abcat.abdiag import (AbColimit, AbDiagram, ab_colimit, ab_limit,
                           induced_map_on_colimits, validate_diagram)
-from abcat.abgrp import (AbHom, FGAbGroup, biproduct, cyclic, describe_form, free_abelian, hom,
-                         hom_compose, hom_equal, identity_hom, zero_group)
+from abcat.abgrp import (AbHom, FGAbGroup, biproduct, cyclic, describe_form, direct_sum,
+                         free_abelian, hom, hom_compose, hom_equal, identity_hom, zero_group)
 from abcat import harting, setdiag
 from abcat.errors import BudgetError, InputError, PreconditionError, TruncationError
 from abcat.fincat import (Cocone, FinCategory, FinFunctor, identity_functor, is_connected,
@@ -412,6 +412,23 @@ def test_expansion_colimit_is_presented_on_the_family(letters, cap):
         assert carrier.relations.cols <= sum(g.relations.cols for g in family)
 
 
+@pytest.mark.parametrize("build", [hx_category, hx_skeleton])
+def test_expansion_is_the_left_kan_extension_along_the_letters(build):
+    # Lan_h A at a word w sums A_x once per map from the letter x into w,
+    # and its colimit is the family's sum on every truncation, cap 1 too
+    for letters, cap in iproduct(range(1, 4), range(1, 4)):
+        h = build(FinSet(letters), cap)
+        family = random_family(random.Random(10 * letters + cap), letters)
+        expanded = harting_expand(family, h)
+        singles = [h.object_index(HXObject(1, (x,))) for x in range(letters)]
+        for w in range(len(h.objects)):
+            assert expanded.groups[w].gens == sum(
+                len(h.hom(s, w)) * group.gens for s, group in zip(singles, family))
+        if cap == 1:
+            assert ab_colimit(expanded).carrier.canonical_form == \
+                direct_sum(family).canonical_form
+
+
 def test_bounded_reports_small():
     two = hx_category(AB, 2)
     filtered = hx_filtered_bounded_report(two)
@@ -765,9 +782,8 @@ def test_truncation_guards_name_what_they_refuse():
     with pytest.raises(InputError) as err:
         hx_skeleton(FinSet(2), 0)
     assert str(err.value) == "cap must be at least 1"
-    with pytest.raises(PreconditionError) as err:
-        harting_compare([free_abelian(1)], hx)
-    assert str(err.value) == "colimit comparison needs an arity cap of at least 2"
+    # the expansion is Lan along the one-letter words, so cap 1 compares
+    assert harting_compare([free_abelian(1)], hx).ok
 
 
 def test_comparison_describes_its_canonical_form():

@@ -15,9 +15,8 @@ from abcat.fincat import (FinCategory, FinFunctor, chain_category, discrete_cate
                           parallel_pair_category, product_category, span_category)
 from abcat.harting import hx_category
 from abcat.setdiag import (Cocone, FinSet, SetFunctor, commute_check,
-                           fixed_points, fixed_point_indices, limit_points,
-                           pointwise_product, restrict_along, set_colimit,
-                           set_limit, validate_functor)
+                           fixed_points, fixed_point_indices, interchange, limit_points,
+                           restrict_along, set_colimit, set_limit, validate_functor)
 from cat_corpus import Z2_TABLE, constant_functor
 
 
@@ -520,25 +519,25 @@ def test_sifted_products_on_chain():
 
 
 def test_sifted_products_reject_a_class_sent_two_ways(monkeypatch):
-    from abcat import verify
+    from abcat import setdiag, verify
     base = chain_category(3)
     g = SetFunctor(base, [FinSet(2), FinSet(2), FinSet(1)], _chain3_tables_for([2, 2, 1]))
     h = SetFunctor(base, [FinSet(3), FinSet(2), FinSet(2)], _chain3_tables_for([3, 2, 2]))
-    colimit = verify.set_colimit
+    colimit = setdiag.set_colimit
 
     def swapped_at_bottom(d):
         # the product's two classes swapped at object 0 only; the insertions
-        # at objects 1 and 2, read last, still give a bijection
+        # at objects 1 and 2, read last, would still give a bijection
         carrier, cocone = colimit(d)
         if d.base is base and d.sets[0].size == 6:
             bottom = tuple(1 - k for k in cocone.components[0])
             cocone = Cocone(carrier, (bottom, *cocone.components[1:]))
         return carrier, cocone
 
-    monkeypatch.setattr(verify, "set_colimit", swapped_at_bottom)
+    monkeypatch.setattr(setdiag, "set_colimit", swapped_at_bottom)
     report = verify.verify_sifted_products(g, h)
     assert not report.ok
-    assert report.details["canonical bijection"] is True
+    assert report.details["canonical bijection"] is False
 
 
 def _chain3_tables_for(sizes):
@@ -553,22 +552,30 @@ def _chain3_tables_for(sizes):
     return tables
 
 
-def test_pointwise_product_sizes():
-    base = chain_category(2)
-    g = SetFunctor(base, [FinSet(2), FinSet(2)],
-                   [(0, 1), (0, 1), (0, 1)])
-    h = SetFunctor(base, [FinSet(3), FinSet(1)],
-                   [(0, 1, 2), (0, 0, 0), (0,)])
-    prod, pair, unpair = pointwise_product(g, h)
-    assert validate_functor(prod).ok
-    assert prod.sets[0].size == 6 and prod.sets[1].size == 2
-    assert unpair(0, pair(0, 1, 2)) == (1, 2)
-    # the rule-valued product equals the tabled one: (i, j) goes to (g i, h j)
-    tables = [tuple(pair(base.cod[m], g.tables[m][i], h.tables[m][j])
-                    for i in range(g.sets[base.dom[m]].size)
-                    for j in range(h.sets[base.dom[m]].size))
-              for m in range(base.n_morphisms)]
-    assert prod == SetFunctor(base, prod.sets, tables)
+def test_interchange_answers_where_the_hypothesis_fails():
+    from abcat.verify import verify_sifted_products
+    # the parallel pair is not sifted: f and g send the one point of F(0)
+    # to different points of F(1), so the diagonal pairs (0, 0) and (1, 1)
+    # meet in colim F x F, which keeps 3 of 4 points, against 1 x 1
+    # morphisms id0, id1, f, g
+    f = SetFunctor(parallel_pair_category(), [FinSet(1), FinSet(2)],
+                   [(0,), (0, 1), (0,), (1,)])
+    assert validate_functor(f).ok
+    report = verify_sifted_products(f, f)
+    assert not report.ok
+    assert report.details["sifted base"] is False
+    assert report.details["colim of product"] == 3
+    assert report.details["product of colims"] == 1
+    # discrete(2) x discrete(2) is refused by commute_check; the interchange
+    # answers: two copies of 2 x 2 points against (2 + 2) x (2 + 2)
+    x = constant_functor(product_category(discrete_category(2), discrete_category(2)),
+                         FinSet(2))
+    rep = interchange(x)
+    assert rep.bijective is False
+    assert rep.failure == "comparison map is not a bijection"
+    assert (rep.lhs.size, rep.rhs.size) == (8, 16)
+    with pytest.raises(InputError, match="^diagram base is not a product category$"):
+        interchange(f)
 
 
 # --- samplers ----------------------------------------------------------------
@@ -633,6 +640,7 @@ def test_poset_sampler_draws_are_pinned():
 
 
 def test_interchange_fixed_points_and_products_refuse_mismatched_bases():
+    from abcat.verify import verify_sifted_products
     two = SetFunctor(discrete_category(2), [FinSet(1), FinSet(1)], [(0,), (0,)])
     one = SetFunctor(discrete_category(1), [FinSet(1)], [(0,)])
     x = SetFunctor(product_category(chain_category(1), discrete_category(2)),
@@ -642,4 +650,4 @@ def test_interchange_fixed_points_and_products_refuse_mismatched_bases():
     with pytest.raises(InputError, match="^fixed points require a one-object base$"):
         fixed_point_indices(two)
     with pytest.raises(InputError, match="^pointwise product needs a shared base$"):
-        pointwise_product(one, two)
+        verify_sifted_products(one, two)
