@@ -2,14 +2,15 @@
 
 A category here is fully enumerated: objects and morphisms are canonical
 index ranges, and every law can be checked by exhaustive enumeration.
-Composition is a table only where a table is the input (documents and
-the hand-drawn shapes); every category the library builds composes by
-rule, through the data it was built from.  On top of that sit the
-decidable notions this package revolves around: connectedness by
-zig-zags, finality of a functor, filteredness, siftedness, being a
-groupoid, and exhaustive cocone search.  Functors, set diagrams and
-group diagrams hold their values in a ``Diagram``, and ``restrict_along``
-precomposes any of them with a functor.
+Composition is a table only where a table is the input (a parsed
+document, or ``with_composition_table()``); every category the library
+builds, the four hand-drawn shapes among them, composes by rule, through
+the data it was built from.  On top of that sit the decidable notions
+this package revolves around: connectedness by zig-zags, finality of a
+functor, filteredness, siftedness, being a groupoid, and exhaustive
+cocone search.  Functors, set diagrams and group diagrams hold their
+values in a ``Diagram``, and ``restrict_along`` precomposes any of them
+with a functor.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ class FinCategory:
 
     Objects are indices 0..n_objects-1 and morphisms 0..n_morphisms-1.
     ``composition`` maps composable pairs (g, f) with cod(f) == dom(g) to
-    the index of g∘f; it is for input.  Built categories supply
-    ``compose_rule`` instead, and may then give ``dom`` and ``cod`` as
-    read-only sequences that compute their entries on demand.  Equality
-    compares the shape, then composites however they are stored.  Optional
-    ``generators`` must reach every morphism from the identities by
-    composing on the left; limits, colimits and (co)cone checks read them
-    alone.  Values are immutable after construction.
+    the index of g∘f; it is for input, and only ``parse_category_body`` and
+    ``with_composition_table()`` give one.  Every category the library
+    builds supplies ``compose_rule`` instead, and may then give ``dom`` and
+    ``cod`` as read-only sequences that compute their entries on demand.
+    Equality compares the shape, then composites however they are stored.
+    Optional ``generators`` must reach every morphism from the identities
+    by composing on the left; limits, colimits and (co)cone checks read
+    them alone.  Values are immutable after construction.
     """
 
     __slots__ = ("n_objects", "dom", "cod", "identity", "_table", "_rule",
@@ -354,12 +356,19 @@ class ZigZag(NamedTuple):
 # construction
 
 
+def _arrows_category(n: int, arrows, object_labels=None, morphism_labels=None) -> FinCategory:
+    """The free category on n objects and ``arrows``, (dom, cod) pairs no
+    two of which compose: identities 0..n-1, then one morphism per arrow,
+    and g∘f is whichever of g and f is not an identity."""
+    dom = [*range(n), *(a for a, _ in arrows)]
+    cod = [*range(n), *(b for _, b in arrows)]
+    return FinCategory(n, dom, cod, range(n), compose_rule=lambda g, f: f if g < n else g,
+                       object_labels=object_labels, morphism_labels=morphism_labels)
+
+
 def discrete_category(n: int, labels=None) -> FinCategory:
     """n objects with identity morphisms only."""
-    comp = {(i, i): i for i in range(n)}
-    return FinCategory(n, range(n), range(n), range(n), comp,
-                       object_labels=labels,
-                       morphism_labels=[f"id_{i}" for i in range(n)])
+    return _arrows_category(n, (), labels, [f"id_{i}" for i in range(n)])
 
 
 def poset_category(n: int, relation, labels=None) -> FinCategory:
@@ -401,32 +410,18 @@ def diamond_category() -> FinCategory:
 
 def parallel_pair_category() -> FinCategory:
     """Two objects with two parallel arrows between them (equalizer shape)."""
-    dom = [0, 1, 0, 0]
-    cod = [0, 1, 1, 1]
-    comp = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 0): 3, (1, 3): 3}
-    return FinCategory(2, dom, cod, [0, 1], comp,
-                       morphism_labels=["id0", "id1", "f", "g"])
+    return _arrows_category(2, [(0, 1), (0, 1)], None, ["id0", "id1", "f", "g"])
 
 
 def span_category() -> FinCategory:
     """Three objects 0 <- s -> 1 with apex s (pushout shape)."""
-    dom = [0, 1, 2, 0, 0]
-    cod = [0, 1, 2, 1, 2]
-    comp = {(0, 0): 0, (1, 1): 1, (2, 2): 2,
-            (3, 0): 3, (1, 3): 3, (4, 0): 4, (2, 4): 4}
-    return FinCategory(3, dom, cod, [0, 1, 2], comp,
-                       object_labels=["apex", "left", "right"],
-                       morphism_labels=["id_apex", "id_left", "id_right", "l", "r"])
+    return _arrows_category(3, [(0, 1), (0, 2)], ["apex", "left", "right"],
+                            ["id_apex", "id_left", "id_right", "l", "r"])
 
 
 def cospan_category() -> FinCategory:
     """Three objects 0 -> 2 <- 1 (pullback shape)."""
-    dom = [0, 1, 2, 0, 1]
-    cod = [0, 1, 2, 2, 2]
-    comp = {(0, 0): 0, (1, 1): 1, (2, 2): 2,
-            (3, 0): 3, (2, 3): 3, (4, 1): 4, (2, 4): 4}
-    return FinCategory(3, dom, cod, [0, 1, 2], comp,
-                       morphism_labels=["id0", "id1", "id2", "l", "r"])
+    return _arrows_category(3, [(0, 2), (1, 2)], None, ["id0", "id1", "id2", "l", "r"])
 
 
 def group_as_category(table, labels=None) -> FinCategory:
@@ -580,32 +575,24 @@ def validate_category(cat: FinCategory) -> ValidationReport:
             problems.append(f"identity of object {c} has endpoints ({dom[e]},{cod[e]})")
 
     table = cat._table
-    for (g, f), gf in sorted((table or {}).items()):
+    for g, f in sorted(table or ()):
         if not (0 <= f < m and 0 <= g < m):
             raise InputError(f"composition key ({g},{f}) out of range")
         if cod[f] != dom[g]:
             problems.append(f"composite defined for non-composable pair ({g},{f})")
-            continue
-        if not 0 <= gf < m:
-            raise InputError(f"composition value for ({g},{f}) out of range")
-        if dom[gf] != dom[f] or cod[gf] != cod[g]:
-            problems.append(f"composite ({g},{f}) has wrong endpoints")
 
     # every composable pair once; rows[f] maps g to g∘f
     composites, rows = {}, [{} for _ in range(m)]
     for f in range(m):
         for g in cat.morphisms_from(cod[f]):
-            if table is None:
-                gf = cat._rule(g, f)
-                if not 0 <= gf < m:
-                    raise InputError(f"composition value for ({g},{f}) out of range")
-                if dom[gf] != dom[f] or cod[gf] != cod[g]:
-                    problems.append(f"composite ({g},{f}) has wrong endpoints")
-            elif (g, f) in table:
-                gf = table[g, f]
-            else:
+            gf = cat._rule(g, f) if table is None else table.get((g, f))
+            if gf is None:
                 problems.append(f"composite ({g},{f}) undefined")
                 continue
+            if not 0 <= gf < m:
+                raise InputError(f"composition value for ({g},{f}) out of range")
+            if dom[gf] != dom[f] or cod[gf] != cod[g]:
+                problems.append(f"composite ({g},{f}) has wrong endpoints")
             composites[(g, f)] = rows[f][g] = gf
 
     for f in range(m):

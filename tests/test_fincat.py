@@ -1,21 +1,24 @@
 """Finite category structure: validation, constructions, and the
 decidable checks, cross-checked against independent enumeration."""
 
+import json
 import random
 from itertools import permutations
 
 import pytest
 
 from abcat import is_groupoid
-from abcat.errors import InputError, PreconditionError
+from abcat.errors import BudgetError, InputError, PreconditionError
 from abcat.fincat import (CoconeWitness, FinCategory, FinFunctor, ZigZag, chain_category,
                           comma_category, cone_search, cospan_category, diamond_category,
                           discrete_category, find_zigzag,
                           full_subcategory, generator_closure, group_as_category,
                           identity_functor, is_connected, is_filtered, is_final, is_sifted,
                           left_tree, parallel_pair_category, poset_category, product_category,
-                          restrict_along, validate_category, validate_functor)
-from abcat.documents import Document, parse_document, serialize_document
+                          restrict_along, span_category, validate_category,
+                          validate_functor)
+from abcat.documents import (Document, category_body, parse_category_body, parse_document,
+                             serialize_document)
 from abcat.harting import hx_category, hx_skeleton
 from abcat.setdiag import FinSet
 from cat_corpus import (Z2_TABLE, Z3_TABLE, category_corpus, diagonal_functor,
@@ -761,3 +764,110 @@ def test_verdicts_of_built_categories_match_their_tables():
         assert is_connected(cat) == is_connected(table), name
         assert is_filtered(cat) == is_filtered(table), name
         assert is_sifted(cat) == is_sifted(table), name
+
+
+# ---------------------------------------------------------------------------
+# composition tables are for input: the hand-drawn shapes compose by rule
+
+# (constructor, object count, dom, cod, composition table, object labels,
+# morphism labels) of each shape as literal tables: an oracle independent
+# of how the shapes are built
+SHAPE_TABLES = {
+    "parallel_pair": (parallel_pair_category, 2, [0, 1, 0, 0], [0, 1, 1, 1],
+                      {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 0): 3, (1, 3): 3},
+                      None, ["id0", "id1", "f", "g"]),
+    "span": (span_category, 3, [0, 1, 2, 0, 0], [0, 1, 2, 1, 2],
+             {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (1, 3): 3, (4, 0): 4, (2, 4): 4},
+             ["apex", "left", "right"], ["id_apex", "id_left", "id_right", "l", "r"]),
+    "cospan": (cospan_category, 3, [0, 1, 2, 0, 1], [0, 1, 2, 2, 2],
+               {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (2, 3): 3, (4, 1): 4, (2, 4): 4},
+               None, ["id0", "id1", "id2", "l", "r"]),
+}
+SHAPE_TABLES.update({
+    f"discrete{n}": (lambda n=n: discrete_category(n), n, range(n), range(n),
+                     {(i, i): i for i in range(n)}, None, [f"id_{i}" for i in range(n)])
+    for n in range(5)})
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_TABLES))
+def test_each_shape_equals_its_table(name):
+    build, n, dom, cod, comp, olabels, mlabels = SHAPE_TABLES[name]
+    shape = build()
+    table = FinCategory(n, dom, cod, range(n), comp, object_labels=olabels,
+                        morphism_labels=mlabels)
+    assert shape._table is None and shape == table and table == shape
+    assert hash(shape) == hash(table)
+    assert json.dumps(category_body(shape)) == json.dumps(category_body(table))
+    assert validate_category(shape).ok
+
+
+def test_only_documents_and_with_composition_table_hold_tables():
+    chain = chain_category(3)
+    built = [chain, diamond_category(), poset_category(2, [(0, 1)]), discrete_category(2),
+             parallel_pair_category(), span_category(), cospan_category(),
+             group_as_category(Z2_TABLE), product_category(chain, chain),
+             comma_category(0, identity_functor(chain)), full_subcategory(chain, [0, 2])[0],
+             hx_category(FinSet(1), 2), hx_skeleton(FinSet(2), 2)]
+    for cat in built:
+        assert cat._table is None, cat
+        assert cat.with_composition_table()._table is not None, cat
+    assert parse_category_body(category_body(chain))._table is not None
+
+
+def test_a_table_lists_faulty_composites_in_the_rule_order():
+    # chain(3): 0 = 0<=0, 1 = 0<=1, 2 = 0<=2, 3 = 1<=1, 4 = 1<=2, 5 = 2<=2
+    chain = chain_category(3)
+    faulty = {**chain.with_composition_table()._table, (5, 2): 1, (4, 3): 3}
+    problems = validate_category(FinCategory(3, chain.dom, chain.cod, chain.identity,
+                                             faulty)).problems
+    assert problems == validate_category(FinCategory(
+        3, chain.dom, chain.cod, chain.identity, compose_rule=lambda g, f: faulty[g, f])).problems
+    assert problems == ("composite (5,2) has wrong endpoints",
+                        "composite (4,3) has wrong endpoints",
+                        "left identity fails for morphism 2", "right identity fails for morphism 4",
+                        "associativity fails on triple (4,3,1)",
+                        "associativity fails on triple (5,4,1)")
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda: chain_category(2).compose(3, 0), InputError,
+     "morphism index out of range in compose(3, 0)"),
+    (lambda: FinCategory(1, [0], [0], [0], {}).compose(0, 0), InputError,
+     "composite (0, 0) missing from table"),
+    (lambda: chain_category(3).with_composition_table(max_pairs=5), BudgetError,
+     "composition table exceeds 5 pairs"),
+    (lambda: FinFunctor(chain_category(2), chain_category(2), [0, 1], [0]), InputError,
+     "one morphism image per morphism required"),
+    (lambda: poset_category(2, [(0, 2)]), InputError, "poset pair (0, 2) out of range"),
+    (lambda: poset_category(3, [(0, 1), (1, 2)]), InputError,
+     "poset relation not transitive: (0,1),(1,2)"),
+    (lambda: comma_category(5, identity_functor(chain_category(2))), InputError,
+     "object 5 out of range"),
+    (lambda: validate_category(FinCategory(1, [3], [0], [0], {(0, 0): 0})), InputError,
+     "dom[0] = 3 out of range"),
+    (lambda: validate_category(FinCategory(1, [0], [0], [4], {})), InputError,
+     "identity[0] = 4 out of range"),
+    (lambda: validate_category(FinCategory(1, [0], [0], [0], {(0, 0): 0}, generators=[2])),
+     InputError, "generator 2 out of range"),
+    (lambda: validate_category(FinCategory(1, [0], [0], [0], {(0, 0): 0, (0, 7): 0})),
+     InputError, "composition key (0,7) out of range"),
+    (lambda: validate_category(FinCategory(1, [0], [0], [0], {(0, 0): 9})), InputError,
+     "composition value for (0,0) out of range"),
+    (lambda: validate_category(FinCategory(1, [0], [0], [0], compose_rule=lambda g, f: 9)),
+     InputError, "composition value for (0,0) out of range"),
+    (lambda: find_zigzag(chain_category(2), 0, 2), InputError, "object index out of range"),
+], ids=["compose_range", "compose_missing", "table_budget", "diagram_count", "poset_range",
+        "poset_transitive", "comma_object", "validate_dom", "validate_identity",
+        "validate_generator", "validate_key", "validate_table_value", "validate_rule_value",
+        "zigzag_object"])
+def test_fincat_guards_name_what_they_refuse(refuse, error, message):
+    with pytest.raises(error) as refused:
+        refuse()
+    assert str(refused.value) == message
+
+
+def test_poset_category_refuses_a_relation_that_is_not_antisymmetric():
+    with pytest.raises(InputError) as refused:
+        poset_category(2, [(0, 1), (1, 0)])
+    assert str(refused.value) in {"poset relation not antisymmetric at (0, 1)",
+                                  "poset relation not antisymmetric at (1, 0)"}

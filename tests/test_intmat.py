@@ -406,3 +406,22 @@ def test_shape_errors():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(InputError):
         IntMatrix([[1]]) @ IntMatrix([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: IntMatrix.from_columns([(1, 2), (3,)], 2), "column of length 1, expected 2"),
+    (lambda: IntMatrix([[1]]) + IntMatrix([[1, 2]]), "shape mismatch (1, 1) vs (1, 2)"),
+    (lambda: IntMatrix([[1, 2]]).apply([1]), "vector of length 1, expected 2"),
+    (lambda: hstack(), "hstack of no matrices"),
+    (lambda: hstack(IntMatrix([[1]]), IntMatrix([[1], [2]])), "hstack row mismatch"),
+    (lambda: vstack(), "vstack of no matrices"),
+    (lambda: vstack(IntMatrix([[1]]), IntMatrix([[1, 2]])), "vstack column mismatch"),
+    (lambda: ColumnLattice(2).residue([1]), "column of length 1, expected 2"),
+    (lambda: preimage_basis(IntMatrix([[1]]), IntMatrix([[1], [2]])),
+     "row mismatch between map and lattice"),
+], ids=["from_columns", "add", "apply", "hstack_none", "hstack_rows", "vstack_none",
+        "vstack_cols", "residue", "preimage_rows"])
+def test_shape_guards_name_what_they_refuse(refuse, message):
+    with pytest.raises(InputError) as refused:
+        refuse()
+    assert str(refused.value) == message

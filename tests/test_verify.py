@@ -6,7 +6,9 @@ import pytest
 
 from abcat.documents import Document, parse_document, serialize_document
 from abcat.errors import InputError
-from abcat.verify import PROPERTIES, run_suite
+from abcat.fincat import cospan_category
+from abcat.sampling import random_commute_instance
+from abcat.verify import PROPERTIES, run_suite, verify_commute
 
 
 def _draws(row):
@@ -35,3 +37,13 @@ def test_each_draw_is_a_document_that_checks_alike(prop):
 def test_a_property_without_a_suite_refuses_to_run_one():
     with pytest.raises(InputError, match="^notlex has no seeded suite$"):
         run_suite("notlex", 1, 0)
+
+
+def test_filtered_colimits_commute_with_pullbacks():
+    # the span in COMMUTE_SHAPES has an initial apex, so its limit is the
+    # value there; the cospan's limit is a pullback
+    rng = Random(2026)
+    for trial in range(60):
+        f_cat, _, diagram = random_commute_instance(rng, rng.randint(2, 4), cospan_category())
+        report = verify_commute(f_cat, cospan_category(), diagram)
+        assert report.ok, (trial, report.details)
