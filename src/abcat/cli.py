@@ -21,8 +21,8 @@ from .abgrp import describe_form, direct_sum
 from .documents import AbNaturalMap, Document, load_document
 from .errors import (BudgetError, DocumentError, InputError, PreconditionError,
                      TruncationError)
-from .fincat import (is_connected, is_filtered, is_final, is_sifted, validate_category,
-                     validate_functor)
+from .fincat import (ProductCategory, is_connected, is_filtered, is_final, is_sifted,
+                     validate_category, validate_functor)
 from .intmat import smith_normal_form
 from .setdiag import FinSet, set_colimit, set_limit, validate_functor as validate_set_functor
 from . import verify as verify_mod
@@ -50,7 +50,10 @@ def _load(path, expected_kinds) -> Document:
 
 
 def _checked_category(cat):
-    validate_category(cat).require("invalid category")
+    """``cat`` once it passes the category laws, or a product once both of
+    its factors do (a product of categories is then a category)."""
+    for part in (cat.left, cat.right) if isinstance(cat, ProductCategory) else (cat,):
+        validate_category(part).require("invalid category")
     return cat
 
 

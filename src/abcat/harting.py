@@ -2,9 +2,11 @@
 
 Objects of HX are pairs (n, word) with word a length-n tuple over a fixed
 finite set X; a morphism (n, x) -> (m, y) is an index map f with
-x == y o f pointwise.  HX has coproducts (concatenation), every pair of
-words is bounded above, and parallel index maps are coequalized by
-quotienting the target positions.
+x == y o f pointwise.  HX is filtered, after Harting's construction of
+the internal coproduct: concatenation is a coproduct, bounding every pair
+of words, and a parallel pair into a word v is coequalized by the quotient
+of v's positions under the classes it generates, one letter per class, a
+word of arity <= |v|.  The bounded reports build both, not search them.
 
 The expansion functor turns a family of abelian groups A : X -> Ab into
 a diagram on HX sending (n, x) to the direct sum of the A(x_i), with
@@ -40,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache, lru_cache
-from itertools import accumulate, chain, combinations_with_replacement, product as iproduct
+from itertools import accumulate, chain, combinations, combinations_with_replacement, product as iproduct
 from math import prod
 from typing import NamedTuple
 
@@ -472,79 +474,77 @@ class BoundedReport(NamedTuple):
     witnesses: dict
 
 
+def _concatenations(h: HXCategory, both_orders: bool = True):
+    """(ui, vi, wi, left, right) per pair of words u, v of combined arity
+    <= cap, ui <= vi unless ``both_orders``; left, right inject into u + v."""
+    for ui, u in enumerate(h.objects):
+        first = 0 if both_orders else ui
+        for vi, v in enumerate(h.objects[first:], first):
+            if u.arity + v.arity <= h.cap:
+                target, left, right = hx_coproduct(h, u, v)
+                yield ui, vi, h.object_index(target), left, right
+
+
 def hx_sifted_bounded_report(h: HXCategory) -> BoundedReport:
     """Connectivity of diagonal slices, for pairs with combined arity <= cap.
 
     Every cospan out of such a pair factors through the concatenation
     cospan, which links the whole slice in zig-zags of length one; the
-    check finds the mediating map of every cospan.
+    check finds the mediating map of every cospan.  The concatenations are
+    the filtered report's upper bounds.
     """
-    failures = []
-    witnesses = {}
-    checked = 0
-    n = len(h.objects)
-    reach = [{t for t in range(n) if h.hom(s, t)} for s in range(n)]
+    failures, witnesses, n = [], {}, len(h.objects)
+    reach = [{t for t in range(n) if (s, t) in h._hom_cache} for s in range(n)]
     maps = cache(lambda s, t: tuple(h._maps(s, t)))
-    for ui in range(n):
-        u = h.objects[ui]
-        for vi in range(n):
-            v = h.objects[vi]
-            if u.arity + v.arity > h.cap:
-                continue
-            checked += 1
-            target, left, right = hx_coproduct(h, u, v)
-            wi = h.object_index(target)
-            witnesses[(ui, vi)] = (wi, left.mapping, right.mapping)
-            for other in sorted(reach[ui] & reach[vi]):
-                # the maps out of the concatenation come in the order of
-                # the cospans they mediate: left positions first
-                mediating = iter(maps(wi, other))
-                for (p, pm), (q, qm) in iproduct(maps(ui, other), maps(vi, other)):
-                    if next(mediating, (None, None))[1] != pm + qm:
-                        failures.append((ui, vi, other, p, q))
-    return BoundedReport(not failures, checked, tuple(failures), witnesses)
+    for ui, vi, wi, left, right in _concatenations(h):
+        witnesses[(ui, vi)] = (wi, left.mapping, right.mapping)
+        for other in sorted(reach[ui] & reach[vi]):
+            # the maps out of the concatenation come in the order of
+            # the cospans they mediate: left positions first
+            mediating = iter(maps(wi, other))
+            for (p, pm), (q, qm) in iproduct(maps(ui, other), maps(vi, other)):
+                if next(mediating, (None, None))[1] != pm + qm:
+                    failures.append((ui, vi, other, p, q))
+    return BoundedReport(not failures, len(witnesses), tuple(failures), witnesses)
 
 
 def hx_filtered_bounded_report(h: HXCategory) -> BoundedReport:
-    """Filteredness within the truncation.
+    """Filteredness within the truncation, by construction.
 
-    Upper bounds via concatenation for pairs of combined arity <= cap;
-    coequalizing arrows searched exhaustively for every parallel pair
-    between objects of arity <= 2.
+    Upper bounds are the concatenations of the pairs u <= v of combined
+    arity <= cap.  For every word v and every partition of its positions
+    with one letter per block, the report builds the quotient word, blocks
+    numbered by first position, and fails with ("quotient", vi, word) where
+    the truncation lacks it: the quotient by the partition a parallel pair
+    into v generates coequalizes the pair, and every coequalizing map out
+    of v factors through it once.  Witnesses: "bounds", "quotients" ((vi, q)
+    -> index of q) and "coequalizers", the q of each parallel pair between
+    words of arity <= 2.  It counts the bounds and partitions it checked.
     """
-    failures = []
-    witnesses = {"bounds": {}, "coequalizers": {}}
-    checked = 0
-    n = len(h.objects)
-    for ui in range(n):
-        u = h.objects[ui]
-        for vi in range(ui, n):
-            v = h.objects[vi]
-            if u.arity + v.arity > h.cap:
-                continue
-            checked += 1
-            target, left, right = hx_coproduct(h, u, v)
-            wi = h.object_index(target)
-            witnesses["bounds"][(ui, vi)] = (wi, h._index(ui, wi, left.mapping),
-                                             h._index(vi, wi, right.mapping))
+    bounds = {(ui, vi): (wi, h._index(ui, wi, left.mapping), h._index(vi, wi, right.mapping))
+              for ui, vi, wi, left, right in _concatenations(h, both_orders=False)}
+    failures, quotients, coequalizers = [], {}, {}
+    for vi, v in enumerate(h.objects):
+        partitions = [((), ())]    # (q, quotient word) on the positions read so far
+        for x in v.word:
+            partitions = [(q + (b,), word + (x,) * (b == len(word))) for q, word in partitions
+                          for b in range(len(word) + 1) if b == len(word) or word[b] == x]
+        for q, word in partitions:
+            wi = h._object_index.get((len(word), word))    # equal to HXObject(len, word)
+            if wi is None:
+                failures.append(("quotient", vi, word))
+            else:
+                quotients[vi, q] = h._index(vi, wi, q)
     small = [i for i, o in enumerate(h.objects) if o.arity <= 2]
-    for ui in small:
-        for vi in small:
-            pairs = list(h._maps(ui, vi))
-            for a in range(len(pairs)):
-                for b in range(a + 1, len(pairs)):
-                    checked += 1
-                    (f, fm), (g, gm) = pairs[a], pairs[b]
-                    found = None
-                    for wi2 in range(n):
-                        for hi, hm in h._maps(vi, wi2):
-                            if all(hm[fm[i]] == hm[gm[i]] for i in range(len(fm))):
-                                found = hi
-                                break
-                        if found is not None:
-                            break
-                    if found is None:
-                        failures.append(("coequalizer", f, g))
-                    else:
-                        witnesses["coequalizers"][(f, g)] = found
-    return BoundedReport(not failures, checked, tuple(failures), witnesses)
+    for ui, vi in iproduct(small, small):
+        for (f, fm), (g, gm) in combinations(h._maps(ui, vi), 2):
+            block = list(range(h.objects[vi].arity))    # each position's first class-mate
+            for i, j in zip(fm, gm):
+                lo, hi = sorted((block[i], block[j]))
+                block = [lo if b == hi else b for b in block]
+            q = tuple(map(sorted(set(block)).index, block))
+            if (vi, q) in quotients:
+                coequalizers[f, g] = quotients[vi, q]
+    return BoundedReport(not failures, len(bounds) + len(quotients) + len(failures),
+                         tuple(failures), {"bounds": bounds, "quotients": quotients,
+                                           "coequalizers": coequalizers})

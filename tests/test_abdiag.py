@@ -619,3 +619,41 @@ def test_rule_categories_of_different_shapes_are_unequal():
 
     one = discrete_by_rule(1)
     assert one == one and one != discrete_by_rule(2)
+
+
+Z_Z2 = direct_sum([Z, cyclic(2)])
+
+GUARDS = [
+    (lambda: AbDiagram(parallel_pair_category(), [Z, Z],
+                       [identity_hom(Z), identity_hom(Z), hom(Z, cyclic(2), [[1]]),
+                        identity_hom(Z)]),
+     "hom for morphism 2 has wrong endpoints"),
+    (lambda: ab_colimit(parallel_diagram(2, 0)).factor([identity_hom(Z)]),
+     "one cocone component per object required"),
+    (lambda: ab_colimit(parallel_diagram(2, 0)).factor([identity_hom(Z)] * 2),
+     "components do not form a cocone at morphism 2"),
+    (lambda: ab_limit(parallel_diagram(2, 0)).factor([identity_hom(Z)]),
+     "one cone component per object required"),
+    (lambda: ab_limit(parallel_diagram(2, 0)).factor([identity_hom(Z)] * 2),
+     "components do not form a cone at morphism 2"),
+    (lambda: gmodule(Z2_TABLE, Z, {2: identity_hom(Z)}), "action generator 2 out of range"),
+    (lambda: gmodule(Z2_TABLE, Z, {1: hom(Z, cyclic(2), [[1]])}),
+     "action of 1 is not an endomorphism of the carrier"),
+    # the swap sends the relation 2 e_2 to 2 e_1, a nonzero element of Z
+    (lambda: gmodule(Z2_TABLE, Z_Z2, {1: hom(Z_Z2, Z_Z2, [[0, 1], [1, 0]])}),
+     "action of 1 is not well defined on the carrier"),
+    (lambda: gmodule(Z2_TABLE, Z, {0: hom(Z, Z, [[-1]])}),
+     "action of 0 conflicts with the identity"),
+    (lambda: ab4_check([Z, Z], [Z], [identity_hom(Z)] * 2), "family sizes differ"),
+    (lambda: ab4_check([Z], [Z], [hom(Z, cyclic(2), [[1]])]),
+     "component 0 has wrong endpoints"),
+    (lambda: generator_check(identity_hom(Z), zero_hom(Z, cyclic(2))),
+     "homs with different endpoints"),
+]
+
+
+@pytest.mark.parametrize("call,message", GUARDS, ids=[message for _, message in GUARDS])
+def test_each_guard_names_its_input(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message

@@ -284,6 +284,25 @@ def test_every_command_rejects_an_invalid_category_in_any_body(tmp_path, capsys)
             ("ab5_chain.json", ("verify", "ab5"))} <= probed
 
 
+def test_a_product_base_is_checked_factor_by_factor(tmp_path, capsys):
+    # the product of the empty category with a broken one is empty, so it
+    # passes the laws itself; each command reads the broken factor
+    broken = {"objects": ["0", "1"],
+              "morphisms": [{"name": "id0", "dom": "0", "cod": "0"},
+                            {"name": "id1", "dom": "1", "cod": "1"},
+                            {"name": "f", "dom": "0", "cod": "1"}],
+              "identities": {"0": "id0", "1": "id1"},
+              "composition": [["f", "id0", "id1"]]}
+    empty = {"objects": [], "morphisms": [], "identities": {}, "composition": []}
+    bad = tmp_path / "broken_factor.json"
+    bad.write_text(json.dumps({"kind": "setdiagram", "factors": [empty, broken],
+                               "sets": {}, "maps": {}}))
+    for words in (("limit",), ("colimit",), ("verify", "commute")):
+        code, out, err = run_cli(capsys, *words, bad)
+        assert (code, out) == (2, ""), words
+        assert err.startswith("error: invalid category:") and err.count("\n") == 1
+
+
 def test_verify_notlex_exits_zero_with_certificate(capsys):
     code, out, _ = run_cli(capsys, "verify", "notlex", FIXTURES / "notlex.json")
     assert code == 0

@@ -380,3 +380,47 @@ def test_a_pair_has_one_composite():
     # an identical repeat is the same table
     repeat = _idempotent_body(composition=[["e", "e", "e"], ["e", "e", "e"]])
     assert parse_document(json.dumps(repeat)) == parse_document(json.dumps(_idempotent_body()))
+
+
+def _point():
+    """The one-object category with only its identity, as a body."""
+    return {"objects": ["*"], "morphisms": [{"name": "1", "dom": "*", "cod": "*"}],
+            "identities": {"*": "1"}, "composition": []}
+
+
+def _z2_module(**changes):
+    """Z/2 acting on Z by negation, with changes."""
+    return {"kind": "gmodule", "elements": ["e", "s"], "table": [["e", "s"], ["s", "e"]],
+            "carrier": {"generators": 1}, "action": {"s": [[-1]]}, **changes}
+
+
+GUARD_FAULTS = [
+    (_z2_module(action={"s": [["-1"]]}), "matrix entries must be integers",
+     "gmodule.action.s[0][0]"),
+    ({"kind": "abgroup", "generators": 1, "relations": [[2.0]]},
+     "relation entries must be integers", "abgroup.relations[0]"),
+    ({"kind": "category", **_point(), "objects": ["*", "*"]},
+     "object names are not distinct", "category.objects"),
+    (_idempotent_body(morphisms=[{"name": "1", "dom": "*", "cod": "*"}] * 2),
+     "morphism names are not distinct", "category.morphisms"),
+    ({"kind": "setdiagram", "base": _point(), "sets": {"*": -1}, "maps": {}},
+     "set size must be nonnegative", "setdiagram.sets.*"),
+    ({"kind": "setdiagram", "factors": [_point()], "sets": {}, "maps": {}},
+     "factors must list exactly two categories", "setdiagram.factors"),
+    (_z2_module(elements=["e", "e"]), "element names are not distinct", "gmodule.elements"),
+    (_z2_module(target={"elements": ["e"], "table": [["e"]], "carrier": {"generators": 1},
+                        "action": {}}, map=[[1]]),
+     "modules are over different groups", "gmodule.target"),
+    ({"kind": "family", "index": ["a", "a"], "groups": {"a": {"generators": 1}}},
+     "index labels are not distinct", "family.index"),
+    ([], "document must be a JSON object", None),
+    ({"kind": "setdiagram", "base": _point(), "sets": {"*": ["x", "x"]}, "maps": {}},
+     "labels are not distinct", "setdiagram"),
+]
+
+
+@pytest.mark.parametrize("payload,message,path", GUARD_FAULTS,
+                         ids=[message for _, message, _ in GUARD_FAULTS])
+def test_each_parser_guard_names_its_path(payload, message, path):
+    assert _document_error(payload) == (
+        message if path is None else f"{message} at {path}", path)

@@ -3,7 +3,8 @@
 import hashlib
 import random
 import time
-from itertools import product as iproduct
+from collections import Counter
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -441,6 +442,49 @@ def test_bounded_reports_small():
         assert all(hm[fm[i]] == hm[gm[i]] for i in range(len(fm)))
 
 
+@pytest.mark.parametrize("letters,cap,pairs", [(1, 3, 425), (2, 2, 14), (2, 3, 1198),
+                                               (3, 3, 2319)])
+def test_quotient_words_coequalize_every_parallel_pair(letters, cap, pairs):
+    # brute force over every parallel pair f, g: u -> v: the quotient by the
+    # partition of v's positions that f(i) ~ g(i) generates coequalizes the
+    # pair, and every coequalizing map out of v factors through it once
+    hx = hx_category(FinSet(letters), cap)
+    rep = hx_filtered_bounded_report(hx)
+    assert rep.ok
+    quotients, coequalizers = rep.witnesses["quotients"], rep.witnesses["coequalizers"]
+    n = len(hx.objects)
+    out_of = [[hx.morphisms[m][1:] for t in range(n) for m in hx.hom(v, t)] for v in range(n)]
+    after = {}     # (vi, q) -> how often each (t, d o q) arises, d out of the quotient word
+    seen, small = 0, set()
+    for ui, vi in iproduct(range(n), repeat=2):
+        for f, g in combinations(hx.hom(ui, vi), 2):
+            fm, gm = hx.morphisms[f][2], hx.morphisms[g][2]
+            classes = [{j} for j in range(hx.objects[vi].arity)]
+            for i in range(len(fm)):
+                a, b = (next(c for c in classes if j in c) for j in (fm[i], gm[i]))
+                if a is not b:
+                    classes = [c for c in classes if c is not b]
+                    a |= b
+            classes.sort(key=min)
+            q = tuple(next(k for k, c in enumerate(classes) if j in c)
+                      for j in range(hx.objects[vi].arity))
+            m = quotients[vi, q]
+            ti = hx.morphisms[m][1]
+            assert hx.morphisms[m] == (vi, ti, q)
+            assert hx.compose(m, f) == hx.compose(m, g)
+            if (vi, q) not in after:
+                after[vi, q] = Counter((t, tuple(dm[j] for j in q)) for t, dm in out_of[ti])
+            for t, cm in out_of[vi]:
+                if all(cm[i] == cm[j] for i, j in zip(fm, gm)):
+                    assert after[vi, q][t, cm] == 1, (f, g, t, cm)
+            if max(hx.objects[ui].arity, hx.objects[vi].arity) <= 2:
+                assert coequalizers[f, g] == m
+                small.add((f, g))
+            seen += 1
+    assert seen == pairs
+    assert set(coequalizers) == small
+
+
 def test_bounded_reports_refuse_a_skeleton():
     # concatenation is the coproduct only in the word category: (b) + (a, a)
     # is no sorted word
@@ -852,6 +896,19 @@ class _Tampered(harting.HXCategory):
         return self.edits[(src, tgt)](maps) if (src, tgt) in self.edits else maps
 
 
+class _Forgetful(harting.HXCategory):
+    """A word category whose object index has lost ``word``; ``object_index``,
+    which the concatenations read, still finds it."""
+
+    def __init__(self, h, word):
+        super().__init__(h.alphabet, h.cap, h.objects, h._spots, h._hom_cache, False)
+        self.every_word = dict(self._object_index)
+        del self._object_index[word]
+
+    def object_index(self, obj):
+        return self.every_word[obj]
+
+
 def test_sifted_report_names_a_reordered_pair():
     hx = hx_category(AB, 2)
     aa = hx.object_index(HXObject(2, (0, 0)))
@@ -862,14 +919,17 @@ def test_sifted_report_names_a_reordered_pair():
         {(aa, aa)}
 
 
-def test_filtered_report_names_a_parallel_pair_left_uncoequalized():
-    hx = hx_category(FinSet(1), 2)
+def test_filtered_report_names_a_missing_quotient_word():
+    hx = _Forgetful(hx_category(AB, 2), HXObject(1, (0,)))
     a, aa = (hx.object_index(HXObject(n, (0,) * n)) for n in (1, 2))
-    # the maps out of (aa) into (a) and (aa) are the only ones that merge its positions
-    rep = hx_filtered_bounded_report(_Tampered(hx, {(aa, a): lambda maps: [],
-                                                    (aa, aa): lambda maps: []}))
+    rep = hx_filtered_bounded_report(hx)
     assert not rep.ok
-    assert rep.failures == (("coequalizer", *hx.hom(a, aa)),)
+    # (a) is the quotient of (a) by its one block and of (a, a) by the merge
+    assert rep.failures == (("quotient", a, (0,)), ("quotient", aa, (0,)))
+    assert (aa, (0, 1)) in rep.witnesses["quotients"]
+    assert (aa, (0, 0)) not in rep.witnesses["quotients"]
+    # the parallel pair (a) => (a, a) has no coequalizer left to name
+    assert tuple(hx.hom(a, aa)) not in rep.witnesses["coequalizers"]
 
 
 # ---------------------------------------------------------------------------
