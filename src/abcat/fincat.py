@@ -842,8 +842,8 @@ def is_filtered(cat: FinCategory) -> FilteredReport:
             bounds[(a, b)] = found
     coeqs = {}
     for f in range(cat.n_morphisms):
-        for g in range(f + 1, cat.n_morphisms):
-            if cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
+        for g in cat.hom(cat.dom[f], cat.cod[f]):
+            if g <= f:
                 continue
             found = None
             for h in cat.morphisms_from(cat.cod[f]):

@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache, lru_cache
-from itertools import accumulate, chain, combinations, combinations_with_replacement, product as iproduct
+from itertools import accumulate, chain, combinations_with_replacement, product as iproduct
 from math import prod
 from typing import NamedTuple
 
@@ -517,13 +517,12 @@ def hx_filtered_bounded_report(h: HXCategory) -> BoundedReport:
     numbered by first position, and fails with ("quotient", vi, word) where
     the truncation lacks it: the quotient by the partition a parallel pair
     into v generates coequalizes the pair, and every coequalizing map out
-    of v factors through it once.  Witnesses: "bounds", "quotients" ((vi, q)
-    -> index of q) and "coequalizers", the q of each parallel pair between
-    words of arity <= 2.  It counts the bounds and partitions it checked.
+    of v factors through it once.  Witnesses: "bounds" and "quotients"
+    ((vi, q) -> index of q).  It counts the bounds and partitions it checked.
     """
     bounds = {(ui, vi): (wi, h._index(ui, wi, left.mapping), h._index(vi, wi, right.mapping))
               for ui, vi, wi, left, right in _concatenations(h, both_orders=False)}
-    failures, quotients, coequalizers = [], {}, {}
+    failures, quotients = [], {}
     for vi, v in enumerate(h.objects):
         partitions = [((), ())]    # (q, quotient word) on the positions read so far
         for x in v.word:
@@ -535,16 +534,5 @@ def hx_filtered_bounded_report(h: HXCategory) -> BoundedReport:
                 failures.append(("quotient", vi, word))
             else:
                 quotients[vi, q] = h._index(vi, wi, q)
-    small = [i for i, o in enumerate(h.objects) if o.arity <= 2]
-    for ui, vi in iproduct(small, small):
-        for (f, fm), (g, gm) in combinations(h._maps(ui, vi), 2):
-            block = list(range(h.objects[vi].arity))    # each position's first class-mate
-            for i, j in zip(fm, gm):
-                lo, hi = sorted((block[i], block[j]))
-                block = [lo if b == hi else b for b in block]
-            q = tuple(map(sorted(set(block)).index, block))
-            if (vi, q) in quotients:
-                coequalizers[f, g] = quotients[vi, q]
     return BoundedReport(not failures, len(bounds) + len(quotients) + len(failures),
-                         tuple(failures), {"bounds": bounds, "quotients": quotients,
-                                           "coequalizers": coequalizers})
+                         tuple(failures), {"bounds": bounds, "quotients": quotients})

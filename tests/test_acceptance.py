@@ -7,7 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from abcat.abdiag import (ab_colimit, coinvariants, generator_check, gmodule,
@@ -19,7 +19,7 @@ from abcat.cli import main as cli_main
 from abcat.fincat import (chain_category, discrete_category, full_subcategory,
                           is_filtered, is_final, is_sifted, parallel_pair_category,
                           span_category)
-from abcat.harting import (harting_compare, harting_expand, hx_category,
+from abcat.harting import (HXObject, harting_compare, harting_expand, hx_category,
                            hx_filtered_bounded_report, hx_sifted_bounded_report)
 from abcat.intmat import IntMatrix
 from abcat.sampling import (random_commute_instance, random_family, random_group,
@@ -116,12 +116,22 @@ def test_criterion_04_word_category_bounded_structure():
                         for vi in range(ui, len(hx.objects))
                         if hx.objects[ui].arity + hx.objects[vi].arity <= 4)
             assert len(filtered.witnesses["bounds"]) == pairs
-            # coequalizing arrows really coequalize
-            for (f, g), h in filtered.witnesses["coequalizers"].items():
-                fm = hx.morphisms[f][2]
-                gm = hx.morphisms[g][2]
-                hm = hx.morphisms[h][2]
-                assert all(hm[fm[i]] == hm[gm[i]] for i in range(len(fm)))
+            # each quotient map names the quotient word, blocks numbered by first position
+            quotients = filtered.witnesses["quotients"]
+            for (vi, q), m in quotients.items():
+                word = tuple(hx.objects[vi].word[q.index(b)] for b in range(len(set(q))))
+                ti = hx.object_index(HXObject(len(word), word))
+                assert hx.morphisms[m] == (vi, ti, q)
+            # a parallel pair between words of arity <= 2 lands in a word (x, x),
+            # and the quotient merging its two positions coequalizes the pair
+            small = [i for i, o in enumerate(hx.objects) if o.arity <= 2]
+            pairs = 0
+            for ui, vi in product(small, small):
+                for f, g in combinations(hx.hom(ui, vi), 2):
+                    m = quotients[vi, (0, 0)]
+                    assert hx.compose(m, f) == hx.compose(m, g)
+                    pairs += 1
+            assert pairs == 7 * letters
             sifted = hx_sifted_bounded_report(hx)
             assert sifted.ok, (letters, sifted.failures[:3])
 

@@ -345,6 +345,42 @@ def test_filtered_witnesses_commute():
         assert cat.compose(h, f) == cat.compose(h, g)
 
 
+def filtered_by_square_scan(cat):
+    """is_filtered's report, with parallel pairs found among all m² pairs."""
+    if cat.n_objects == 0:
+        return False, "category is empty", None, {}, {}
+    bounds = {}
+    for a in range(cat.n_objects):
+        for b in range(a, cat.n_objects):
+            found = next(((d, cat.hom(a, d)[0], cat.hom(b, d)[0]) for d in range(cat.n_objects)
+                          if cat.hom(a, d) and cat.hom(b, d)), None)
+            if found is None:
+                return False, "no upper bound", (a, b), bounds, {}
+            bounds[a, b] = found
+    coeqs = {}
+    for f in range(cat.n_morphisms):
+        for g in range(f + 1, cat.n_morphisms):
+            if (cat.dom[f], cat.cod[f]) != (cat.dom[g], cat.cod[g]):
+                continue
+            found = next((h for h in cat.morphisms_from(cat.cod[f])
+                          if cat.compose(h, f) == cat.compose(h, g)), None)
+            if found is None:
+                return False, "no coequalizing arrow", (f, g), bounds, coeqs
+            coeqs[f, g] = found
+    return True, None, None, bounds, coeqs
+
+
+def test_filtered_reads_parallel_pairs_from_hom_sets():
+    corpus = category_corpus()
+    cats = list(corpus)
+    cats += [(f"{m}*{n}", product_category(c, d)) for m, c in corpus for n, d in corpus]
+    cats += [("hx(2,3)", hx_category(FinSet(2), 3)), ("hx(3,2)", hx_category(FinSet(3), 2)),
+             ("hx_skeleton(3,3)", hx_skeleton(FinSet(3), 3))]
+    assert len(cats) == 185
+    for name, cat in cats:
+        assert tuple(is_filtered(cat)) == filtered_by_square_scan(cat), name
+
+
 def test_sifted():
     assert is_sifted(terminal_category()).sifted
     rep = is_sifted(discrete_category(2))

@@ -435,11 +435,10 @@ def test_bounded_reports_small():
     filtered = hx_filtered_bounded_report(two)
     sifted = hx_sifted_bounded_report(two)
     assert filtered.ok and sifted.ok
-    for (f, g), h in filtered.witnesses["coequalizers"].items():
-        fm = two.morphisms[f][2]
-        gm = two.morphisms[g][2]
-        hm = two.morphisms[h][2]
-        assert all(hm[fm[i]] == hm[gm[i]] for i in range(len(fm)))
+    for (vi, q), m in filtered.witnesses["quotients"].items():
+        source, ti, qm = two.morphisms[m]
+        assert (source, qm) == (vi, q)
+        assert all(two.objects[ti].word[b] == x for b, x in zip(q, two.objects[vi].word))
 
 
 @pytest.mark.parametrize("letters,cap,pairs", [(1, 3, 425), (2, 2, 14), (2, 3, 1198),
@@ -451,11 +450,11 @@ def test_quotient_words_coequalize_every_parallel_pair(letters, cap, pairs):
     hx = hx_category(FinSet(letters), cap)
     rep = hx_filtered_bounded_report(hx)
     assert rep.ok
-    quotients, coequalizers = rep.witnesses["quotients"], rep.witnesses["coequalizers"]
+    quotients = rep.witnesses["quotients"]
     n = len(hx.objects)
     out_of = [[hx.morphisms[m][1:] for t in range(n) for m in hx.hom(v, t)] for v in range(n)]
     after = {}     # (vi, q) -> how often each (t, d o q) arises, d out of the quotient word
-    seen, small = 0, set()
+    seen = 0
     for ui, vi in iproduct(range(n), repeat=2):
         for f, g in combinations(hx.hom(ui, vi), 2):
             fm, gm = hx.morphisms[f][2], hx.morphisms[g][2]
@@ -477,12 +476,8 @@ def test_quotient_words_coequalize_every_parallel_pair(letters, cap, pairs):
             for t, cm in out_of[vi]:
                 if all(cm[i] == cm[j] for i, j in zip(fm, gm)):
                     assert after[vi, q][t, cm] == 1, (f, g, t, cm)
-            if max(hx.objects[ui].arity, hx.objects[vi].arity) <= 2:
-                assert coequalizers[f, g] == m
-                small.add((f, g))
             seen += 1
     assert seen == pairs
-    assert set(coequalizers) == small
 
 
 def test_bounded_reports_refuse_a_skeleton():
@@ -928,8 +923,7 @@ def test_filtered_report_names_a_missing_quotient_word():
     assert rep.failures == (("quotient", a, (0,)), ("quotient", aa, (0,)))
     assert (aa, (0, 1)) in rep.witnesses["quotients"]
     assert (aa, (0, 0)) not in rep.witnesses["quotients"]
-    # the parallel pair (a) => (a, a) has no coequalizer left to name
-    assert tuple(hx.hom(a, aa)) not in rep.witnesses["coequalizers"]
+    assert set(rep.witnesses) == {"bounds", "quotients"}
 
 
 # ---------------------------------------------------------------------------

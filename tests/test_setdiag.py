@@ -616,6 +616,31 @@ def test_poset_sampler_refuses_covers_that_are_not_relations():
         random_poset_functor(Random(0), chain_category(3), [(0, 1), (1, 2), (2, 0)])
 
 
+def test_natural_step_gives_up_when_no_draw_admits_a_map(monkeypatch):
+    from random import Random
+    from abcat import sampling
+    # no map sends the two points of h to an empty set, so all 200 draws fail
+    shape = discrete_category(1)
+    h = SetFunctor(shape, [FinSet(2)], [(0, 1)])
+    draws = []
+    monkeypatch.setattr(sampling, "random_shape_functor", lambda *args: draws.append(args)
+                        or SetFunctor(shape, [FinSet(0)], [()]))
+    with pytest.raises(InputError, match="^failed to sample a natural transformation$"):
+        sampling._natural_step(Random(0), shape, h, 4)
+    assert len(draws) == 200
+
+
+def test_poset_sampler_gives_up_when_every_draw_breaks_a_relation(monkeypatch):
+    from random import Random
+    from abcat import sampling
+    checks = []
+    monkeypatch.setattr(sampling, "_extend_from_generators",
+                        lambda *args: checks.append(args) or ((0, 0), ()))
+    with pytest.raises(InputError, match="^failed to sample a consistent poset diagram$"):
+        sampling.random_poset_functor(Random(0), chain_category(2), [(0, 1)])
+    assert len(checks) == 5000
+
+
 def test_poset_sampler_draws_are_pinned():
     # 100 seeds on each of four shapes, the last with the redundant cover
     # (0, 2); the digest covers each draw and the generator state after it
